@@ -8,6 +8,7 @@ the only thing standing between the model and order blindness."""
 import numpy as np
 
 from volalign import slice_pool as sp
+from volalign import trainer as tr
 from volalign.config import TrainConfig
 from volalign.diffmath import Tensor, make_rng
 from volalign.encoders import SliceStack
@@ -30,26 +31,25 @@ def main():
     print("bitwise identical under permutation:", np.array_equal(g1, g2))
 
     print("\n== attention with a zeroed position table is equivariant too ==")
-    adapter = sp.init_adapter(CFG, seed=1)
-    adapter.pe_table.value.data[...] = 0.0
+    adapter = tr.init_group(CFG, "adapter", seed=1)
+    adapter["pe_table"].value.data[...] = 0.0
     a1 = sp.attention_pool(stack_of(mat), adapter).data
     a2 = sp.attention_pool(stack_of(mat[perm]), adapter).data
     print(f"max |difference| = {np.abs(a1 - a2).max():.2e}  (pure self-attention"
           " cannot see order)")
 
     print("\n== the random position table injects order information ==")
-    adapter = sp.init_adapter(CFG, seed=1)
+    adapter = tr.init_group(CFG, "adapter", seed=1)
     a1 = sp.attention_pool(stack_of(mat), adapter).data
     a2 = sp.attention_pool(stack_of(mat[perm]), adapter).data
     print(f"max |difference| = {np.abs(a1 - a2).max():.2e}  (already at"
           " initialization, and it grows with training)")
 
     print("\n== attention weights are a proper distribution per head ==")
-    z = mat + adapter.pe_table.value.data
-    head = adapter.heads[0]
-    q = z @ head.wq.value.data
-    k = z @ head.wk.value.data
-    scores = q @ k.T / np.sqrt(adapter.d_head)
+    z = mat + adapter["pe_table"].value.data
+    q = z @ adapter["h0.wq"].value.data
+    k = z @ adapter["h0.wk"].value.data
+    scores = q @ k.T / np.sqrt(CFG.d_head)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     attn = e / e.sum(axis=1, keepdims=True)
     print("row sums:", np.round(attn.sum(axis=1), 12))

@@ -33,7 +33,7 @@ def main():
     sp3 = lambda n: [e for e in e3d if e.split == n]
 
     print("\n== stage 1: fine-tune the image encoder ==")
-    cfg1 = TrainConfig(stage=1, epochs=10, **CFG)
+    cfg1 = TrainConfig(epochs=10, **CFG)
     stage1 = tr.train_stage1(cfg1, sp2("train"), sp2("val"), work / "2d",
                              out_dir=work / "stage1")
     for h in stage1.history[::3]:
@@ -42,16 +42,16 @@ def main():
     print(f"best epoch: {stage1.best_epoch}, val loss {stage1.best_val_loss:.4f}")
 
     print("\n== stage 2: train the adapter, encoders frozen ==")
-    cfg2 = TrainConfig(stage=2, epochs=20, **CFG)
+    cfg2 = TrainConfig(epochs=20, **CFG)
     stage2 = tr.train_stage2(cfg2, sp3("train"), sp3("val"), work / "3d", stage1,
                              out_dir=work / "stage2")
     for h in stage2.history[::5]:
         print(f"  epoch {h['epoch']:>2}: train {h['train_loss']:.4f}  val {h['val_loss']:.4f}")
 
-    frozen = np.array_equal(stage2.image.patch_proj.value.data,
-                            stage1.image.patch_proj.value.data)
-    moved = not np.array_equal(stage2.adapter.pe_table.value.data,
-                               stage1.adapter.pe_table.value.data)
+    frozen = np.array_equal(stage2.image["patch_proj"].value.data,
+                            stage1.image["patch_proj"].value.data)
+    moved = not np.array_equal(stage2.adapter["pe_table"].value.data,
+                               stage1.adapter["pe_table"].value.data)
     print(f"image encoder untouched by stage 2: {frozen}")
     print(f"position table learned something:   {moved}")
 

@@ -10,15 +10,14 @@ from .datapipe import (Caption, ManifestEntry, SynthSpec, Volume, build_caption,
                        load_captions, load_manifest, load_volume, preprocess_volume,
                        resize_bilinear, save_manifest, save_volume, synth_dataset,
                        tokenize, zscore)
-from .diffmath import Param, Tape, Tensor, grad_check, make_rng
-from .encoders import (ImageEncoderParams, SliceStack, TextEncoderParams,
-                       encode_image2d, encode_slices, encode_text,
-                       init_image_encoder, init_text_encoder)
+from .diffmath import Param, ParamGroup, Tape, Tensor, grad_check, make_rng
+from .encoders import (SliceStack, encode_image2d, encode_slices, encode_text,
+                       image_shapes, text_shapes)
 from .evalkit import (AblationData, AblationReport, EmbeddingRow, EmbeddingTable,
                       MatchReport, ProbeReport, export_embeddings_csv,
                       extract_embeddings, linear_probe_cv, read_embeddings_csv,
                       run_ablation, top1_match)
-from .slice_pool import AdapterParams, attention_pool, gap_pool, init_adapter, pool
-from .trainer import (Adam, Checkpoint, OptimizerState, cosine_lr, load_checkpoint,
-                      make_initial_checkpoint, save_checkpoint, train_stage1,
-                      train_stage2)
+from .slice_pool import adapter_shapes, attention_pool, gap_pool, pool
+from .trainer import (GROUPS, Adam, Checkpoint, OptimizerState, cosine_lr, init_group,
+                      load_checkpoint, make_initial_checkpoint, save_checkpoint,
+                      train_stage1, train_stage2)

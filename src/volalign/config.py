@@ -17,7 +17,6 @@ class TrainConfig:
     (init, shuffle, dropout, ...), so components can be varied independently.
     """
 
-    stage: int = 1
     epochs: int = 20
     batch_size: int = 32
     lr0: float = 1e-4
@@ -42,8 +41,6 @@ class TrainConfig:
         return self.d_model // self.heads
 
     def validate(self) -> "TrainConfig":
-        if self.stage not in (1, 2):
-            raise ConfigurationError(f"stage must be 1 or 2, got {self.stage}")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be >= 0")
         if self.batch_size < 2:

@@ -123,6 +123,10 @@ class Param:
         return f"Param({self.name or '?'}, shape={self.value.shape}, trainable={self.trainable})"
 
 
+# One parameter group: short name -> Param, in the group's table order.
+ParamGroup = dict[str, Param]
+
+
 def zero_grads(params: Iterable[Param]) -> None:
     for p in params:
         p.zero_grad()

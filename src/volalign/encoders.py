@@ -8,6 +8,7 @@ image encoder over every slice of a volume and stacks the rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,30 +16,21 @@ import numpy as np
 from . import diffmath as dm
 from .config import TrainConfig
 from .datapipe import Volume
-from .diffmath import Param, Tape, Tensor
+from .diffmath import ParamGroup, Tape, Tensor
 from .errors import InputError
 
-INIT_STD = 0.02
+
+def text_shapes(cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
+    """Frozen lookup table + projection, in init draw order."""
+    return {"embed_table": (cfg.vocab, cfg.d_text),
+            "proj": (cfg.d_text, cfg.d_model)}
 
 
-@dataclass
-class TextEncoderParams:
-    """Frozen lookup table + projection; fully determined by the seed."""
-
-    embed_table: Param  # [vocab x d_text]
-    proj: Param         # [d_text x d_model]
-    seed: int
-
-
-@dataclass
-class ImageEncoderParams:
-    patch_proj: Param   # [patch*patch x d_hidden]
-    mlp_hidden: Param   # [d_hidden x d_hidden]
-    out_proj: Param     # [d_hidden x d_model]
-    patch_size: int
-
-    def params(self) -> list[Param]:
-        return [self.patch_proj, self.mlp_hidden, self.out_proj]
+def image_shapes(cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
+    """Patch projection, hidden layer and output projection, in init draw order."""
+    return {"patch_proj": (cfg.patch_size * cfg.patch_size, cfg.d_hidden),
+            "mlp_hidden": (cfg.d_hidden, cfg.d_hidden),
+            "out_proj": (cfg.d_hidden, cfg.d_model)}
 
 
 @dataclass
@@ -49,32 +41,7 @@ class SliceStack:
     n: int
 
 
-def init_text_encoder(cfg: TrainConfig, seed: int) -> TextEncoderParams:
-    rng = dm.make_rng(seed, "init:text")
-    table = rng.normal(0.0, INIT_STD, size=(cfg.vocab, cfg.d_text))
-    proj = rng.normal(0.0, INIT_STD, size=(cfg.d_text, cfg.d_model))
-    return TextEncoderParams(
-        embed_table=Param(table, trainable=False, name="text.embed_table"),
-        proj=Param(proj, trainable=False, name="text.proj"),
-        seed=seed,
-    )
-
-
-def init_image_encoder(cfg: TrainConfig, seed: int) -> ImageEncoderParams:
-    rng = dm.make_rng(seed, "init:image")
-    p2 = cfg.patch_size * cfg.patch_size
-    return ImageEncoderParams(
-        patch_proj=Param(rng.normal(0.0, INIT_STD, size=(p2, cfg.d_hidden)),
-                         name="image.patch_proj"),
-        mlp_hidden=Param(rng.normal(0.0, INIT_STD, size=(cfg.d_hidden, cfg.d_hidden)),
-                         name="image.mlp_hidden"),
-        out_proj=Param(rng.normal(0.0, INIT_STD, size=(cfg.d_hidden, cfg.d_model)),
-                       name="image.out_proj"),
-        patch_size=cfg.patch_size,
-    )
-
-
-def encode_text(token_ids: list[int], params: TextEncoderParams) -> Tensor:
+def encode_text(token_ids: list[int], params: ParamGroup) -> Tensor:
     """Mean of the looked-up embedding rows, projected into the shared space.
 
     Frozen path: never records on a tape. The mean is exactly rounded, so any
@@ -82,14 +49,14 @@ def encode_text(token_ids: list[int], params: TextEncoderParams) -> Tensor:
     """
     if not token_ids:
         raise InputError("encode_text: empty token list")
-    table = params.embed_table.value.data
+    table = params["embed_table"].value.data
     vocab = table.shape[0]
     for t in token_ids:
         if not 0 <= t < vocab:
             raise InputError(f"encode_text: token id {t} outside [0, {vocab})")
     rows = table[np.asarray(token_ids, dtype=np.intp)]
     bag = dm.mean_rows(Tensor(rows))
-    return dm.vecmat(bag, params.proj)
+    return dm.vecmat(bag, params["proj"])
 
 
 def patchify(image, patch_size: int) -> Tensor:
@@ -107,22 +74,24 @@ def patchify(image, patch_size: int) -> Tensor:
     return Tensor(patches)
 
 
-def encode_image2d(image, params: ImageEncoderParams, train_mode: bool = False,
+def encode_image2d(image, params: ParamGroup, train_mode: bool = False,
                    dropout_rate: float = 0.0, rng=None, tape: Tape | None = None) -> Tensor:
     """Patch projection -> relu -> hidden layer -> relu -> mean over patches -> output.
 
     Dropout acts on the hidden activation in train mode only; eval mode is a
     pure function of the image and parameters.
     """
-    patches = patchify(image, params.patch_size)  # constant w.r.t. params
-    h1 = dm.relu(dm.matmul(patches, params.patch_proj, tape), tape)
-    h2 = dm.relu(dm.matmul(h1, params.mlp_hidden, tape), tape)
+    patch_proj = params["patch_proj"]
+    patch_size = math.isqrt(patch_proj.value.shape[0])
+    patches = patchify(image, patch_size)  # constant w.r.t. params
+    h1 = dm.relu(dm.matmul(patches, patch_proj, tape), tape)
+    h2 = dm.relu(dm.matmul(h1, params["mlp_hidden"], tape), tape)
     h2 = dm.dropout(h2, dropout_rate, train_mode, rng, tape)
     pooled = dm.mean_rows(h2, tape)
-    return dm.vecmat(pooled, params.out_proj, tape)
+    return dm.vecmat(pooled, params["out_proj"], tape)
 
 
-def encode_slices(volume: Volume, params: ImageEncoderParams, s_max: int = 64,
+def encode_slices(volume: Volume, params: ParamGroup, s_max: int = 64,
                   train_mode: bool = False, dropout_rate: float = 0.0, rng=None,
                   tape: Tape | None = None) -> SliceStack:
     """Encode every slice of a volume; row i is encode_image2d of slice i."""

@@ -18,7 +18,7 @@ from . import encoders as enc
 from . import slice_pool as sp
 from . import trainer as tr
 from .config import TrainConfig
-from .diffmath import make_rng
+from .diffmath import ParamGroup, make_rng
 from .errors import (AmbiguityError, DependencyError, EvaluationError,
                      InputError, LoadError, StratificationError)
 
@@ -239,7 +239,7 @@ def _normalize_rows(a: np.ndarray, eps: float = 1e-12) -> np.ndarray:
 
 
 def top1_match(images: EmbeddingTable, class_captions: list[dp.Caption],
-               text_params: enc.TextEncoderParams) -> MatchReport:
+               text_params: ParamGroup) -> MatchReport:
     """Assign each image to the nearest caption by cosine; ties break to the
     lowest class id."""
     if not class_captions:

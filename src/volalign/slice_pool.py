@@ -9,13 +9,12 @@ mean used as the ablation baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal
 
 from . import diffmath as dm
 from .config import TrainConfig
-from .diffmath import Param, Tape, Tensor
-from .encoders import INIT_STD, SliceStack
+from .diffmath import ParamGroup, Tape, Tensor
+from .encoders import SliceStack
 from .errors import CapacityError, ConfigurationError, InputError
 
 PoolMode = Literal["attention", "gap"]
@@ -23,84 +22,47 @@ PoolMode = Literal["attention", "gap"]
 POOL_MODES = ("attention", "gap")
 
 
-@dataclass
-class HeadParams:
-    wq: Param  # [d_model x d_head]
-    wk: Param
-    wv: Param
+def adapter_shapes(cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
+    """Position table, then wq/wk/wv per head, then the output projection.
 
-
-@dataclass
-class AdapterParams:
-    pe_table: Param  # [s_max x d_model], row i encodes slice position i
-    heads: list[HeadParams]
-    wo: Param        # [heads*d_head x d_model]
-    num_heads: int
-    d_head: int
-    dropout_rate: float
-
-    @property
-    def s_max(self) -> int:
-        return self.pe_table.value.shape[0]
-
-    def params(self) -> list[Param]:
-        out = [self.pe_table]
-        for h in self.heads:
-            out.extend([h.wq, h.wk, h.wv])
-        out.append(self.wo)
-        return out
-
-
-def init_adapter(cfg: TrainConfig, seed: int) -> AdapterParams:
-    """Draw the position table and all projections from N(0, INIT_STD^2)."""
-    if cfg.heads < 1 or cfg.d_model % cfg.heads != 0:
-        raise ConfigurationError(
-            f"heads ({cfg.heads}) must divide d_model ({cfg.d_model})")
-    d_head = cfg.d_model // cfg.heads
-    rng = dm.make_rng(seed, "init:adapter")
-    pe = Param(rng.normal(0.0, INIT_STD, size=(cfg.s_max, cfg.d_model)),
-               name="adapter.pe_table")
-    heads = []
+    attention_pool reads the heads off this order, so it is part of the layout.
+    """
+    shapes = {"pe_table": (cfg.s_max, cfg.d_model)}  # row i encodes slice position i
     for h in range(cfg.heads):
-        heads.append(HeadParams(
-            wq=Param(rng.normal(0.0, INIT_STD, size=(cfg.d_model, d_head)),
-                     name=f"adapter.h{h}.wq"),
-            wk=Param(rng.normal(0.0, INIT_STD, size=(cfg.d_model, d_head)),
-                     name=f"adapter.h{h}.wk"),
-            wv=Param(rng.normal(0.0, INIT_STD, size=(cfg.d_model, d_head)),
-                     name=f"adapter.h{h}.wv"),
-        ))
-    wo = Param(rng.normal(0.0, INIT_STD, size=(cfg.heads * d_head, cfg.d_model)),
-               name="adapter.wo")
-    return AdapterParams(pe_table=pe, heads=heads, wo=wo, num_heads=cfg.heads,
-                         d_head=d_head, dropout_rate=cfg.dropout_rate)
+        for w in ("wq", "wk", "wv"):
+            shapes[f"h{h}.{w}"] = (cfg.d_model, cfg.d_head)
+    shapes["wo"] = (cfg.heads * cfg.d_head, cfg.d_model)
+    return shapes
 
 
-def attention_pool(stack: SliceStack, params: AdapterParams, train_mode: bool = False,
-                   rng=None, tape: Tape | None = None) -> Tensor:
+def attention_pool(stack: SliceStack, params: ParamGroup, train_mode: bool = False,
+                   dropout_rate: float = 0.0, rng=None, tape: Tape | None = None) -> Tensor:
     """Position-aware attention over slices, then mean over the output rows."""
     n = stack.n
+    pe_table = params["pe_table"]
+    s_max = pe_table.value.shape[0]
     if n < 1:
         raise InputError("attention_pool: empty slice stack")
-    if n > params.s_max:
+    if n > s_max:
         raise CapacityError(
-            f"attention_pool: {n} slices exceed the position table capacity {params.s_max}")
+            f"attention_pool: {n} slices exceed the position table capacity {s_max}")
 
-    pe_n = dm.take_rows(params.pe_table, n, tape)
+    pe_n = dm.take_rows(pe_table, n, tape)
     z = dm.add(stack.mat, pe_n, tape)  # [n x d_model]
 
-    inv_sqrt = 1.0 / math.sqrt(params.d_head)
+    w = list(params.values())[1:-1]  # h0.wq, h0.wk, h0.wv, h1.wq, ...
+    inv_sqrt = 1.0 / math.sqrt(w[0].value.shape[1])
     head_outs = []
-    for head in params.heads:
-        q = dm.matmul(z, head.wq, tape)                  # [n x d_head]
-        k = dm.matmul(z, head.wk, tape)
-        v = dm.matmul(z, head.wv, tape)
+    for wq, wk, wv in zip(w[0::3], w[1::3], w[2::3]):
+        q = dm.matmul(z, wq, tape)                       # [n x d_head]
+        k = dm.matmul(z, wk, tape)
+        v = dm.matmul(z, wv, tape)
         scores = dm.scale(dm.matmul(q, dm.transpose(k, tape), tape), inv_sqrt, tape)
         attn = dm.softmax_rows(scores, tape)             # rows sum to 1
         head_outs.append(dm.matmul(attn, v, tape))
 
-    merged = dm.matmul(dm.concat_cols(head_outs, tape), params.wo, tape)
-    merged = dm.dropout(merged, params.dropout_rate, train_mode, rng, tape)
+    merged = dm.matmul(dm.concat_cols(head_outs, tape), params["wo"], tape)
+    merged = dm.dropout(merged, dropout_rate, train_mode, rng, tape)
     return dm.mean_rows(merged, tape)
 
 
@@ -112,8 +74,9 @@ def gap_pool(stack: SliceStack, tape: Tape | None = None) -> Tensor:
     return dm.mean_rows(stack.mat, tape)
 
 
-def pool(stack: SliceStack, mode: str, params: AdapterParams | None = None,
-         train_mode: bool = False, rng=None, tape: Tape | None = None) -> Tensor:
+def pool(stack: SliceStack, mode: str, params: ParamGroup | None = None,
+         train_mode: bool = False, dropout_rate: float = 0.0, rng=None,
+         tape: Tape | None = None) -> Tensor:
     """Dispatch on pool mode; "attention" requires adapter params."""
     if mode not in POOL_MODES:
         raise ConfigurationError(f"pool mode must be one of {POOL_MODES}, got {mode!r}")
@@ -121,4 +84,4 @@ def pool(stack: SliceStack, mode: str, params: AdapterParams | None = None,
         return gap_pool(stack, tape)
     if params is None:
         raise ConfigurationError("attention pooling requires adapter params")
-    return attention_pool(stack, params, train_mode, rng, tape)
+    return attention_pool(stack, params, train_mode, dropout_rate, rng, tape)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,16 +25,18 @@ from . import diffmath as dm
 from . import encoders as enc
 from . import slice_pool as sp
 from .config import TrainConfig
-from .diffmath import Param, Tape, Tensor
+from .diffmath import Param, ParamGroup, Tape, Tensor
 from .errors import (CheckpointError, CompatibilityError, ConfigurationError,
                      InputError)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _MAGIC = b"RCKP"
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+INIT_STD = 0.02
 
 
 def cosine_lr(t: int, cfg: TrainConfig) -> float:
@@ -113,42 +115,52 @@ class Adam:
 # checkpoints
 
 
+# The parameter registry: group -> (its shape table, trainable at init). This
+# order, then each table's order, is the init draw order and the order of the
+# param: sections in a checkpoint file.
+GROUPS = {"text": (enc.text_shapes, False),
+          "image": (enc.image_shapes, True),
+          "adapter": (sp.adapter_shapes, True)}
+
+
+def init_group(cfg: TrainConfig, group: str, seed: int) -> ParamGroup:
+    """Draw every tensor of one group from N(0, INIT_STD^2), in table order."""
+    shapes, trainable = GROUPS[group]
+    rng = dm.make_rng(seed, f"init:{group}")
+    return {name: Param(rng.normal(0.0, INIT_STD, size=shape), trainable=trainable,
+                        name=f"{group}.{name}")
+            for name, shape in shapes(cfg).items()}
+
+
 @dataclass
 class Checkpoint:
     """Everything needed to evaluate or to resume training: all parameter
     groups, optimizer moments, progress counters, and the training RNG state."""
 
-    version: int
     stage: int
     epoch: int  # completed epochs
     config: TrainConfig
-    text: enc.TextEncoderParams
-    image: enc.ImageEncoderParams
-    adapter: sp.AdapterParams
+    text: ParamGroup
+    image: ParamGroup
+    adapter: ParamGroup
     optimizer: OptimizerState | None = None
     best_val_loss: float | None = None
     best_epoch: int | None = None
     rng_state: dict | None = None
     history: list[dict] = field(default_factory=list)
 
+    def groups(self) -> dict[str, ParamGroup]:
+        return {g: getattr(self, g) for g in GROUPS}
+
     def model_params(self) -> list[Param]:
-        return ([self.text.embed_table, self.text.proj]
-                + self.image.params() + self.adapter.params())
-
-
-def init_model(cfg: TrainConfig, seed: int):
-    text = enc.init_text_encoder(cfg, seed)
-    image = enc.init_image_encoder(cfg, seed)
-    adapter = sp.init_adapter(cfg, seed)
-    return text, image, adapter
+        return [p for group in self.groups().values() for p in group.values()]
 
 
 def make_initial_checkpoint(cfg: TrainConfig, stage: int = 1) -> Checkpoint:
     """A fresh, untrained checkpoint determined entirely by cfg.seed."""
     cfg.validate()
-    text, image, adapter = init_model(cfg, cfg.seed)
-    return Checkpoint(version=CHECKPOINT_VERSION, stage=stage, epoch=0, config=cfg,
-                      text=text, image=image, adapter=adapter)
+    return Checkpoint(stage=stage, epoch=0, config=cfg,
+                      **{g: init_group(cfg, g, cfg.seed) for g in GROUPS})
 
 
 def _copy_param(p: Param) -> Param:
@@ -159,25 +171,12 @@ def _copy_param(p: Param) -> Param:
 
 def snapshot_checkpoint(ckpt: Checkpoint) -> Checkpoint:
     """Deep copy so that later training steps do not mutate saved state."""
-    text = enc.TextEncoderParams(_copy_param(ckpt.text.embed_table),
-                                 _copy_param(ckpt.text.proj), ckpt.text.seed)
-    image = enc.ImageEncoderParams(_copy_param(ckpt.image.patch_proj),
-                                   _copy_param(ckpt.image.mlp_hidden),
-                                   _copy_param(ckpt.image.out_proj),
-                                   ckpt.image.patch_size)
-    adapter = sp.AdapterParams(
-        pe_table=_copy_param(ckpt.adapter.pe_table),
-        heads=[sp.HeadParams(_copy_param(h.wq), _copy_param(h.wk), _copy_param(h.wv))
-               for h in ckpt.adapter.heads],
-        wo=_copy_param(ckpt.adapter.wo),
-        num_heads=ckpt.adapter.num_heads, d_head=ckpt.adapter.d_head,
-        dropout_rate=ckpt.adapter.dropout_rate)
-    return Checkpoint(version=ckpt.version, stage=ckpt.stage, epoch=ckpt.epoch,
-                      config=ckpt.config, text=text, image=image, adapter=adapter,
-                      optimizer=ckpt.optimizer.copy() if ckpt.optimizer else None,
-                      best_val_loss=ckpt.best_val_loss, best_epoch=ckpt.best_epoch,
-                      rng_state=json.loads(json.dumps(ckpt.rng_state)) if ckpt.rng_state else None,
-                      history=[dict(h) for h in ckpt.history])
+    groups = {g: {k: _copy_param(p) for k, p in group.items()}
+              for g, group in ckpt.groups().items()}
+    return replace(ckpt, **groups,
+                   optimizer=ckpt.optimizer.copy() if ckpt.optimizer else None,
+                   rng_state=json.loads(json.dumps(ckpt.rng_state)) if ckpt.rng_state else None,
+                   history=[dict(h) for h in ckpt.history])
 
 
 def _pack_tensor(a: np.ndarray) -> bytes:
@@ -231,7 +230,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "rng_state": ckpt.rng_state,
         "history": ckpt.history,
         "optimizer_step": ckpt.optimizer.step if ckpt.optimizer else None,
-        "text_seed": ckpt.text.seed,
     }
     sections: list[tuple[str, bytes]] = [
         ("meta", json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8"))
@@ -272,7 +270,10 @@ def _read_sections(blob: bytes, path) -> dict[str, bytes]:
         ofs += 4
         if ofs + nlen + 8 > len(blob):
             raise CheckpointError(f"{path}: truncated section name or length")
-        name = blob[ofs:ofs + nlen].decode("utf-8")
+        try:
+            name = blob[ofs:ofs + nlen].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: section name is not UTF-8: {exc}") from exc
         ofs += nlen
         (plen,) = struct.unpack_from("<Q", blob, ofs)
         ofs += 8
@@ -283,62 +284,71 @@ def _read_sections(blob: bytes, path) -> dict[str, bytes]:
     return sections
 
 
+_META_KEYS = ("stage", "epoch", "config", "best_val_loss", "best_epoch",
+              "rng_state", "history", "optimizer_step")
+
+
+def _read_meta(payload: bytes | None, path) -> dict:
+    if payload is None:
+        raise CheckpointError(f"{path}: missing meta section")
+    try:
+        meta = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: corrupt meta section: {exc}") from exc
+    if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+        raise CheckpointError(f"{path}: meta section must be an object with a config object")
+    missing = [k for k in _META_KEYS if k not in meta]
+    if missing:
+        raise CheckpointError(f"{path}: meta section lacks {missing}")
+    return meta
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint, refusing any section the registry does not expect
+    for the file's own config and any tensor of the wrong shape."""
     path = Path(path)
     try:
         blob = path.read_bytes()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     sections = _read_sections(blob, path)
-    if "meta" not in sections:
-        raise CheckpointError(f"{path}: missing meta section")
-    try:
-        meta = json.loads(sections["meta"].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt meta section: {exc}") from exc
-
+    meta = _read_meta(sections.pop("meta", None), path)
     cfg = TrainConfig.from_dict(meta["config"])
 
-    def arr(name: str) -> np.ndarray:
-        key = f"param:{name}"
-        if key not in sections:
-            raise CheckpointError(f"{path}: missing parameter section {name}")
-        return _unpack_tensor(sections[key])
+    def tensor(key: str, shape: tuple) -> np.ndarray:
+        a = _unpack_tensor(sections.pop(key))
+        if a.shape != shape:
+            raise CheckpointError(f"{path}: section {key} has shape {a.shape}, "
+                                  f"expected {shape}")
+        return a
 
-    text = enc.TextEncoderParams(
-        embed_table=Param(arr("text.embed_table"), trainable=False, name="text.embed_table"),
-        proj=Param(arr("text.proj"), trainable=False, name="text.proj"),
-        seed=meta["text_seed"])
-    image = enc.ImageEncoderParams(
-        patch_proj=Param(arr("image.patch_proj"), name="image.patch_proj"),
-        mlp_hidden=Param(arr("image.mlp_hidden"), name="image.mlp_hidden"),
-        out_proj=Param(arr("image.out_proj"), name="image.out_proj"),
-        patch_size=cfg.patch_size)
-    heads = []
-    for h in range(cfg.heads):
-        heads.append(sp.HeadParams(
-            wq=Param(arr(f"adapter.h{h}.wq"), name=f"adapter.h{h}.wq"),
-            wk=Param(arr(f"adapter.h{h}.wk"), name=f"adapter.h{h}.wk"),
-            wv=Param(arr(f"adapter.h{h}.wv"), name=f"adapter.h{h}.wv")))
-    adapter = sp.AdapterParams(
-        pe_table=Param(arr("adapter.pe_table"), name="adapter.pe_table"),
-        heads=heads, wo=Param(arr("adapter.wo"), name="adapter.wo"),
-        num_heads=cfg.heads, d_head=cfg.d_head, dropout_rate=cfg.dropout_rate)
+    groups: dict[str, ParamGroup] = {}
+    for group, (shapes, trainable) in GROUPS.items():
+        groups[group] = {}
+        for name, shape in shapes(cfg).items():
+            full = f"{group}.{name}"
+            if f"param:{full}" not in sections:
+                raise CheckpointError(f"{path}: missing parameter section {full}")
+            groups[group][name] = Param(tensor(f"param:{full}", shape), trainable, full)
 
     optimizer = None
-    if meta.get("optimizer_step") is not None:
+    if meta["optimizer_step"] is not None:
+        trainables = {p.name: p.value.shape for group in groups.values()
+                      for p in group.values() if p.trainable}
         moments = {}
-        for key in sections:
-            if key.startswith("adam.m:"):
-                name = key[len("adam.m:"):]
-                vkey = f"adam.v:{name}"
-                if vkey not in sections:
-                    raise CheckpointError(f"{path}: missing second moment for {name}")
-                moments[name] = (_unpack_tensor(sections[key]), _unpack_tensor(sections[vkey]))
+        for key in [k for k in sections if k.startswith("adam.m:")]:
+            name = key[len("adam.m:"):]
+            if name not in trainables:
+                raise CheckpointError(f"{path}: {key} names no trainable parameter")
+            if f"adam.v:{name}" not in sections:
+                raise CheckpointError(f"{path}: missing second moment for {name}")
+            moments[name] = (tensor(key, trainables[name]),
+                             tensor(f"adam.v:{name}", trainables[name]))
         optimizer = OptimizerState(step=meta["optimizer_step"], moments=moments)
+    if sections:
+        raise CheckpointError(f"{path}: unexpected sections {sorted(sections)}")
 
-    return Checkpoint(version=CHECKPOINT_VERSION, stage=meta["stage"], epoch=meta["epoch"],
-                      config=cfg, text=text, image=image, adapter=adapter,
+    return Checkpoint(stage=meta["stage"], epoch=meta["epoch"], config=cfg, **groups,
                       optimizer=optimizer, best_val_loss=meta["best_val_loss"],
                       best_epoch=meta["best_epoch"], rng_state=meta["rng_state"],
                       history=meta["history"])
@@ -547,7 +557,7 @@ def train_stage1(cfg: TrainConfig, train_entries, val_entries, data_root,
                                   cfg.dropout_rate, rng, tape)
 
     return _run_stage(cfg, 1, ckpt, items, val_items, forward_row,
-                      ckpt.image.params(), out_dir, resume, "stage1")
+                      list(ckpt.image.values()), out_dir, resume, "stage1")
 
 
 def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
@@ -576,15 +586,15 @@ def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
         ckpt.rng_state = None
         ckpt.history = []
         ckpt.epoch = 0
-    ckpt.adapter.dropout_rate = cfg.dropout_rate
-    for p in ckpt.image.params():  # stage-2 freeze contract
+    for p in ckpt.image.values():  # stage-2 freeze contract
         p.trainable = False
 
     items = _stage2_items(train_entries, data_root, cfg, ckpt.text, ckpt.image)
     val_items = _stage2_items(val_entries, data_root, cfg, ckpt.text, ckpt.image)
 
     def forward_row(item, train_mode, rng, tape):
-        return sp.attention_pool(item.inputs, ckpt.adapter, train_mode, rng, tape)
+        return sp.attention_pool(item.inputs, ckpt.adapter, train_mode,
+                                 cfg.dropout_rate, rng, tape)
 
     return _run_stage(cfg, 2, ckpt, items, val_items, forward_row,
-                      ckpt.adapter.params(), out_dir, resume, "stage2")
+                      list(ckpt.adapter.values()), out_dir, resume, "stage2")

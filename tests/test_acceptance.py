@@ -128,8 +128,8 @@ def test_criterion_1_gradient_oracle():
     t0 = time.perf_counter()
     cfg = TrainConfig(d_model=16, heads=2, d_hidden=24, d_text=16, vocab=256,
                       patch_size=8, image_size=16, s_max=8, dropout_rate=0.5)
-    image = enc.init_image_encoder(cfg, seed=11)
-    adapter = sp.init_adapter(cfg, seed=11)
+    image = tr.init_group(cfg, "image", seed=11)
+    adapter = tr.init_group(cfg, "adapter", seed=11)
     data_rng = dm.make_rng(12, "acc1:data")
     volumes = [Volume(Tensor(data_rng.normal(size=(6, 16, 16)))) for _ in range(4)]
     txt = Tensor(data_rng.normal(size=(4, 16)))
@@ -142,11 +142,11 @@ def test_criterion_1_gradient_oracle():
             stack = enc.encode_slices(vol, image, s_max=cfg.s_max, train_mode=True,
                                       dropout_rate=cfg.dropout_rate, rng=drop, tape=tape)
             rows.append(sp.attention_pool(stack, adapter, train_mode=True,
-                                          rng=drop, tape=tape))
+                                          dropout_rate=cfg.dropout_rate, rng=drop, tape=tape))
         img = dm.stack_rows(rows, tape)
         return ct.batch_loss(img, txt, loss_cfg, tape)
 
-    params = image.params() + adapter.params()
+    params = list(image.values()) + list(adapter.values())
     report = dm.grad_check(composite, params, h=1e-5, tol=1e-4)
     elapsed = time.perf_counter() - t0
     assert report.passed, repr(report)
@@ -249,8 +249,8 @@ def test_criterion_6_permutation_invariances(ord_adapter_tuned):
 
     # attention with zero positional table: invariant within 1e-9
     cfg = acc_cfg(epochs=1, lr0=1e-3)
-    adapter = sp.init_adapter(cfg, seed=62)
-    adapter.pe_table.value.data[...] = 0.0
+    adapter = tr.init_group(cfg, "adapter", seed=62)
+    adapter["pe_table"].value.data[...] = 0.0
     a = sp.attention_pool(enc.SliceStack(mat=Tensor(mat), n=8), adapter).data
     perm = r.permutation(8)
     b = sp.attention_pool(enc.SliceStack(mat=Tensor(mat[perm]), n=8), adapter).data
@@ -258,7 +258,7 @@ def test_criterion_6_permutation_invariances(ord_adapter_tuned):
 
     # trained (nonzero) positional table: order-sensitive beyond 1e-6
     trained = ord_adapter_tuned.adapter
-    assert np.abs(trained.pe_table.value.data).max() > 0.0
+    assert np.abs(trained["pe_table"].value.data).max() > 0.0
     a = sp.attention_pool(enc.SliceStack(mat=Tensor(mat), n=8), trained).data
     b = sp.attention_pool(enc.SliceStack(mat=Tensor(mat[perm]), n=8), trained).data
     assert np.abs(a - b).max() > 1e-6

@@ -3,6 +3,7 @@ import pytest
 
 from volalign import diffmath as dm
 from volalign import encoders as enc
+from volalign import trainer as tr
 from volalign.config import TrainConfig
 from volalign.datapipe import Volume
 from volalign.diffmath import Param, Tensor
@@ -14,36 +15,36 @@ SMALL = TrainConfig(d_model=6, d_hidden=8, d_text=8, vocab=64, patch_size=4,
 
 class TestTextEncoder:
     def test_seed_determinism_bitwise(self):
-        a = enc.init_text_encoder(SMALL, seed=5)
-        b = enc.init_text_encoder(SMALL, seed=5)
-        assert np.array_equal(a.embed_table.value.data, b.embed_table.value.data)
-        assert np.array_equal(a.proj.value.data, b.proj.value.data)
+        a = tr.init_group(SMALL, "text", seed=5)
+        b = tr.init_group(SMALL, "text", seed=5)
+        assert np.array_equal(a["embed_table"].value.data, b["embed_table"].value.data)
+        assert np.array_equal(a["proj"].value.data, b["proj"].value.data)
 
     def test_never_trainable(self):
-        p = enc.init_text_encoder(SMALL, seed=5)
-        assert not p.embed_table.trainable
-        assert not p.proj.trainable
+        p = tr.init_group(SMALL, "text", seed=5)
+        assert not p["embed_table"].trainable
+        assert not p["proj"].trainable
 
     def test_same_ids_twice_identical(self):
-        p = enc.init_text_encoder(SMALL, seed=1)
+        p = tr.init_group(SMALL, "text", seed=1)
         e1 = enc.encode_text([3, 9, 40], p)
         e2 = enc.encode_text([3, 9, 40], p)
         assert np.array_equal(e1.data, e2.data)
 
     def test_single_token_is_projected_row(self):
-        p = enc.init_text_encoder(SMALL, seed=1)
+        p = tr.init_group(SMALL, "text", seed=1)
         out = enc.encode_text([7], p)
-        expected = p.embed_table.value.data[7] @ p.proj.value.data
+        expected = p["embed_table"].value.data[7] @ p["proj"].value.data
         assert np.allclose(out.data, expected, atol=1e-15)
 
     def test_permuted_ids_identical_bitwise(self):
-        p = enc.init_text_encoder(SMALL, seed=1)
+        p = tr.init_group(SMALL, "text", seed=1)
         a = enc.encode_text([3, 9, 40, 9], p)
         b = enc.encode_text([9, 40, 3, 9], p)
         assert np.array_equal(a.data, b.data)
 
     def test_empty_and_out_of_range(self):
-        p = enc.init_text_encoder(SMALL, seed=1)
+        p = tr.init_group(SMALL, "text", seed=1)
         with pytest.raises(InputError):
             enc.encode_text([], p)
         with pytest.raises(InputError):
@@ -67,19 +68,19 @@ class TestPatchify:
 
 class TestImageEncoder:
     def test_zero_image_zero_embedding(self):
-        p = enc.init_image_encoder(SMALL, seed=2)
+        p = tr.init_group(SMALL, "image", seed=2)
         out = enc.encode_image2d(np.zeros((8, 8)), p)
         assert np.array_equal(out.data, np.zeros(6))
 
     def test_eval_mode_pure_function(self):
-        p = enc.init_image_encoder(SMALL, seed=2)
+        p = tr.init_group(SMALL, "image", seed=2)
         img = dm.make_rng(0, "img").normal(size=(8, 8))
         a = enc.encode_image2d(img, p)
         b = enc.encode_image2d(img, p)
         assert np.array_equal(a.data, b.data)
 
     def test_gradient_passes_check(self):
-        p = enc.init_image_encoder(SMALL, seed=3)
+        p = tr.init_group(SMALL, "image", seed=3)
         img = dm.make_rng(1, "img").normal(size=(8, 8))
         probe = Param(dm.make_rng(2, "probe").normal(size=(6, 1)), name="probe")
 
@@ -88,7 +89,7 @@ class TestImageEncoder:
                                      rng=dm.make_rng(9, "drop"), tape=tape)
             return dm.mean_all(dm.vecmat(emb, probe, tape), tape)
 
-        report = dm.grad_check(f, p.params(), h=1e-5, tol=1e-4)
+        report = dm.grad_check(f, list(p.values()), h=1e-5, tol=1e-4)
         assert report.passed, repr(report)
 
 
@@ -97,7 +98,7 @@ class TestEncodeSlices:
         return Volume(Tensor(arr))
 
     def test_identical_slices_identical_rows(self):
-        p = enc.init_image_encoder(SMALL, seed=4)
+        p = tr.init_group(SMALL, "image", seed=4)
         sl = dm.make_rng(3, "sl").normal(size=(8, 8))
         stack = enc.encode_slices(self.vol(np.stack([sl] * 3)), p, s_max=8)
         assert stack.n == 3
@@ -105,7 +106,7 @@ class TestEncodeSlices:
         assert np.array_equal(stack.mat.data[0], stack.mat.data[2])
 
     def test_single_slice_matches_encode_image2d(self):
-        p = enc.init_image_encoder(SMALL, seed=4)
+        p = tr.init_group(SMALL, "image", seed=4)
         sl = dm.make_rng(4, "sl").normal(size=(8, 8))
         stack = enc.encode_slices(self.vol(sl[None]), p, s_max=8)
         direct = enc.encode_image2d(sl, p)
@@ -113,7 +114,7 @@ class TestEncodeSlices:
         assert np.array_equal(stack.mat.data[0], direct.data)
 
     def test_reversed_order_reverses_rows(self):
-        p = enc.init_image_encoder(SMALL, seed=4)
+        p = tr.init_group(SMALL, "image", seed=4)
         r = dm.make_rng(5, "sl")
         vox = r.normal(size=(4, 8, 8))
         fwd = enc.encode_slices(self.vol(vox), p, s_max=8)
@@ -121,7 +122,7 @@ class TestEncodeSlices:
         assert np.array_equal(rev.mat.data, fwd.mat.data[::-1])
 
     def test_capacity(self):
-        p = enc.init_image_encoder(SMALL, seed=4)
+        p = tr.init_group(SMALL, "image", seed=4)
         vox = np.zeros((9, 8, 8))
         with pytest.raises(InputError):
             enc.encode_slices(self.vol(vox), p, s_max=8)

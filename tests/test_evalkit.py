@@ -145,7 +145,7 @@ class TestLinearProbe:
 
 class TestTop1Match:
     def text_params(self):
-        return enc.init_text_encoder(small_cfg(), seed=3)
+        return tr.init_group(small_cfg(), "text", seed=3)
 
     def captions(self, texts):
         return [Caption(text=t, token_ids=dp.tokenize(t, 64)) for t in texts]

@@ -5,6 +5,7 @@ import pytest
 
 from volalign import diffmath as dm
 from volalign import slice_pool as sp
+from volalign import trainer as tr
 from volalign.config import TrainConfig
 from volalign.diffmath import Param, Tensor
 from volalign.encoders import SliceStack
@@ -19,47 +20,43 @@ def stack_of(arr) -> SliceStack:
     return SliceStack(mat=Tensor(arr), n=arr.shape[0])
 
 
-def identity_adapter(d_model: int, heads: int, s_max: int = 16) -> sp.AdapterParams:
+def identity_adapter(d_model: int, heads: int, s_max: int = 16) -> dict[str, Param]:
     """Projections restricted to identity blocks; zero position table; wo = I."""
     d_head = d_model // heads
     eye = np.eye(d_model)
-    head_list = []
+    adapter = {"pe_table": Param(np.zeros((s_max, d_model)))}
     for h in range(heads):
         block = eye[:, h * d_head:(h + 1) * d_head].copy()
-        head_list.append(sp.HeadParams(wq=Param(block.copy()), wk=Param(block.copy()),
-                                       wv=Param(block.copy())))
-    return sp.AdapterParams(
-        pe_table=Param(np.zeros((s_max, d_model))),
-        heads=head_list,
-        wo=Param(eye.copy()),
-        num_heads=heads, d_head=d_head, dropout_rate=0.0,
-    )
+        for w in ("wq", "wk", "wv"):
+            adapter[f"h{h}.{w}"] = Param(block.copy())
+    adapter["wo"] = Param(eye.copy())
+    return adapter
 
 
 class TestInitAdapter:
     def test_seed_determinism(self):
-        a = sp.init_adapter(CFG, seed=3)
-        b = sp.init_adapter(CFG, seed=3)
-        assert np.array_equal(a.pe_table.value.data, b.pe_table.value.data)
-        assert np.array_equal(a.heads[1].wk.value.data, b.heads[1].wk.value.data)
-        assert np.array_equal(a.wo.value.data, b.wo.value.data)
+        a = tr.init_group(CFG, "adapter", seed=3)
+        b = tr.init_group(CFG, "adapter", seed=3)
+        assert np.array_equal(a["pe_table"].value.data, b["pe_table"].value.data)
+        assert np.array_equal(a["h1.wk"].value.data, b["h1.wk"].value.data)
+        assert np.array_equal(a["wo"].value.data, b["wo"].value.data)
 
     def test_different_seeds_differ(self):
-        a = sp.init_adapter(CFG, seed=3)
-        b = sp.init_adapter(CFG, seed=4)
-        assert not np.array_equal(a.pe_table.value.data, b.pe_table.value.data)
+        a = tr.init_group(CFG, "adapter", seed=3)
+        b = tr.init_group(CFG, "adapter", seed=4)
+        assert not np.array_equal(a["pe_table"].value.data, b["pe_table"].value.data)
 
     def test_head_dim_mismatch(self):
         bad = TrainConfig(d_model=8, heads=3, d_hidden=8, d_text=8, vocab=32,
                           patch_size=4, image_size=8)
         with pytest.raises(ConfigurationError):
-            sp.init_adapter(bad, seed=0)
+            bad.validate()
 
     def test_pe_gaussian_sample_mean(self):
         big = TrainConfig(d_model=64, heads=4, s_max=64, d_hidden=8, d_text=8,
                           vocab=32, patch_size=4, image_size=8)
-        a = sp.init_adapter(big, seed=7)
-        pe = a.pe_table.value.data
+        a = tr.init_group(big, "adapter", seed=7)
+        pe = a["pe_table"].value.data
         bound = 3 * 0.02 / math.sqrt(pe.size)
         assert abs(pe.mean()) < bound
 
@@ -78,8 +75,8 @@ class TestAttentionPool:
         assert np.allclose(out.data, row, atol=1e-12)
 
     def test_permutation_invariant_with_zero_pe(self):
-        adapter = sp.init_adapter(CFG, seed=5)
-        adapter.pe_table.value.data[...] = 0.0
+        adapter = tr.init_group(CFG, "adapter", seed=5)
+        adapter["pe_table"].value.data[...] = 0.0
         r = dm.make_rng(2, "stack")
         mat = r.normal(size=(8, 8))
         base = sp.attention_pool(stack_of(mat), adapter).data
@@ -91,7 +88,7 @@ class TestAttentionPool:
     def test_order_sensitive_with_random_pe(self):
         # default-sized adapter, fixed seed
         cfg = TrainConfig(d_model=64, heads=4, s_max=64, dropout_rate=0.0)
-        adapter = sp.init_adapter(cfg, seed=5)
+        adapter = tr.init_group(cfg, "adapter", seed=5)
         r = dm.make_rng(3, "stack")
         mat = r.normal(size=(8, 64))
         perm = np.array([3, 1, 4, 0, 2, 7, 5, 6])
@@ -100,38 +97,38 @@ class TestAttentionPool:
         assert np.abs(a - b).max() > 1e-6
 
     def test_matches_manual_computation_and_attention_rows_sum_to_one(self):
-        adapter = sp.init_adapter(CFG, seed=6)
+        adapter = tr.init_group(CFG, "adapter", seed=6)
         r = dm.make_rng(4, "stack")
         mat = r.normal(size=(5, 8))
         out = sp.attention_pool(stack_of(mat), adapter).data
 
-        z = mat + adapter.pe_table.value.data[:5]
+        z = mat + adapter["pe_table"].value.data[:5]
         outs = []
-        for head in adapter.heads:
-            q = z @ head.wq.value.data
-            k = z @ head.wk.value.data
-            v = z @ head.wv.value.data
-            s = q @ k.T / math.sqrt(adapter.d_head)
+        for h in range(CFG.heads):
+            q = z @ adapter[f"h{h}.wq"].value.data
+            k = z @ adapter[f"h{h}.wk"].value.data
+            v = z @ adapter[f"h{h}.wv"].value.data
+            s = q @ k.T / math.sqrt(CFG.d_head)
             e = np.exp(s - s.max(axis=1, keepdims=True))
             a = e / e.sum(axis=1, keepdims=True)
             assert np.abs(a.sum(axis=1) - 1.0).max() < 1e-12
             outs.append(a @ v)
-        manual = (np.concatenate(outs, axis=1) @ adapter.wo.value.data).mean(axis=0)
+        manual = (np.concatenate(outs, axis=1) @ adapter["wo"].value.data).mean(axis=0)
         assert np.allclose(out, manual, atol=1e-12)
 
     def test_capacity_error_names_limits(self):
-        adapter = sp.init_adapter(CFG, seed=5)
+        adapter = tr.init_group(CFG, "adapter", seed=5)
         mat = np.zeros((17, 8))
         with pytest.raises(CapacityError, match="17.*16"):
             sp.attention_pool(stack_of(mat), adapter)
 
     def test_empty_stack(self):
-        adapter = sp.init_adapter(CFG, seed=5)
+        adapter = tr.init_group(CFG, "adapter", seed=5)
         with pytest.raises(InputError):
             sp.attention_pool(SliceStack(mat=Tensor(np.zeros((0, 8))), n=0), adapter)
 
     def test_gradients_pass_check(self):
-        adapter = sp.init_adapter(CFG, seed=8)
+        adapter = tr.init_group(CFG, "adapter", seed=8)
         mat = dm.make_rng(5, "stack").normal(size=(4, 8))
         probe = Param(dm.make_rng(6, "probe").normal(size=(8, 1)), name="probe")
 
@@ -140,7 +137,7 @@ class TestAttentionPool:
                                     rng=dm.make_rng(11, "drop"), tape=tape)
             return dm.mean_all(dm.vecmat(emb, probe, tape), tape)
 
-        report = dm.grad_check(f, adapter.params(), h=1e-5, tol=1e-4)
+        report = dm.grad_check(f, list(adapter.values()), h=1e-5, tol=1e-4)
         assert report.passed, repr(report)
 
 
@@ -173,7 +170,7 @@ class TestGapPool:
 
 class TestPoolDispatch:
     def test_modes(self):
-        adapter = sp.init_adapter(CFG, seed=5)
+        adapter = tr.init_group(CFG, "adapter", seed=5)
         mat = dm.make_rng(10, "d").normal(size=(3, 8))
         st = stack_of(mat)
         assert np.array_equal(sp.pool(st, "gap").data, sp.gap_pool(st).data)

@@ -1,4 +1,8 @@
 
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,59 @@ def small_cfg(**kw):
                 dropout_rate=0.2, lr0=1e-3, lr_min=1e-6, patience=10, seed=3)
     base.update(kw)
     return TrainConfig(**base)
+
+
+# sha256 of every param: section payload of make_initial_checkpoint(small_cfg()),
+# in file order. Pins the initial values and the registry order.
+GOLDEN_INIT = [
+    ("text.embed_table", "a738df3c92c6a75d507ecb176afc7d071da4467592bfc2532104ba7b2c86cc29"),
+    ("text.proj", "5a41977586f5559230eaa98f2d0f379afcfa6887938764d94f6f6593d984847f"),
+    ("image.patch_proj", "15751db625c1b642e4f1e231987e1e59e541e84c4d1cf7c9da84ceb124f284ff"),
+    ("image.mlp_hidden", "ec9c0c90ae3cb49694161255313307f04d310fd78c94b4fce1a0e945dbccecda"),
+    ("image.out_proj", "be772a80616466d2366fdcc60cf7eca9dd7ed9b7936826d508b9cc7eb7191947"),
+    ("adapter.pe_table", "ec0c1c969f7bfad0cb940f65efc642a28e733f7ba9afbf2a59d36e7acd849c0f"),
+    ("adapter.h0.wq", "6d7a3e34ef2899c801a789215ffda72f0fc29bd5637a8ab4d29dcd93359bcd65"),
+    ("adapter.h0.wk", "3bec926c3d6f00efd2b15f6e9e4ae8ede81e9c8a4e71f5ed8340dcc1502fb3b7"),
+    ("adapter.h0.wv", "0582f594550d2b8adbc464444bb6b901452309699efae9223a2a933288c91f17"),
+    ("adapter.h1.wq", "d93115b219246508bd19ac0760973355680ff6228a54419adde2c3350650658c"),
+    ("adapter.h1.wk", "7c3ab25c0123d08e8bb496dfb9aae911cc0c2c11f5f0508511b78d31637247b5"),
+    ("adapter.h1.wv", "34d5be0154d8a180b273182035fd3e26a1163082934bfbf924345e362672c5ff"),
+    ("adapter.wo", "89f7ec5f02c309b01c73440d75af28c83050e0954d436474d21e1fc7560ce89d"),
+]
+
+
+def write_raw(path, sections: dict[bytes, bytes]) -> None:
+    """Write sections in the checkpoint container, names given as raw bytes."""
+    out = [b"RCKP", struct.pack("<I", tr.CHECKPOINT_VERSION)]
+    for name, payload in sections.items():
+        out += [struct.pack("<I", len(name)), name, struct.pack("<Q", len(payload)), payload]
+    path.write_bytes(b"".join(out))
+
+
+def craft(ckpt, tmp_path, edit):
+    """Save ckpt, pass its sections (raw names) through edit, write the result."""
+    good = tmp_path / "good.ckpt"
+    tr.save_checkpoint(ckpt, good)
+    sections = {k.encode(): v for k, v in tr._read_sections(good.read_bytes(), good).items()}
+    write_raw(tmp_path / "same.ckpt", sections)
+    assert (tmp_path / "same.ckpt").read_bytes() == good.read_bytes()
+    write_raw(tmp_path / "bad.ckpt", edit(sections))
+    return tmp_path / "bad.ckpt"
+
+
+def edit_meta(change):
+    def edit(sections):
+        meta = change(json.loads(sections[b"meta"]))
+        return {**sections, b"meta": json.dumps(meta).encode()}
+    return edit
+
+
+def without(key: bytes):
+    return lambda sections: {k: v for k, v in sections.items() if k != key}
+
+
+def with_tensor(key: bytes, shape):
+    return lambda sections: {**sections, key: tr._pack_tensor(np.zeros(shape))}
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +172,7 @@ class TestCheckpointIO:
         for p, q in zip(ckpt.model_params(), back.model_params()):
             assert p.name == q.name
             assert np.array_equal(p.value.data, q.value.data)
-        assert not back.text.embed_table.trainable
+        assert not back.text["embed_table"].trainable
 
     def test_truncated_file_rejected(self, tmp_path):
         ckpt = tr.make_initial_checkpoint(small_cfg())
@@ -140,6 +197,36 @@ class TestCheckpointIO:
         (tmp_path / "m.ckpt").write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(CheckpointError, match="magic"):
             tr.load_checkpoint(tmp_path / "m.ckpt")
+
+    def test_initial_values_golden(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        tr.save_checkpoint(tr.make_initial_checkpoint(small_cfg()), path)
+        sections = tr._read_sections(path.read_bytes(), path)
+        got = [(k[len("param:"):], hashlib.sha256(v).hexdigest())
+               for k, v in sections.items() if k.startswith("param:")]
+        assert got == GOLDEN_INIT
+
+    @pytest.mark.parametrize("edit", [
+        edit_meta(lambda m: {k: v for k, v in m.items() if k != "config"}),
+        edit_meta(lambda m: {k: v for k, v in m.items() if k != "optimizer_step"}),
+        edit_meta(lambda m: [m]),
+        lambda sections: {**sections, b"\xff\xfe": b""},
+    ], ids=["meta-without-config", "meta-without-optimizer-step", "meta-not-object",
+            "non-utf8-section-name"])
+    def test_malformed_file_is_checkpoint_error(self, tmp_path, stage1, edit):
+        with pytest.raises(CheckpointError):
+            tr.load_checkpoint(craft(stage1, tmp_path, edit))
+
+    @pytest.mark.parametrize("edit, message", [
+        (with_tensor(b"param:adapter.pe_table", (3, 5)), "shape"),
+        (with_tensor(b"adam.m:image.patch_proj", (3, 5)), "shape"),
+        (without(b"param:image.out_proj"), "missing parameter"),
+        (with_tensor(b"param:adapter.h2.wq", (8, 4)), "unexpected"),
+        (with_tensor(b"adam.m:text.proj", (8, 8)), "no trainable"),
+    ], ids=["param-shape", "adam-shape", "param-missing", "param-extra", "adam-frozen"])
+    def test_layout_mismatch_refused_at_load(self, tmp_path, stage1, edit, message):
+        with pytest.raises(CheckpointError, match=message):
+            tr.load_checkpoint(craft(stage1, tmp_path, edit))
 
 
 class TestStage1(object):
@@ -177,20 +264,20 @@ class TestStage1(object):
         cfg = small_cfg(epochs=2)
         init = tr.make_initial_checkpoint(cfg)
         ckpt = tr.train_stage1(cfg, split(entries, "train"), split(entries, "val"), root)
-        assert np.array_equal(ckpt.text.embed_table.value.data,
-                              init.text.embed_table.value.data)
-        assert np.array_equal(ckpt.text.proj.value.data, init.text.proj.value.data)
+        assert np.array_equal(ckpt.text["embed_table"].value.data,
+                              init.text["embed_table"].value.data)
+        assert np.array_equal(ckpt.text["proj"].value.data, init.text["proj"].value.data)
 
     def test_image_params_do_change(self, corpus2d):
         root, entries = corpus2d
         cfg = small_cfg(epochs=2)
         init = tr.make_initial_checkpoint(cfg)
         ckpt = tr.train_stage1(cfg, split(entries, "train"), split(entries, "val"), root)
-        assert not np.array_equal(ckpt.image.patch_proj.value.data,
-                                  init.image.patch_proj.value.data)
+        assert not np.array_equal(ckpt.image["patch_proj"].value.data,
+                                  init.image["patch_proj"].value.data)
         # and the adapter is untouched in stage 1
-        assert np.array_equal(ckpt.adapter.pe_table.value.data,
-                              init.adapter.pe_table.value.data)
+        assert np.array_equal(ckpt.adapter["pe_table"].value.data,
+                              init.adapter["pe_table"].value.data)
 
     def test_rejects_3d_entries(self, corpus3d):
         root, entries = corpus3d
@@ -208,22 +295,22 @@ class TestStage1(object):
 class TestStage2(object):
     def test_encoders_bitwise_preserved(self, corpus3d, stage1):
         root, entries = corpus3d
-        cfg = small_cfg(epochs=3, stage=2)
+        cfg = small_cfg(epochs=3)
         ckpt = tr.train_stage2(cfg, split(entries, "train"), split(entries, "val"),
                                root, stage1)
         for name in ("patch_proj", "mlp_hidden", "out_proj"):
-            assert np.array_equal(getattr(ckpt.image, name).value.data,
-                                  getattr(stage1.image, name).value.data)
-        assert np.array_equal(ckpt.text.embed_table.value.data,
-                              stage1.text.embed_table.value.data)
-        assert not np.array_equal(ckpt.adapter.pe_table.value.data,
-                                  stage1.adapter.pe_table.value.data)
+            assert np.array_equal(ckpt.image[name].value.data,
+                                  stage1.image[name].value.data)
+        assert np.array_equal(ckpt.text["embed_table"].value.data,
+                              stage1.text["embed_table"].value.data)
+        assert not np.array_equal(ckpt.adapter["pe_table"].value.data,
+                                  stage1.adapter["pe_table"].value.data)
 
     def test_patience_stops_constant_model_after_two_epochs(self, corpus3d, stage1):
         root, entries = corpus3d
         # lr so small that float64 parameters cannot change: no improvement is possible
         cfg = small_cfg(epochs=10, lr0=1e-30, lr_min=0.0, weight_decay=0.0,
-                        patience=1, stage=2)
+                        patience=1)
         ckpt = tr.train_stage2(cfg, split(entries, "train"), split(entries, "val"),
                                root, stage1)
         assert len(ckpt.history) <= 2  # best checkpoint is from epoch 0
@@ -231,14 +318,14 @@ class TestStage2(object):
 
     def test_geometry_mismatch(self, corpus3d, stage1):
         root, entries = corpus3d
-        cfg = small_cfg(d_model=4, heads=2, stage=2)
+        cfg = small_cfg(d_model=4, heads=2)
         with pytest.raises(CompatibilityError, match="d_model"):
             tr.train_stage2(cfg, split(entries, "train"), split(entries, "val"),
                             root, stage1)
 
     def test_rejects_2d_entries(self, corpus2d, stage1):
         root, entries = corpus2d
-        cfg = small_cfg(stage=2)
+        cfg = small_cfg()
         with pytest.raises(InputError, match="kind"):
             tr.train_stage2(cfg, split(entries, "train"), split(entries, "val"),
                             root, stage1)
@@ -251,7 +338,7 @@ class TestResume(object):
         stage1 = tr.train_stage1(cfg1, split(entries2, "train"), split(entries2, "val"), root2)
 
         root, entries = corpus3d
-        cfg = small_cfg(epochs=6, stage=2, patience=10)
+        cfg = small_cfg(epochs=6, patience=10)
         full_dir = tmp_path / "full"
         full = tr.train_stage2(cfg, split(entries, "train"), split(entries, "val"),
                                root, stage1, out_dir=full_dir)
@@ -275,7 +362,7 @@ class TestResume(object):
         stage1 = tr.train_stage1(small_cfg(epochs=1), split(entries2, "train"),
                                  split(entries2, "val"), root2)
         root, entries = corpus3d
-        cfg = small_cfg(epochs=5, stage=2, patience=10)
+        cfg = small_cfg(epochs=5, patience=10)
         best = tr.train_stage2(cfg, split(entries, "train"), split(entries, "val"),
                                root, stage1)
         vals = [h["val_loss"] for h in best.history]
