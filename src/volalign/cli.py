@@ -19,7 +19,8 @@ from . import evalkit as ek
 from . import trainer as tr
 from .config import TrainConfig
 from .errors import (CompatibilityError, ConfigurationError, DependencyError,
-                     EvaluationError, InputError, LoadError, VolalignError)
+                     EvaluationError, InputError, LoadError, NonFiniteError,
+                     VolalignError)
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -28,6 +29,7 @@ EXIT_CONFIG = 3
 EXIT_DEPENDENCY = 4
 EXIT_DATA = 5
 EXIT_EVALUATION = 6
+EXIT_NONFINITE = 7
 
 
 def _exit_code(exc: VolalignError) -> int:
@@ -39,6 +41,8 @@ def _exit_code(exc: VolalignError) -> int:
         return EXIT_EVALUATION
     if isinstance(exc, (LoadError, InputError)):
         return EXIT_DATA
+    if isinstance(exc, NonFiniteError):
+        return EXIT_NONFINITE
     return EXIT_UNEXPECTED
 
 

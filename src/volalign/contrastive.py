@@ -20,10 +20,9 @@ class LossConfig:
     tau: float = 0.07
     symmetric: bool = True
 
-    def validate(self) -> "LossConfig":
-        if self.tau <= 0.0:
+    def __post_init__(self):
+        if not self.tau > 0.0:
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
-        return self
 
 
 @dataclass
@@ -34,7 +33,6 @@ class SimilarityMatrix:
 
 def similarity_matrix(img, txt, cfg: LossConfig, tape: Tape | None = None) -> SimilarityMatrix:
     """Cosine similarities of all image/text pairs, scaled by 1/tau."""
-    cfg.validate()
     iv, tv = dm._val(img), dm._val(txt)
     if iv.ndim != 2 or tv.ndim != 2 or iv.shape[1] != tv.shape[1]:
         raise DimensionError(

@@ -407,9 +407,13 @@ def load_captions(path, vocab: int = DEFAULT_VOCAB) -> list[Caption]:
         raise LoadError(f"captions {path}: expected a non-empty list")
     by_label = {}
     for item in raw:
-        if "label" not in item or "text" not in item:
+        if not isinstance(item, dict) or "label" not in item or "text" not in item:
             raise LoadError(f"captions {path}: each record needs label and text")
-        by_label[int(item["label"])] = item["text"]
+        label, text = item["label"], item["text"]
+        if type(label) is not int or not isinstance(text, str):
+            raise LoadError(f"captions {path}: label must be an integer and text a "
+                            f"string, got {item!r}")
+        by_label[label] = text
     labels = sorted(by_label)
     if labels != list(range(len(labels))):
         raise LoadError(f"captions {path}: labels must be 0..{len(labels) - 1}")

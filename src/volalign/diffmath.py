@@ -2,8 +2,17 @@
 
 Everything trainable in this package is expressed through the ops in this
 module. Each op computes its value with numpy and, when a Tape is supplied,
-records a backward rule. Column/overall means use exact (fsum) summation so
-that mean-based pooling is bitwise invariant to row order.
+records a backward rule.
+
+A batch is a leading array axis: matmul, transpose, add, softmax_rows and
+mean_rows act on the trailing axes of [..., m, n] arrays, so one call (and
+one tape record) covers a whole batch. A weight shared by the batch ([k x n]
+in matmul, [m x d] in add) gets its gradient summed over the leading axes.
+numpy runs a batched matmul one matrix at a time, so each matrix of a batch
+gets the same bits it would get alone. mean_rows sorts along the row axis
+before summing (sorted summation), so mean-based pooling is bitwise
+invariant to row order; mean_all and logsumexp_rows use exactly rounded
+(fsum) summation.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ __all__ = [
     "matmul",
     "vecmat",
     "transpose",
+    "reshape",
     "add",
     "sub",
     "scale",
@@ -69,11 +79,6 @@ def make_rng(seed: int, label: str = "") -> np.random.Generator:
     """Counter-based (Philox) generator; same (seed, label) gives the same stream."""
     key = derive_seed(seed, label) if label else seed
     return np.random.Generator(np.random.Philox(key))
-
-
-def _fsum_cols(a: np.ndarray) -> np.ndarray:
-    # Exactly rounded column sums: fsum is order-independent by construction.
-    return np.array([math.fsum(col) for col in a.T.tolist()], dtype=np.float64)
 
 
 class Tensor:
@@ -172,14 +177,13 @@ class Tape:
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
 
         def accum(obj, g: np.ndarray) -> None:
+            # a rule may hand the same array to several inputs, so stored
+            # gradients are never updated in place
             if isinstance(obj, Param):
                 obj.grad.data += g
             else:
                 key = id(obj)
-                if key in grads:
-                    grads[key] += g
-                else:
-                    grads[key] = g.copy()
+                grads[key] = grads[key] + g if key in grads else g
 
         for out, _inputs, rule in reversed(self._records):
             g = grads.get(id(out))
@@ -193,15 +197,31 @@ class Tape:
 
 
 def matmul(a, b, tape: Tape | None = None) -> Tensor:
-    """Matrix product [m x k] @ [k x n] with the standard backward rules."""
+    """[..., k] @ [k x n] -> [..., n], or [..., m, k] @ [..., k, n] -> [..., m, n].
+
+    In the first form b is shared by every row of every batch entry, so its
+    gradient is summed over them; the second multiplies matrix by matrix with
+    equal leading shapes.
+    """
     av, bv = _val(a), _val(b)
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+    if bv.ndim == 2:
+        ok = av.ndim >= 1 and av.shape[-1] == bv.shape[0]
+    else:
+        ok = (av.ndim == bv.ndim and av.shape[:-2] == bv.shape[:-2]
+              and av.shape[-1] == bv.shape[-2])
+    if not ok:
         raise DimensionError(f"matmul: incompatible shapes {av.shape} @ {bv.shape}")
     out = Tensor(av @ bv)
     if tape is not None:
-        def bwd(g, accum, av=av, bv=bv, a=a, b=b):
-            accum(a, g @ bv.T)
-            accum(b, av.T @ g)
+        if bv.ndim == 2:
+            def bwd(g, accum, av=av, bv=bv, a=a, b=b):
+                k, n = bv.shape
+                accum(a, (g.reshape(-1, n) @ bv.T).reshape(av.shape))
+                accum(b, av.reshape(-1, k).T @ g.reshape(-1, n))
+        else:
+            def bwd(g, accum, av=av, bv=bv, a=a, b=b):
+                accum(a, g @ np.swapaxes(bv, -1, -2))
+                accum(b, np.swapaxes(av, -1, -2) @ g)
         tape.record(out, (a, b), bwd)
     return out
 
@@ -221,26 +241,43 @@ def vecmat(v, m, tape: Tape | None = None) -> Tensor:
 
 
 def transpose(x, tape: Tape | None = None) -> Tensor:
+    """Swap the last two axes: [..., m, n] -> [..., n, m]."""
     xv = _val(x)
-    if xv.ndim != 2:
+    if xv.ndim < 2:
         raise DimensionError(f"transpose: expected a matrix, got shape {xv.shape}")
-    out = Tensor(xv.T)
+    out = Tensor(np.swapaxes(xv, -1, -2))
     if tape is not None:
         def bwd(g, accum, x=x):
-            accum(x, np.ascontiguousarray(g.T))
+            accum(x, np.ascontiguousarray(np.swapaxes(g, -1, -2)))
+        tape.record(out, (x,), bwd)
+    return out
+
+
+def reshape(x, shape: tuple, tape: Tape | None = None) -> Tensor:
+    """The same values, in row-major order, under a new shape."""
+    xv = _val(x)
+    if math.prod(shape) != xv.size:
+        raise DimensionError(f"reshape: cannot view shape {xv.shape} as {tuple(shape)}")
+    out = Tensor(xv.reshape(shape))
+    if tape is not None:
+        def bwd(g, accum, x=x, shape=xv.shape):
+            accum(x, g.reshape(shape))
         tape.record(out, (x,), bwd)
     return out
 
 
 def add(a, b, tape: Tape | None = None) -> Tensor:
+    """Elementwise sum of equal shapes, or [..., m, d] + [m x d] with b shared
+    by the batch (its gradient is summed over the leading axes)."""
     av, bv = _val(a), _val(b)
-    if av.shape != bv.shape:
+    shared = bv.ndim == 2 and av.ndim > 2 and av.shape[-2:] == bv.shape
+    if av.shape != bv.shape and not shared:
         raise DimensionError(f"add: shape mismatch {av.shape} vs {bv.shape}")
     out = Tensor(av + bv)
     if tape is not None:
-        def bwd(g, accum, a=a, b=b):
+        def bwd(g, accum, a=a, b=b, shape=bv.shape):
             accum(a, g)
-            accum(b, g)
+            accum(b, g.reshape(-1, *shape).sum(axis=0) if shared else g)
         tape.record(out, (a, b), bwd)
     return out
 
@@ -281,17 +318,17 @@ def relu(x, tape: Tape | None = None) -> Tensor:
 
 
 def softmax_rows(x, tape: Tape | None = None) -> Tensor:
-    """Row-wise softmax with per-row max subtraction; rows sum to 1."""
+    """Softmax over the last axis with max subtraction; rows sum to 1."""
     xv = _val(x)
-    if xv.ndim != 2:
+    if xv.ndim < 2:
         raise DimensionError(f"softmax_rows: expected a matrix, got shape {xv.shape}")
-    shifted = xv - xv.max(axis=1, keepdims=True)
+    shifted = xv - xv.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(s)
     if tape is not None:
         def bwd(g, accum, x=x, s=s):
-            dot = (g * s).sum(axis=1, keepdims=True)
+            dot = (g * s).sum(axis=-1, keepdims=True)
             accum(x, (g - dot) * s)
         tape.record(out, (x,), bwd)
     return out
@@ -335,15 +372,19 @@ def l2_normalize_rows(x, eps: float = 1e-12, tape: Tape | None = None) -> Tensor
 
 
 def mean_rows(x, tape: Tape | None = None) -> Tensor:
-    """Column-wise mean [m x d] -> [d], exactly rounded (row-order invariant)."""
+    """Mean over the row axis, [..., m, d] -> [..., d].
+
+    Each column is sorted before it is summed, so the result is bitwise
+    invariant to the order of the rows.
+    """
     xv = _val(x)
-    if xv.ndim != 2 or xv.shape[0] < 1:
+    if xv.ndim < 2 or xv.shape[-2] < 1:
         raise DimensionError(f"mean_rows: expected a non-empty matrix, got shape {xv.shape}")
-    m = xv.shape[0]
-    out = Tensor(_fsum_cols(xv) / m)
+    m = xv.shape[-2]
+    out = Tensor(np.sort(xv, axis=-2).sum(axis=-2) / m)
     if tape is not None:
-        def bwd(g, accum, x=x, m=m, rows=xv.shape[0]):
-            accum(x, np.tile(g / m, (rows, 1)))
+        def bwd(g, accum, x=x, m=m):
+            accum(x, np.repeat(np.expand_dims(g / m, -2), m, axis=-2))
         tape.record(out, (x,), bwd)
     return out
 
@@ -394,23 +435,22 @@ def take_diag(x, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def concat_cols(parts: Sequence, tape: Tape | None = None) -> Tensor:
-    """Concatenate matrices with equal row counts along columns."""
+def concat_cols(parts: Sequence, tape: Tape | None = None, axis: int = 1) -> Tensor:
+    """Concatenate matrices along columns (axis 1), or along rows with axis=0."""
     vals = [_val(p) for p in parts]
     if not vals:
         raise InputError("concat_cols: no inputs")
-    rows = vals[0].shape[0]
+    other = 1 - axis
     for v in vals:
-        if v.ndim != 2 or v.shape[0] != rows:
-            raise DimensionError(f"concat_cols: row counts differ: {[v.shape for v in vals]}")
-    out = Tensor(np.concatenate(vals, axis=1))
+        if v.ndim != 2 or v.shape[other] != vals[0].shape[other]:
+            raise DimensionError(f"concat_cols: shapes do not line up along axis {axis}: "
+                                 f"{[v.shape for v in vals]}")
+    out = Tensor(np.concatenate(vals, axis=axis))
     if tape is not None:
-        widths = [v.shape[1] for v in vals]
-        def bwd(g, accum, parts=tuple(parts), widths=widths):
-            ofs = 0
-            for p, w in zip(parts, widths):
-                accum(p, np.ascontiguousarray(g[:, ofs:ofs + w]))
-                ofs += w
+        bounds = np.cumsum([v.shape[axis] for v in vals])[:-1]
+        def bwd(g, accum, parts=tuple(parts), bounds=bounds):
+            for p, piece in zip(parts, np.split(g, bounds, axis=axis)):
+                accum(p, np.ascontiguousarray(piece))
         tape.record(out, tuple(parts), bwd)
     return out
 

@@ -2,8 +2,9 @@
 
 Two towers meet in one d_model space: a frozen, seed-determined hashed-bag
 text encoder (word identity is all the short templated captions need) and a
-trainable patch + MLP image encoder for single slices. encode_slices runs the
-image encoder over every slice of a volume and stacks the rows.
+trainable patch + MLP image encoder for single slices. A batch of images is
+a leading axis of the image array; encode_slices encodes a volume's slices
+as one such batch.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ def image_shapes(cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class SliceStack:
-    """Per-slice embeddings of one volume, one row per slice."""
+    """Per-slice embeddings, one row per slice, of one volume or of a batch of
+    volumes with the same slice count."""
 
-    mat: Tensor  # [n x d_model]
+    mat: Tensor  # [..., n, d_model]; leading axes index volumes of a batch
     n: int
 
 
@@ -56,30 +58,34 @@ def encode_text(token_ids: list[int], params: ParamGroup) -> Tensor:
             raise InputError(f"encode_text: token id {t} outside [0, {vocab})")
     rows = table[np.asarray(token_ids, dtype=np.intp)]
     bag = dm.mean_rows(Tensor(rows))
-    return dm.vecmat(bag, params["proj"])
+    return dm.matmul(bag, params["proj"])
 
 
 def patchify(image, patch_size: int) -> Tensor:
-    """Split an H x W image into non-overlapping flattened patches, row-major."""
+    """Split [..., H, W] images into non-overlapping flattened patches,
+    row-major: [..., (H/p)*(W/p), p*p]."""
     a = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
-    if a.ndim != 2:
-        raise InputError(f"patchify expects a 2-D image, got shape {a.shape}")
-    h, w = a.shape
+    if a.ndim < 2:
+        raise InputError(f"patchify expects an image, got shape {a.shape}")
+    *lead, h, w = a.shape
     p = patch_size
     if h % p != 0 or w % p != 0:
         raise InputError(f"patch size {p} does not divide image shape {(h, w)}")
-    patches = (a.reshape(h // p, p, w // p, p)
-                .transpose(0, 2, 1, 3)
-                .reshape((h // p) * (w // p), p * p))
+    patches = (a.reshape(*lead, h // p, p, w // p, p)
+                .swapaxes(-3, -2)
+                .reshape(*lead, (h // p) * (w // p), p * p))
     return Tensor(patches)
 
 
 def encode_image2d(image, params: ParamGroup, train_mode: bool = False,
                    dropout_rate: float = 0.0, rng=None, tape: Tape | None = None) -> Tensor:
-    """Patch projection -> relu -> hidden layer -> relu -> mean over patches -> output.
+    """Patch projection -> relu -> hidden layer -> relu -> output projection
+    -> mean over patches; [..., H, W] -> [..., d_model].
 
-    Dropout acts on the hidden activation in train mode only; eval mode is a
-    pure function of the image and parameters.
+    The output projection is linear, so applying it before the mean gives the
+    same embedding as after; applied per patch, it keeps each image of a batch
+    a separate matrix product. Dropout acts on the hidden activation in train
+    mode only; eval mode is a pure function of the image and parameters.
     """
     patch_proj = params["patch_proj"]
     patch_size = math.isqrt(patch_proj.value.shape[0])
@@ -87,17 +93,16 @@ def encode_image2d(image, params: ParamGroup, train_mode: bool = False,
     h1 = dm.relu(dm.matmul(patches, patch_proj, tape), tape)
     h2 = dm.relu(dm.matmul(h1, params["mlp_hidden"], tape), tape)
     h2 = dm.dropout(h2, dropout_rate, train_mode, rng, tape)
-    pooled = dm.mean_rows(h2, tape)
-    return dm.vecmat(pooled, params["out_proj"], tape)
+    return dm.mean_rows(dm.matmul(h2, params["out_proj"], tape), tape)
 
 
 def encode_slices(volume: Volume, params: ParamGroup, s_max: int = 64,
                   train_mode: bool = False, dropout_rate: float = 0.0, rng=None,
                   tape: Tape | None = None) -> SliceStack:
-    """Encode every slice of a volume; row i is encode_image2d of slice i."""
+    """Encode every slice of a volume in one batch; row i is encode_image2d of
+    slice i, bit for bit."""
     n = volume.n
     if not 1 <= n <= s_max:
         raise InputError(f"encode_slices: slice count {n} outside [1, {s_max}]")
-    rows = [encode_image2d(volume.voxels.data[i], params, train_mode,
-                           dropout_rate, rng, tape) for i in range(n)]
-    return SliceStack(mat=dm.stack_rows(rows, tape), n=n)
+    return SliceStack(mat=encode_image2d(volume.voxels.data, params, train_mode,
+                                         dropout_rate, rng, tape), n=n)

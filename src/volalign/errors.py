@@ -73,6 +73,12 @@ class DependencyError(VolalignError):
     category = "dependency"
 
 
+class NonFiniteError(VolalignError):
+    """Training produced a non-finite loss or gradient."""
+
+    category = "nonfinite"
+
+
 class EvaluationError(VolalignError):
     """An evaluation cannot be carried out on the given data."""
 

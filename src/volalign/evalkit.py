@@ -94,10 +94,13 @@ def read_embeddings_csv(path) -> EmbeddingTable:
     if not lines or not lines[0].startswith("id,label,"):
         raise LoadError(f"{path}: missing embedding CSV header")
     rows = []
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
-        rows.append(EmbeddingRow(id=parts[0], label=int(parts[1]),
-                                 vec=np.array([float(x) for x in parts[2:]])))
+        try:
+            rows.append(EmbeddingRow(id=parts[0], label=int(parts[1]),
+                                     vec=np.array([float(x) for x in parts[2:]])))
+        except (IndexError, ValueError) as exc:
+            raise LoadError(f"{path}: line {lineno}: malformed embedding row: {exc}") from exc
     return EmbeddingTable(rows)
 
 

@@ -37,7 +37,12 @@ def adapter_shapes(cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
 
 def attention_pool(stack: SliceStack, params: ParamGroup, train_mode: bool = False,
                    dropout_rate: float = 0.0, rng=None, tape: Tape | None = None) -> Tensor:
-    """Position-aware attention over slices, then mean over the output rows."""
+    """Position-aware attention over slices, then mean over the output rows;
+    [..., n, d_model] -> [..., d_model].
+
+    The heads run together: each of q, k and v is one product with its heads'
+    weights side by side, in table order, split into heads by a reshape.
+    """
     n = stack.n
     pe_table = params["pe_table"]
     s_max = pe_table.value.shape[0]
@@ -48,27 +53,32 @@ def attention_pool(stack: SliceStack, params: ParamGroup, train_mode: bool = Fal
             f"attention_pool: {n} slices exceed the position table capacity {s_max}")
 
     pe_n = dm.take_rows(pe_table, n, tape)
-    z = dm.add(stack.mat, pe_n, tape)  # [n x d_model]
+    z = dm.add(stack.mat, pe_n, tape)  # [..., n, d_model]
+    lead = z.shape[:-2]
 
     w = list(params.values())[1:-1]  # h0.wq, h0.wk, h0.wv, h1.wq, ...
-    inv_sqrt = 1.0 / math.sqrt(w[0].value.shape[1])
-    head_outs = []
-    for wq, wk, wv in zip(w[0::3], w[1::3], w[2::3]):
-        q = dm.matmul(z, wq, tape)                       # [n x d_head]
-        k = dm.matmul(z, wk, tape)
-        v = dm.matmul(z, wv, tape)
-        scores = dm.scale(dm.matmul(q, dm.transpose(k, tape), tape), inv_sqrt, tape)
-        attn = dm.softmax_rows(scores, tape)             # rows sum to 1
-        head_outs.append(dm.matmul(attn, v, tape))
+    heads, d_head = len(w) // 3, w[0].value.shape[1]
 
-    merged = dm.matmul(dm.concat_cols(head_outs, tape), params["wo"], tape)
+    def per_head_t(kind: int) -> Tensor:
+        # z @ [h0.w | h1.w | ...], transposed and split: [..., heads, d_head, n]
+        x = dm.matmul(z, dm.concat_cols(w[kind::3], tape), tape)
+        return dm.reshape(dm.transpose(x, tape), (*lead, heads, d_head, n), tape)
+
+    q = dm.transpose(per_head_t(0), tape)                # [..., heads, n, d_head]
+    k_t, v_t = per_head_t(1), per_head_t(2)
+    scores = dm.scale(dm.matmul(q, k_t, tape), 1.0 / math.sqrt(d_head), tape)
+    attn = dm.softmax_rows(scores, tape)                 # rows sum to 1
+    out_t = dm.matmul(v_t, dm.transpose(attn, tape), tape)  # (attn @ v) transposed
+    heads_out = dm.transpose(dm.reshape(out_t, (*lead, heads * d_head, n), tape), tape)
+
+    merged = dm.matmul(heads_out, params["wo"], tape)    # [..., n, d_model]
     merged = dm.dropout(merged, dropout_rate, train_mode, rng, tape)
     return dm.mean_rows(merged, tape)
 
 
 def gap_pool(stack: SliceStack, tape: Tape | None = None) -> Tensor:
-    """Order-invariant mean over slice embeddings (exact summation, so the
-    result is bitwise identical for any row permutation)."""
+    """Order-invariant mean over slice embeddings, [..., n, d] -> [..., d];
+    bitwise identical for any permutation of the slices."""
     if stack.n < 1:
         raise InputError("gap_pool: empty slice stack")
     return dm.mean_rows(stack.mat, tape)

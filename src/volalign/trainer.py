@@ -27,7 +27,7 @@ from . import slice_pool as sp
 from .config import TrainConfig
 from .diffmath import Param, ParamGroup, Tape, Tensor
 from .errors import (CheckpointError, CompatibilityError, ConfigurationError,
-                     InputError)
+                     InputError, NonFiniteError)
 
 CHECKPOINT_VERSION = 2
 _MAGIC = b"RCKP"
@@ -368,7 +368,7 @@ def check_geometry(ckpt: Checkpoint, cfg: TrainConfig) -> None:
 
 @dataclass
 class _Item:
-    inputs: object       # preprocessed slice (stage 1) or frozen SliceStack (stage 2)
+    inputs: np.ndarray  # preprocessed slice (stage 1) or frozen slice embeddings (stage 2)
     text_vec: np.ndarray
 
 
@@ -410,33 +410,53 @@ def _stage1_items(entries, data_root, cfg, text_params) -> list[_Item]:
 def _stage2_items(entries, data_root, cfg, text_params, image_params) -> list[_Item]:
     vols = _load_slices(entries, data_root, cfg)
     texts = _text_vectors(entries, text_params, cfg.vocab)
-    items = []
-    for v, t in zip(vols, texts):
-        stack = enc.encode_slices(v, image_params, s_max=cfg.s_max)  # frozen, eval mode
-        items.append(_Item(inputs=stack, text_vec=t))
-    return items
+    return [_Item(inputs=enc.encode_slices(v, image_params, s_max=cfg.s_max).mat.data,
+                  text_vec=t)  # frozen, eval mode
+            for v, t in zip(vols, texts)]
 
 
 # ---------------------------------------------------------------------------
 # training engine
 
 
-def _batch_loss(items: list[_Item], idxs, forward_row, cfg, train_mode, rng, tape):
-    rows = [forward_row(items[i], train_mode, rng, tape) for i in idxs]
-    img = dm.stack_rows(rows, tape)
-    txt = Tensor(np.stack([items[i].text_vec for i in idxs]))
-    loss_cfg = ct.LossConfig(tau=cfg.tau, symmetric=cfg.symmetric)
+def _forward(stage: int, inputs: np.ndarray, ckpt: Checkpoint, cfg: TrainConfig,
+             train_mode: bool, rng, tape) -> Tensor:
+    """Embeddings of a batch: images [B, H, W] (stage 1) or slice embeddings
+    [B, n, d_model] (stage 2) -> [B, d_model]."""
+    if stage == 1:
+        return enc.encode_image2d(inputs, ckpt.image, train_mode, cfg.dropout_rate, rng, tape)
+    stack = enc.SliceStack(Tensor(inputs), inputs.shape[-2])
+    return sp.attention_pool(stack, ckpt.adapter, train_mode, cfg.dropout_rate, rng, tape)
+
+
+def _batch_loss(items: list[_Item], idxs, stage, ckpt, cfg, loss_cfg, train_mode, rng, tape):
+    """InfoNCE of one batch, with one forward call per distinct input shape.
+
+    Stage-2 volumes may differ in slice count; their outputs are joined along
+    the batch axis, and the text rows follow the same order (InfoNCE does not
+    change under a joint permutation of the pairs).
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i in idxs:
+        groups.setdefault(items[i].inputs.shape, []).append(i)
+    order = [i for group in groups.values() for i in group]
+    outs = [_forward(stage, np.stack([items[i].inputs for i in group]), ckpt, cfg,
+                     train_mode, rng, tape)
+            for group in groups.values()]
+    img = outs[0] if len(outs) == 1 else dm.concat_cols(outs, tape, axis=0)
+    txt = Tensor(np.stack([items[i].text_vec for i in order]))
     return ct.batch_loss(img, txt, loss_cfg, tape)
 
 
-def _mean_val_loss(items: list[_Item], forward_row, cfg) -> float:
+def _mean_val_loss(items: list[_Item], stage, ckpt, cfg, loss_cfg) -> float:
     losses = []
     n = len(items)
     for start in range(0, n, cfg.batch_size):
         idxs = range(start, min(start + cfg.batch_size, n))
         if len(idxs) < 2:
             break
-        losses.append(_batch_loss(items, idxs, forward_row, cfg, False, None, None).item())
+        losses.append(_batch_loss(items, idxs, stage, ckpt, cfg, loss_cfg,
+                                  False, None, None).item())
     if not losses:
         raise ConfigurationError("validation set needs at least 2 samples")
     return math.fsum(losses) / len(losses)
@@ -449,8 +469,13 @@ def _write_loss_csv(history: list[dict], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _check_finite(values: np.ndarray, epoch: int, batch: int, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"epoch {epoch}, batch {batch}: non-finite {what}")
+
+
 def _run_stage(cfg: TrainConfig, stage: int, ckpt: Checkpoint, items, val_items,
-               forward_row, trainables: list[Param], out_dir, resume: Checkpoint | None,
+               trainables: list[Param], out_dir, resume: Checkpoint | None,
                label: str) -> Checkpoint:
     if len(items) < cfg.batch_size:
         raise ConfigurationError(
@@ -459,6 +484,7 @@ def _run_stage(cfg: TrainConfig, stage: int, ckpt: Checkpoint, items, val_items,
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    loss_cfg = ct.LossConfig(tau=cfg.tau, symmetric=cfg.symmetric)
     rng = dm.make_rng(cfg.seed, f"train:stage{stage}")
     if resume is not None:
         start_epoch = resume.epoch
@@ -486,13 +512,16 @@ def _run_stage(cfg: TrainConfig, stage: int, ckpt: Checkpoint, items, val_items,
         for b in range(n_batches):
             idxs = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             tape = Tape()
-            loss = _batch_loss(items, idxs, forward_row, cfg, True, rng, tape)
+            loss = _batch_loss(items, idxs, stage, ckpt, cfg, loss_cfg, True, rng, tape)
+            _check_finite(loss.data, epoch, b, "training loss")
             batch_losses.append(loss.item())
             dm.zero_grads(trainables)
             tape.backward(loss)
+            for p in trainables:
+                _check_finite(p.grad.data, epoch, b, f"gradient of {p.name}")
             adam.step(lr)
         train_loss = math.fsum(batch_losses) / len(batch_losses)
-        val_loss = _mean_val_loss(val_items, forward_row, cfg)
+        val_loss = _mean_val_loss(val_items, stage, ckpt, cfg, loss_cfg)
         history.append({"epoch": epoch, "lr": lr,
                         "train_loss": train_loss, "val_loss": val_loss})
 
@@ -551,13 +580,8 @@ def train_stage1(cfg: TrainConfig, train_entries, val_entries, data_root,
 
     items = _stage1_items(train_entries, data_root, cfg, ckpt.text)
     val_items = _stage1_items(val_entries, data_root, cfg, ckpt.text)
-
-    def forward_row(item, train_mode, rng, tape):
-        return enc.encode_image2d(item.inputs, ckpt.image, train_mode,
-                                  cfg.dropout_rate, rng, tape)
-
-    return _run_stage(cfg, 1, ckpt, items, val_items, forward_row,
-                      list(ckpt.image.values()), out_dir, resume, "stage1")
+    return _run_stage(cfg, 1, ckpt, items, val_items, list(ckpt.image.values()),
+                      out_dir, resume, "stage1")
 
 
 def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
@@ -591,10 +615,5 @@ def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
 
     items = _stage2_items(train_entries, data_root, cfg, ckpt.text, ckpt.image)
     val_items = _stage2_items(val_entries, data_root, cfg, ckpt.text, ckpt.image)
-
-    def forward_row(item, train_mode, rng, tape):
-        return sp.attention_pool(item.inputs, ckpt.adapter, train_mode,
-                                 cfg.dropout_rate, rng, tape)
-
-    return _run_stage(cfg, 2, ckpt, items, val_items, forward_row,
-                      list(ckpt.adapter.values()), out_dir, resume, "stage2")
+    return _run_stage(cfg, 2, ckpt, items, val_items, list(ckpt.adapter.values()),
+                      out_dir, resume, "stage2")
