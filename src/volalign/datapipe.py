@@ -3,7 +3,8 @@ and synthetic corpus generation.
 
 Manifests are JSON lists of entry records; samples are little-endian VOL1
 files (magic, n/H/W as u32, then float32 voxels, slice-major). Preprocessing
-is always resize first, z-score second, per slice.
+is always resize first, z-score second. Both act on `[..., H, W]` arrays, so
+a volume is one call of each; the statistics are per image (slice).
 """
 
 from __future__ import annotations
@@ -82,6 +83,9 @@ def _check_entry(raw: dict, index: int) -> ManifestEntry:
     )
     if not isinstance(e.id, str) or not e.id:
         raise LoadError(f"{where}: id must be a non-empty string")
+    for name in ("path", "body_region", "modality"):
+        if not isinstance(getattr(e, name), str):
+            raise LoadError(f"{where} (id {e.id!r}): {name} must be a string")
     if e.kind not in _KINDS:
         raise LoadError(f"{where} (id {e.id!r}): kind must be one of {_KINDS}, got {e.kind!r}")
     if e.split not in _SPLITS:
@@ -98,7 +102,7 @@ def load_manifest(path) -> list[ManifestEntry]:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LoadError(f"cannot read manifest {path}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -114,7 +118,11 @@ def load_manifest(path) -> list[ManifestEntry]:
             raise LoadError(f"entry {i}: duplicate id {e.id!r} (first at entry {seen[e.id]})")
         seen[e.id] = i
         sample = path.parent / e.path
-        if not sample.is_file():
+        try:
+            found = sample.is_file()
+        except OSError as exc:  # is_file() passes on errors such as ENAMETOOLONG
+            raise LoadError(f"entry {i} (id {e.id!r}): cannot check sample file: {exc}") from exc
+        if not found:
             raise LoadError(f"entry {i} (id {e.id!r}): sample file not found: {sample}")
     return entries
 
@@ -171,11 +179,12 @@ def load_volume(path) -> Volume:
 
 
 def resize_bilinear(img, out_h: int, out_w: int) -> Tensor:
-    """Bilinear resize with pixel centers at (i + 0.5) / size and border replicate."""
+    """Bilinear resize of each `[H, W]` image of `[..., H, W]`, with pixel
+    centers at (i + 0.5) / size and border replicate."""
     a = img.data if isinstance(img, Tensor) else np.asarray(img, dtype=np.float64)
-    if a.ndim != 2:
-        raise InputError(f"resize_bilinear expects a 2-D image, got shape {a.shape}")
-    h, w = a.shape
+    if a.ndim < 2:
+        raise InputError(f"resize_bilinear expects [..., H, W] images, got shape {a.shape}")
+    h, w = a.shape[-2:]
     if out_h < 1 or out_w < 1:
         raise InputError(f"target size must be >= 1, got {(out_h, out_w)}")
 
@@ -185,33 +194,34 @@ def resize_bilinear(img, out_h: int, out_w: int) -> Tensor:
     x0 = np.floor(xs)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    y0c = np.clip(y0.astype(int), 0, h - 1)
-    y1c = np.clip(y0.astype(int) + 1, 0, h - 1)
-    x0c = np.clip(x0.astype(int), 0, w - 1)
-    x1c = np.clip(x0.astype(int) + 1, 0, w - 1)
+    y0c = np.clip(y0.astype(int), 0, h - 1)[:, None]
+    y1c = np.clip(y0.astype(int) + 1, 0, h - 1)[:, None]
+    x0c = np.clip(x0.astype(int), 0, w - 1)[None, :]
+    x1c = np.clip(x0.astype(int) + 1, 0, w - 1)[None, :]
 
-    v00 = a[np.ix_(y0c, x0c)]
-    v01 = a[np.ix_(y0c, x1c)]
-    v10 = a[np.ix_(y1c, x0c)]
-    v11 = a[np.ix_(y1c, x1c)]
-    out = ((1 - fy) * (1 - fx) * v00 + (1 - fy) * fx * v01
-           + fy * (1 - fx) * v10 + fy * fx * v11)
+    out = ((1 - fy) * (1 - fx) * a[..., y0c, x0c] + (1 - fy) * fx * a[..., y0c, x1c]
+           + fy * (1 - fx) * a[..., y1c, x0c] + fy * fx * a[..., y1c, x1c])
     return Tensor(out)
 
 
 def zscore(img, eps: float = 1e-8) -> Tensor:
-    """Standardize to zero mean and unit population std; constant images map to zeros."""
+    """Standardize each `[H, W]` image of `[..., H, W]` to zero mean and unit
+    population std; constant images map to zeros."""
     a = img.data if isinstance(img, Tensor) else np.asarray(img, dtype=np.float64)
-    mean = a.mean()
-    std = a.std()
-    return Tensor((a - mean) / max(std, eps))
+    if a.ndim < 2:
+        raise InputError(f"zscore expects [..., H, W] images, got shape {a.shape}")
+    # scalar moments of each 2-D view: a reduction over a flattened or
+    # multi-axis view may round the last bit differently
+    images = a.reshape(-1, *a.shape[-2:])
+    stats = a.shape[:-2] + (1, 1)
+    mean = np.array([s.mean() for s in images]).reshape(stats)
+    std = np.array([s.std() for s in images]).reshape(stats)
+    return Tensor((a - mean) / np.maximum(std, eps))
 
 
 def preprocess_volume(volume: Volume, out_h: int, out_w: int, eps: float = 1e-8) -> Volume:
     """Resize then z-score each slice, in that order."""
-    slices = [zscore(resize_bilinear(volume.voxels.data[i], out_h, out_w), eps).data
-              for i in range(volume.n)]
-    return Volume(Tensor(np.stack(slices, axis=0)))
+    return Volume(zscore(resize_bilinear(volume.voxels, out_h, out_w), eps))
 
 
 # ---------------------------------------------------------------------------

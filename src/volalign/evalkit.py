@@ -60,8 +60,13 @@ class EmbeddingTable:
 
 
 def extract_embeddings(ckpt: tr.Checkpoint, entries, data_root, pool_mode: str,
-                       cfg: TrainConfig | None = None) -> EmbeddingTable:
-    """One embedding per manifest entry, in manifest order, eval mode throughout."""
+                       cfg: TrainConfig | None = None,
+                       volumes: dict | None = None) -> EmbeddingTable:
+    """One embedding per manifest entry, in manifest order, eval mode throughout.
+
+    `volumes` caches preprocessed volumes across calls, keyed by
+    (sample path, image size): a miss loads, preprocesses and stores.
+    """
     if cfg is not None:
         tr.check_geometry(ckpt, cfg)
     if pool_mode not in sp.POOL_MODES:
@@ -70,7 +75,12 @@ def extract_embeddings(ckpt: tr.Checkpoint, entries, data_root, pool_mode: str,
     size = ckpt.config.image_size
     rows = []
     for e in entries:
-        vol = dp.preprocess_volume(dp.load_volume(root / e.path), size, size)
+        key = (root / e.path, size)
+        vol = None if volumes is None else volumes.get(key)
+        if vol is None:
+            vol = dp.preprocess_volume(dp.load_volume(root / e.path), size, size)
+            if volumes is not None:
+                volumes[key] = vol
         stack = enc.encode_slices(vol, ckpt.image, s_max=ckpt.config.s_max)
         vec = sp.pool(stack, pool_mode, ckpt.adapter)
         rows.append(EmbeddingRow(id=e.id, label=e.label, vec=vec.data))
@@ -339,7 +349,9 @@ def _cached_stage2(cfg, data, base_ckpt, workdir, name):
     if workdir is not None:
         path = Path(workdir) / name
         if path.is_file():
-            return tr.load_checkpoint(path)
+            ckpt = tr.load_checkpoint(path)
+            tr.check_geometry(ckpt, cfg)
+            return ckpt
     train3d, val3d, _ = _splits(data.entries3d)
     out = Path(workdir) / name.removesuffix(".ckpt") if workdir is not None else None
     ckpt = tr.train_stage2(cfg, train3d, val3d, data.root3d, base_ckpt, out_dir=out)
@@ -392,9 +404,10 @@ def run_ablation(data: AblationData, cfg: TrainConfig, workdir=None,
         (ABLATION_CONFIGS[2], stage1_ckpt, "gap"),
         (ABLATION_CONFIGS[3], adapter_tuned, "attention"),
     ]
+    volumes: dict = {}  # every row shares cfg.image_size, so rows 2-4 reuse row 1's
     rows = []
     for name, ckpt, mode in setups:
-        table = extract_embeddings(ckpt, test3d, data.root3d, mode)
+        table = extract_embeddings(ckpt, test3d, data.root3d, mode, volumes=volumes)
         probe = linear_probe_cv(table, k=5, seed=cfg.seed)
         match = top1_match(table, data.captions3d, ckpt.text)
         rows.append(AblationRow(config=name, probe_accuracy=probe.accuracy_mean,

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -220,6 +222,22 @@ def _rng_state_from_json(state: dict) -> dict:
     return out
 
 
+def _write_atomic(path, chunks) -> None:
+    """Write byte chunks to a temporary file in path's directory, then
+    os.replace it over path: a failed write leaves an earlier file at path as
+    it was and no partial file behind."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     meta = {
         "stage": ckpt.stage,
@@ -242,15 +260,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             sections.append((f"adam.m:{name}", _pack_tensor(m)))
             sections.append((f"adam.v:{name}", _pack_tensor(v)))
 
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        for name, payload in sections:
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<Q", len(payload)))
-            fh.write(payload)
+    chunks = [_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
+    for name, payload in sections:
+        nb = name.encode("utf-8")
+        chunks += [struct.pack("<I", len(nb)), nb, struct.pack("<Q", len(payload)), payload]
+    _write_atomic(path, chunks)
 
 
 def _read_sections(blob: bytes, path) -> dict[str, bytes]:
@@ -308,10 +322,12 @@ def load_checkpoint(path) -> Checkpoint:
     for the file's own config and any tensor of the wrong shape."""
     path = Path(path)
     try:
-        blob = path.read_bytes()
-    except OSError as exc:
+        # mapped rather than read into one file-sized heap block, which a
+        # fragmented heap can only serve with fresh, page-faulted memory
+        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as blob:
+            sections = _read_sections(blob, path)
+    except (OSError, ValueError) as exc:  # ValueError: an empty file cannot be mapped
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    sections = _read_sections(blob, path)
     meta = _read_meta(sections.pop("meta", None), path)
     cfg = TrainConfig.from_dict(meta["config"])
 
@@ -466,7 +482,7 @@ def _write_loss_csv(history: list[dict], path) -> None:
     lines = ["epoch,lr,train_loss,val_loss"]
     for h in history:
         lines.append(f"{h['epoch']},{h['lr']!r},{h['train_loss']!r},{h['val_loss']!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def _check_finite(values: np.ndarray, epoch: int, batch: int, what: str) -> None:

@@ -1,6 +1,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volalign import datapipe as dp
 from volalign.datapipe import ManifestEntry, SynthSpec, Volume
@@ -53,6 +55,25 @@ class TestManifest:
     def test_bad_enum_values(self, tmp_path):
         dp.save_manifest([make_entry(kind="4d", path="x")], tmp_path / "m.json")
         with pytest.raises(LoadError, match="kind"):
+            dp.load_manifest(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("field, value", [
+        ("path", 5), ("path", None), ("body_region", 3), ("body_region", None),
+        ("modality", ["CT"]), ("modality", None),
+    ])
+    def test_string_fields_are_type_checked(self, tmp_path, field, value):
+        dp.save_manifest([make_entry(**{field: value})], tmp_path / "m.json")
+        with pytest.raises(LoadError, match=rf"entry 0 \(id 'a'\): {field} must be a string"):
+            dp.load_manifest(tmp_path / "m.json")
+
+    def test_overlong_path_is_load_error(self, tmp_path):
+        dp.save_manifest([make_entry(path="x" * 300)], tmp_path / "m.json")
+        with pytest.raises(LoadError, match="entry 0"):
+            dp.load_manifest(tmp_path / "m.json")
+
+    def test_non_utf8_manifest_is_load_error(self, tmp_path):
+        (tmp_path / "m.json").write_bytes(b"[\xff]")
+        with pytest.raises(LoadError, match="cannot read"):
             dp.load_manifest(tmp_path / "m.json")
 
 
@@ -141,6 +162,55 @@ class TestZscore:
             assert abs(sl.std() - 1.0) < 1e-10
             manual = dp.zscore(dp.resize_bilinear(Tensor(vol.voxels.data[i]), 4, 4))
             assert np.array_equal(sl, manual.data)
+
+
+class TestVolumePreprocessing:
+    """resize_bilinear and zscore act on [..., H, W]: one call per volume
+    gives each slice the bits it gets alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 8), h=st.integers(1, 40), w=st.integers(1, 40),
+           out_h=st.integers(1, 40), out_w=st.integers(1, 40),
+           loc=st.sampled_from([0.0, -3.5, 250.0]), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           constant=st.sampled_from([None, 0, -1]), seed=st.integers(0, 2**32 - 1))
+    def test_volume_equals_per_slice_composition(self, n, h, w, out_h, out_w, loc, scale,
+                                                 constant, seed):
+        vox = np.random.default_rng(seed).normal(loc, scale, size=(n, h, w))
+        if constant is not None:
+            vox[constant] = loc + scale
+        pre = dp.preprocess_volume(Volume(Tensor(vox)), out_h, out_w).voxels.data
+        manual = np.stack([dp.zscore(dp.resize_bilinear(Tensor(vox[i]), out_h, out_w)).data
+                           for i in range(n)])
+        assert pre.shape == (n, out_h, out_w)
+        assert pre.tobytes() == manual.tobytes()
+
+    def test_leading_axes_are_batch_axes(self):
+        imgs = np.random.default_rng(4).normal(size=(2, 3, 7, 5))
+        resized = dp.resize_bilinear(Tensor(imgs), 4, 9).data
+        normed = dp.zscore(Tensor(imgs)).data
+        assert resized.shape == (2, 3, 4, 9) and normed.shape == imgs.shape
+        for i in range(2):
+            for j in range(3):
+                one = Tensor(imgs[i, j])
+                assert resized[i, j].tobytes() == dp.resize_bilinear(one, 4, 9).data.tobytes()
+                assert normed[i, j].tobytes() == dp.zscore(one).data.tobytes()
+
+    def test_constant_slice_maps_to_zeros_beside_others(self):
+        vox = np.random.default_rng(5).normal(size=(3, 6, 6))
+        vox[1] = 7.0
+        pre = dp.preprocess_volume(Volume(Tensor(vox)), 4, 4).voxels.data
+        assert np.array_equal(pre[1], np.zeros((4, 4)))
+        assert abs(pre[0].std() - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("fn", [lambda a: dp.resize_bilinear(a, 2, 2), dp.zscore])
+    def test_fewer_than_two_dimensions_rejected(self, fn):
+        for bad in (Tensor(np.zeros(4)), Tensor(np.float64(1.0))):
+            with pytest.raises(InputError, match=r"\[\.\.\., H, W\]"):
+                fn(bad)
+
+    def test_bad_target_size_rejected_for_volumes(self):
+        with pytest.raises(InputError, match="target size"):
+            dp.preprocess_volume(Volume(Tensor(np.zeros((3, 4, 4)))), 4, 0)
 
 
 class TestCaptions:

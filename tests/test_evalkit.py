@@ -229,3 +229,74 @@ class TestAblation:
         r2 = ek.run_ablation(data, cfg, workdir=tmp_path)  # loads from cache
         for a, b in zip(r1.rows, r2.rows):
             assert a == b
+
+
+class TestAblationPreprocessesOnce:
+    @pytest.fixture(scope="class")
+    def trained(self, ordered3d, pattern2d, tmp_path_factory):
+        """A work directory holding the three trained checkpoints."""
+        root3, entries3 = ordered3d
+        root2, entries2 = pattern2d
+        data = ek.AblationData(root2d=root2, entries2d=entries2, root3d=root3,
+                               entries3d=entries3,
+                               captions3d=dp.load_captions(root3 / "captions.json", vocab=64))
+        workdir = tmp_path_factory.mktemp("ablate")
+        ek.run_ablation(data, small_cfg(epochs=2), workdir=workdir)
+        return data, workdir
+
+    def test_same_report_as_uncached_rows_and_one_load_per_volume(self, trained, monkeypatch):
+        data, workdir = trained
+        cfg = small_cfg(epochs=2)
+        loads, tables = [], []
+        load, extract = dp.load_volume, ek.extract_embeddings
+
+        def counting_load(path):
+            loads.append(path)
+            return load(path)
+
+        def keeping_extract(*args, **kwargs):
+            tables.append(extract(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(dp, "load_volume", counting_load)
+        monkeypatch.setattr(ek, "extract_embeddings", keeping_extract)
+        report = ek.run_ablation(data, cfg, workdir=workdir)
+        monkeypatch.undo()
+
+        test3d = [e for e in data.entries3d if e.split == "test"]
+        assert sorted(loads) == sorted(data.root3d / e.path for e in test3d)
+        ckpts = [tr.make_initial_checkpoint(cfg)] + [
+            tr.load_checkpoint(workdir / name)
+            for name in ("stage2_vanilla.ckpt", "stage1.ckpt", "stage2_finetuned.ckpt")]
+        modes = ("gap", "attention", "gap", "attention")
+        rows = []
+        for name, ckpt, mode, cached in zip(ek.ABLATION_CONFIGS, ckpts, modes, tables):
+            table = ek.extract_embeddings(ckpt, test3d, data.root3d, mode)
+            assert table.matrix().tobytes() == cached.matrix().tobytes()
+            probe = ek.linear_probe_cv(table, k=5, seed=cfg.seed)
+            match = ek.top1_match(table, data.captions3d, ckpt.text)
+            rows.append(ek.AblationRow(name, probe.accuracy_mean, probe.f1_mean,
+                                       match.precision))
+        assert report == ek.AblationReport(rows)
+
+    def test_cache_is_keyed_by_image_size(self, ordered3d):
+        root, entries = ordered3d
+        volumes = {}
+        for size in (8, 4):
+            ckpt = tr.make_initial_checkpoint(small_cfg(image_size=size, patch_size=4))
+            ek.extract_embeddings(ckpt, entries[:2], root, "gap", volumes=volumes)
+        assert sorted(volumes) == sorted((root / e.path, size)
+                                         for e in entries[:2] for size in (8, 4))
+        assert {v.voxels.shape[-1] for (_, size), v in volumes.items() if size == 4} == {4}
+
+    @pytest.mark.parametrize("mismatched", ["stage2_vanilla.ckpt", "stage2_finetuned.ckpt"])
+    def test_cached_stage2_geometry_is_checked(self, tmp_path, mismatched):
+        cfg = small_cfg(d_model=16, image_size=16)
+        tr.save_checkpoint(tr.make_initial_checkpoint(cfg), tmp_path / "stage1.ckpt")
+        for name in ("stage2_vanilla.ckpt", "stage2_finetuned.ckpt"):
+            geometry = small_cfg(d_model=32, image_size=32) if name == mismatched else cfg
+            tr.save_checkpoint(tr.make_initial_checkpoint(geometry), tmp_path / name)
+        data = ek.AblationData(root2d=None, entries2d=None, root3d=tmp_path, entries3d=[],
+                               captions3d=[])
+        with pytest.raises(CompatibilityError, match="d_model"):
+            ek.run_ablation(data, cfg, workdir=tmp_path)

@@ -2,10 +2,15 @@
 training run that overflows."""
 
 import json
+import struct
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volalign import contrastive as ct
 from volalign import datapipe as dp
@@ -14,7 +19,7 @@ from volalign import evalkit as ek
 from volalign import trainer as tr
 from volalign.cli import EXIT_NONFINITE, main
 from volalign.config import TrainConfig
-from volalign.errors import ConfigurationError, LoadError, NonFiniteError
+from volalign.errors import ConfigurationError, LoadError, NonFiniteError, VolalignError
 
 CSV_HEADER = "id,label,e0,e1\n"
 
@@ -39,6 +44,94 @@ def test_malformed_loader_input_is_load_error(tmp_path, loader, content):
         path.write_text(content)
         with pytest.raises(LoadError):
             ek.read_embeddings_csv(path)
+
+
+@st.composite
+def vol1_blobs(draw):
+    """VOL1 files with small or huge dimensions, payloads of the right length
+    or one value off, any float32 values, and optionally cut short."""
+    dims = [draw(st.integers(0, 3) | st.integers(0, 2**32 - 1)) for _ in range(3)]
+    count = dims[0] * dims[1] * dims[2]
+    count = count + draw(st.sampled_from([0, 0, -1, 1])) if count < 64 else 0
+    values = draw(st.lists(st.floats(width=32), min_size=max(count, 0), max_size=max(count, 0)))
+    blob = b"VOL1" + struct.pack("<III", *dims) + struct.pack(f"<{len(values)}f", *values)
+    return blob[:draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.binary(max_size=40) | vol1_blobs())
+def test_any_bytes_load_as_volume_or_typed_error(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.vol"
+        path.write_bytes(blob)
+        try:
+            vol = dp.load_volume(path)
+        except VolalignError:
+            return
+    assert vol.voxels.shape == struct.unpack_from("<III", blob, 4)
+    assert np.isfinite(vol.voxels.data).all()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+# Loadable or edge-case values per field; MANIFEST_RECORDS then replaces or
+# deletes up to three fields (or adds an unknown one), so one bad field at a
+# time is common.
+FIELD_VALUES = {
+    "id": st.sampled_from(["a", "b"]),
+    "path": st.sampled_from(["samples/a.vol", "samples/none.vol", "samples", "", "x" * 300,
+                             "a\x00b"]),
+    "kind": st.sampled_from(["2d", "3d"]),
+    "body_region": st.sampled_from(["Chest", "", " "]),
+    "modality": st.sampled_from(["CT", "-"]),
+    "condition": st.sampled_from([None, "Nodule", ""]),
+    "label": st.sampled_from([0, 1]),
+    "split": st.sampled_from(["train", "test"]),
+}
+DELETE = object()
+
+
+def _edited(record, edits):
+    for key, value in edits.items():
+        if value is DELETE:
+            record.pop(key, None)
+        else:
+            record[key] = value
+    return record
+
+
+MANIFEST_RECORDS = st.builds(
+    _edited, st.fixed_dictionaries(FIELD_VALUES),
+    st.dictionaries(st.sampled_from([*FIELD_VALUES, "extra"]), JSON_VALUES | st.just(DELETE),
+                    max_size=3))
+
+
+@pytest.fixture(scope="module")
+def sample_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "samples").mkdir()
+    dp.save_volume(dp.Volume(dm.Tensor(np.zeros((1, 8, 8)))), root / "samples" / "a.vol")
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=st.lists(MANIFEST_RECORDS | JSON_VALUES, max_size=3))
+def test_any_manifest_records_load_or_raise_load_error(sample_dir, records):
+    path = sample_dir / "manifest.json"
+    path.write_text(json.dumps(records))
+    try:
+        entries = dp.load_manifest(path)
+    except LoadError:
+        return
+    for e in entries:  # a loaded entry yields a caption or a typed error
+        try:
+            dp.caption_for(e)
+        except VolalignError:
+            pass
 
 
 def test_loss_config_checks_tau_once_at_construction():

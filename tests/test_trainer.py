@@ -1,4 +1,5 @@
 
+import errno
 import hashlib
 import json
 import struct
@@ -193,6 +194,12 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="version"):
             tr.load_checkpoint(tmp_path / "v.ckpt")
 
+    def test_empty_or_missing_file_rejected(self, tmp_path):
+        (tmp_path / "e.ckpt").write_bytes(b"")
+        for name in ("e.ckpt", "missing.ckpt"):
+            with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+                tr.load_checkpoint(tmp_path / name)
+
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "m.ckpt").write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(CheckpointError, match="magic"):
@@ -227,6 +234,66 @@ class TestCheckpointIO:
     def test_layout_mismatch_refused_at_load(self, tmp_path, stage1, edit, message):
         with pytest.raises(CheckpointError, match=message):
             tr.load_checkpoint(craft(stage1, tmp_path, edit))
+
+
+class _DiskFullAfter:
+    """A file whose writes fail with ENOSPC once `budget` bytes are written."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget, self.written = fh, budget, 0
+
+    def write(self, data):
+        room = self.budget - self.written
+        self.written += self.fh.write(data[:max(room, 0)])
+        if len(data) > room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return len(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestCrashSafeWrites:
+    def fail_after(self, monkeypatch, budget):
+        files = []
+
+        def disk_full_open(path, mode="r"):
+            files.append(_DiskFullAfter(open(path, mode), budget))
+            return files[-1]
+
+        monkeypatch.setattr(tr, "open", disk_full_open, raising=False)
+        return files
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "loss_csv"])
+    @pytest.mark.parametrize("earlier", [True, False], ids=["over-earlier", "fresh"])
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch, kind, earlier):
+        if kind == "checkpoint":
+            name = "epoch_0002.ckpt"
+            write = tr.save_checkpoint
+            old, new = tr.make_initial_checkpoint(small_cfg()), tr.make_initial_checkpoint(
+                small_cfg(seed=4))
+        else:
+            name = "loss.csv"
+            write = tr._write_loss_csv
+            row = {"epoch": 0, "lr": 1e-3, "train_loss": 1.5, "val_loss": 1.25}
+            old, new = [row], [row, dict(row, epoch=1, val_loss=1.0)]
+        path = tmp_path / name
+        if earlier:
+            write(old, path)
+        before = path.read_bytes() if earlier else None
+        files = self.fail_after(monkeypatch, budget=20)
+        with pytest.raises(OSError, match="No space"):
+            write(new, path)
+        assert files and files[0].written == 20  # the write failed part-way
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ([name] if earlier else [])
+        if earlier:
+            assert path.read_bytes() == before
+        write(new, path)  # the next write succeeds
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 class TestStage1(object):
