@@ -52,8 +52,14 @@ def _write_run_config(out_dir: Path, command: str, cfg: TrainConfig | None,
     payload = {"tool": "volalign", "version": __version__, "command": command,
                "config": cfg.to_dict() if cfg is not None else None}
     payload.update(extra)
-    (out_dir / "run_config.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    tr._write_atomic(out_dir / "run_config.json", [text.encode("utf-8")])
+
+
+def _write_report(out_dir: Path, stem: str, report) -> None:
+    """<stem>.csv and <stem>.txt, each written atomically."""
+    tr._write_atomic(out_dir / f"{stem}.csv", [report.to_csv().encode("utf-8")])
+    tr._write_atomic(out_dir / f"{stem}.txt", [report.to_text().encode("utf-8")])
 
 
 def _config_overrides(args) -> dict:
@@ -176,8 +182,7 @@ def cmd_probe(args) -> int:
                       {"data": str(data_root), "ckpt": str(args.ckpt),
                        "pool": args.pool, "split": args.split, "seed": args.seed,
                        "folds": args.folds})
-    (out / "probe_report.csv").write_text(report.to_csv())
-    (out / "probe_report.txt").write_text(report.to_text())
+    _write_report(out, "probe_report", report)
     print(report.to_text(), end="")
     return EXIT_OK
 
@@ -192,8 +197,7 @@ def cmd_match(args) -> int:
                       {"data": str(data_root), "ckpt": str(args.ckpt),
                        "captions": str(args.captions), "pool": args.pool,
                        "split": args.split})
-    (out / "match_report.csv").write_text(report.to_csv())
-    (out / "match_report.txt").write_text(report.to_text())
+    _write_report(out, "match_report", report)
     print(report.to_text(), end="")
     return EXIT_OK
 
@@ -218,8 +222,7 @@ def cmd_ablate(args) -> int:
     abl = ek.AblationData(root2d=root2d, entries2d=entries2d, root3d=dir3d,
                           entries3d=entries3d, captions3d=captions)
     report = ek.run_ablation(abl, cfg, workdir=out / "work", stage1_ckpt=stage1)
-    (out / "ablation_report.csv").write_text(report.to_csv())
-    (out / "ablation_report.txt").write_text(report.to_text())
+    _write_report(out, "ablation_report", report)
     print(report.to_text(), end="")
     return EXIT_OK
 

@@ -29,7 +29,6 @@ __all__ = [
     "Param",
     "Tape",
     "matmul",
-    "vecmat",
     "transpose",
     "reshape",
     "add",
@@ -223,20 +222,6 @@ def matmul(a, b, tape: Tape | None = None) -> Tensor:
                 accum(a, g @ np.swapaxes(bv, -1, -2))
                 accum(b, np.swapaxes(av, -1, -2) @ g)
         tape.record(out, (a, b), bwd)
-    return out
-
-
-def vecmat(v, m, tape: Tape | None = None) -> Tensor:
-    """Row-vector times matrix: [k] @ [k x n] -> [n]."""
-    vv, mv = _val(v), _val(m)
-    if vv.ndim != 1 or mv.ndim != 2 or vv.shape[0] != mv.shape[0]:
-        raise DimensionError(f"vecmat: incompatible shapes {vv.shape} @ {mv.shape}")
-    out = Tensor(vv @ mv)
-    if tape is not None:
-        def bwd(g, accum, vv=vv, mv=mv, v=v, m=m):
-            accum(v, mv @ g)
-            accum(m, np.outer(vv, g))
-        tape.record(out, (v, m), bwd)
     return out
 
 

@@ -4,6 +4,9 @@ four-configuration ablation runner.
 
 The probe recipe is fixed (full-batch gradient descent, 500 iterations, step
 0.1, no regularization) so reports are reproducible; F1 is macro-averaged.
+The k folds' probes train as stacks, one stack per training-set size (one
+stack when every class size is a multiple of k), and each fold's weights are
+bit for bit those it would get trained alone.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import datapipe as dp
+from . import diffmath as dm
 from . import encoders as enc
 from . import slice_pool as sp
 from . import trainer as tr
 from .config import TrainConfig
-from .diffmath import ParamGroup, make_rng
+from .diffmath import ParamGroup, Tensor, make_rng
 from .errors import (AmbiguityError, DependencyError, EvaluationError,
                      InputError, LoadError, StratificationError)
 
@@ -93,7 +97,7 @@ def export_embeddings_csv(table: EmbeddingTable, path) -> None:
     lines = [header]
     for r in table.rows:
         lines.append(f"{r.id},{r.label}," + ",".join(repr(float(v)) for v in r.vec))
-    Path(path).write_text("\n".join(lines) + "\n")
+    tr._write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def read_embeddings_csv(path) -> EmbeddingTable:
@@ -156,24 +160,29 @@ class ProbeReport:
         return "\n".join(lines) + "\n"
 
 
-def _train_logistic(x: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:
-    """Multinomial logistic regression: full-batch GD, fixed recipe."""
-    xa = np.hstack([x, np.ones((x.shape[0], 1))])
-    w = np.zeros((xa.shape[1], n_classes))
-    onehot = np.eye(n_classes)[y]
-    n = x.shape[0]
+def _train_logistic(xa: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+    """Multinomial logistic regression, full-batch GD with the fixed recipe,
+    on a stack of problems of one training size: xa [g, n, d+1] (features
+    with a ones column), onehot [g, n, c] -> weights [g, d+1, c].
+
+    numpy multiplies a stack one matrix at a time, and xat stays a view of
+    xa, so each problem gets the bits it would get alone. The row max is a
+    running maximum over the c columns: exact, and faster than a reduction
+    over a short trailing axis.
+    """
+    n = xa.shape[1]
+    xat = xa.swapaxes(-1, -2)
+    w = np.zeros((xa.shape[0], xa.shape[2], onehot.shape[2]))
     for _ in range(PROBE_ITERATIONS):
         z = xa @ w
-        z -= z.max(axis=1, keepdims=True)
+        zmax = z[..., 0].copy()
+        for j in range(1, z.shape[-1]):
+            np.maximum(zmax, z[..., j], out=zmax)
+        z -= zmax[..., None]
         p = np.exp(z)
-        p /= p.sum(axis=1, keepdims=True)
-        w -= PROBE_STEP * (xa.T @ (p - onehot)) / n
+        p /= p.sum(axis=-1, keepdims=True)
+        w -= PROBE_STEP * (xat @ (p - onehot)) / n
     return w
-
-
-def _predict_logistic(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    xa = np.hstack([x, np.ones((x.shape[0], 1))])
-    return (xa @ w).argmax(axis=1)
 
 
 def _macro_f1(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> float:
@@ -208,11 +217,24 @@ def linear_probe_cv(table: EmbeddingTable, k: int = 5, seed: int = 0) -> ProbeRe
         for pos, idx in enumerate(members):
             fold_of[idx] = pos % k
 
+    # Folds of one training size train as one stack: one stack when every
+    # class size is a multiple of k, a few otherwise.
+    xa = np.hstack([x, np.ones((len(x), 1))])
+    onehot = np.eye(len(classes))[y]
+    train = [fold_of != f for f in range(k)]
+    by_size: dict[int, list[int]] = {}
+    for f in range(k):
+        by_size.setdefault(int(train[f].sum()), []).append(f)
+    weights = {}
+    for folds in by_size.values():
+        w = _train_logistic(np.stack([xa[train[f]] for f in folds]),
+                            np.stack([onehot[train[f]] for f in folds]))
+        weights.update(zip(folds, w))
+
     accs, f1s = [], []
     for f in range(k):
-        test = fold_of == f
-        w = _train_logistic(x[~test], y[~test], len(classes))
-        pred = _predict_logistic(w, x[test])
+        test = ~train[f]
+        pred = (xa[test] @ weights[f]).argmax(axis=1)
         accs.append(float((pred == y[test]).mean()))
         f1s.append(_macro_f1(y[test], pred, len(classes)))
     return ProbeReport(fold_accuracy=accs, fold_macro_f1=f1s)
@@ -246,11 +268,6 @@ class MatchReport:
         return "\n".join(lines) + "\n"
 
 
-def _normalize_rows(a: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    norms = np.sqrt((a * a).sum(axis=1))
-    return a / np.where(norms >= eps, norms, 1.0)[:, None]
-
-
 def top1_match(images: EmbeddingTable, class_captions: list[dp.Caption],
                text_params: ParamGroup) -> MatchReport:
     """Assign each image to the nearest caption by cosine; ties break to the
@@ -265,21 +282,24 @@ def top1_match(images: EmbeddingTable, class_captions: list[dp.Caption],
                 f"captions for classes {seen[key]} and {c} are identical after tokenization")
         seen[key] = c
 
+    if not len(images):
+        raise EvaluationError("top1_match: empty embedding table")
     n_classes = len(class_captions)
     labels = images.labels()
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+    if labels.min() < 0 or labels.max() >= n_classes:
         raise InputError(f"image labels must lie in [0, {n_classes}), got "
                          f"[{labels.min()}, {labels.max()}]")
 
     cap_mat = np.stack([enc.encode_text(c.token_ids, text_params).data
                         for c in class_captions])
-    scores = _normalize_rows(images.matrix()) @ _normalize_rows(cap_mat).T
+    scores = (dm.l2_normalize_rows(Tensor(images.matrix())).data
+              @ dm.l2_normalize_rows(Tensor(cap_mat)).data.T)
     pred = scores.argmax(axis=1)  # argmax returns the first (lowest) index on ties
 
     confusion = np.zeros((n_classes, n_classes), dtype=int)
     for t, p in zip(labels, pred):
         confusion[t, p] += 1
-    precision = float((pred == labels).mean()) if labels.size else 0.0
+    precision = float((pred == labels).mean())
     return MatchReport(precision=precision, confusion=confusion)
 
 

@@ -222,10 +222,6 @@ class TestPrimitiveGradients:
         self.check(lambda p, t: dm.mean_all(dm.matmul(p[0], p[1], t), t),
                    [(3, 4), (4, 2)], "g_matmul")
 
-    def test_vecmat(self):
-        self.check(lambda p, t: dm.mean_all(dm.vecmat(p[0], p[1], t), t),
-                   [(4,), (4, 3)], "g_vecmat")
-
     def test_transpose(self):
         self.check(lambda p, t: dm.mean_all(dm.matmul(p[1], dm.transpose(p[0], t), t), t),
                    [(3, 4), (2, 4)], "g_transpose")
@@ -249,7 +245,7 @@ class TestPrimitiveGradients:
                    [(3, 4), (4, 2)], "g_l2n")
 
     def test_mean_rows(self):
-        self.check(lambda p, t: dm.mean_all(dm.vecmat(dm.mean_rows(p[0], t), p[1], t), t),
+        self.check(lambda p, t: dm.mean_all(dm.matmul(dm.mean_rows(p[0], t), p[1], t), t),
                    [(4, 3), (3, 2)], "g_meanrows")
 
     def test_take_rows(self):

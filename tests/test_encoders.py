@@ -87,7 +87,7 @@ class TestImageEncoder:
         def f(tape):
             emb = enc.encode_image2d(img, p, train_mode=True, dropout_rate=0.3,
                                      rng=dm.make_rng(9, "drop"), tape=tape)
-            return dm.mean_all(dm.vecmat(emb, probe, tape), tape)
+            return dm.mean_all(dm.matmul(emb, probe, tape), tape)
 
         report = dm.grad_check(f, list(p.values()), h=1e-5, tol=1e-4)
         assert report.passed, repr(report)

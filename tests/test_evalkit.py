@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volalign import datapipe as dp
 from volalign import encoders as enc
@@ -143,6 +147,88 @@ class TestLinearProbe:
         assert ek._macro_f1(y_true, y_pred, 2) == acc
 
 
+def train_logistic_2d(x, y, n_classes):
+    """The probe recipe on one fold alone: the bitwise reference."""
+    xa = np.hstack([x, np.ones((x.shape[0], 1))])
+    w = np.zeros((xa.shape[1], n_classes))
+    onehot = np.eye(n_classes)[y]
+    n = x.shape[0]
+    for _ in range(ek.PROBE_ITERATIONS):
+        z = xa @ w
+        z -= z.max(axis=1, keepdims=True)
+        p = np.exp(z)
+        p /= p.sum(axis=1, keepdims=True)
+        w -= ek.PROBE_STEP * (xa.T @ (p - onehot)) / n
+    return w
+
+
+def probe_fold_by_fold(table, k, seed):
+    """linear_probe_cv with one probe trained per fold, one fold at a time."""
+    labels = table.labels()
+    classes = np.unique(labels)
+    y = np.searchsorted(classes, labels)
+    x = table.matrix()
+    rng = make_rng(seed, "probe:folds")
+    fold_of = np.empty(len(table), dtype=int)
+    for c in range(len(classes)):
+        members = np.flatnonzero(y == c)
+        members = members[rng.permutation(len(members))]
+        for pos, idx in enumerate(members):
+            fold_of[idx] = pos % k
+    accs, f1s = [], []
+    for f in range(k):
+        test = fold_of == f
+        w = train_logistic_2d(x[~test], y[~test], len(classes))
+        pred = (np.hstack([x[test], np.ones((test.sum(), 1))]) @ w).argmax(axis=1)
+        accs.append(float((pred == y[test]).mean()))
+        f1s.append(ek._macro_f1(y[test], pred, len(classes)))
+    return ek.ProbeReport(fold_accuracy=accs, fold_macro_f1=f1s)
+
+
+def clustered_table(seed, sizes, d, scale):
+    r = make_rng(seed, "probe:table")
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    x = scale * (r.normal(size=(len(labels), d)) + r.normal(size=(len(sizes), d))[labels])
+    return table_from(x, labels)
+
+
+# sha256 of linear_probe_cv(...).to_csv() for the table in test_golden_report,
+# computed with the fold-by-fold probe.
+GOLDEN_PROBE_CSV = "90fca2a0ae4e5810417f89ef38eea501afbcc432cc1a6e2e987ed5255411e258"
+
+
+class TestStackedProbe:
+    @settings(max_examples=25, deadline=None)
+    @given(g=st.integers(1, 5), n=st.integers(2, 40), d=st.integers(1, 64),
+           c=st.integers(2, 9), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.01, 1.0, 30.0]))
+    def test_stack_equals_each_problem_alone_bitwise(self, g, n, d, c, seed, scale):
+        r = make_rng(seed, "probe:stack")
+        x = scale * r.normal(size=(g, n, d))
+        y = r.integers(0, c, size=(g, n))
+        xa = np.concatenate([x, np.ones((g, n, 1))], axis=2)
+        w = ek._train_logistic(xa, np.eye(c)[y])
+        assert w.shape == (g, d + 1, c)
+        for i in range(g):
+            assert np.array_equal(w[i], train_logistic_2d(x[i], y[i], c))
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(2, 5), d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+           extra=st.lists(st.integers(0, 8), min_size=2, max_size=9),
+           scale=st.sampled_from([0.1, 1.0, 10.0]))
+    def test_probe_equals_fold_by_fold_oracle(self, k, d, seed, extra, scale):
+        # class sizes k + extra: unequal, so the folds' training sizes differ
+        # and several stacks run
+        table = clustered_table(seed, [k + e for e in extra], d, scale)
+        got = ek.linear_probe_cv(table, k=k, seed=seed)
+        assert got.to_csv() == probe_fold_by_fold(table, k, seed).to_csv()
+
+    def test_golden_report(self):
+        table = clustered_table(11, [15, 12, 10, 9], 3, 1.0)
+        csv = ek.linear_probe_cv(table, k=5, seed=4).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_PROBE_CSV
+
+
 class TestTop1Match:
     def text_params(self):
         return tr.init_group(small_cfg(), "text", seed=3)
@@ -176,6 +262,11 @@ class TestTop1Match:
         report = ek.top1_match(table, caps, tp)
         assert report.confusion[1, 0] == 1
         assert report.precision == 0.0
+
+    def test_empty_table_is_an_evaluation_error(self):
+        tp = self.text_params()
+        with pytest.raises(EvaluationError, match="empty"):
+            ek.top1_match(ek.EmbeddingTable([]), self.captions(["Chest CT", "Brain MRI"]), tp)
 
     def test_duplicate_tokenized_captions_rejected(self):
         tp = self.text_params()

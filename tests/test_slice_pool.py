@@ -135,7 +135,7 @@ class TestAttentionPool:
         def f(tape):
             emb = sp.attention_pool(stack_of(mat), adapter, train_mode=True,
                                     rng=dm.make_rng(11, "drop"), tape=tape)
-            return dm.mean_all(dm.vecmat(emb, probe, tape), tape)
+            return dm.mean_all(dm.matmul(emb, probe, tape), tape)
 
         report = dm.grad_check(f, list(adapter.values()), h=1e-5, tol=1e-4)
         assert report.passed, repr(report)

@@ -7,7 +7,9 @@ import struct
 import numpy as np
 import pytest
 
+from volalign import cli
 from volalign import datapipe as dp
+from volalign import evalkit as ek
 from volalign import trainer as tr
 from volalign.config import TrainConfig
 from volalign.errors import (CheckpointError, CompatibilityError,
@@ -267,33 +269,52 @@ class TestCrashSafeWrites:
         monkeypatch.setattr(tr, "open", disk_full_open, raising=False)
         return files
 
-    @pytest.mark.parametrize("kind", ["checkpoint", "loss_csv"])
+    def writer(self, kind):
+        """(file names, write(value, path), earlier value, new value) of one
+        file-writing function; path is the first of the file names."""
+        if kind == "checkpoint":
+            return (["epoch_0002.ckpt"], tr.save_checkpoint,
+                    tr.make_initial_checkpoint(small_cfg()),
+                    tr.make_initial_checkpoint(small_cfg(seed=4)))
+        if kind == "loss_csv":
+            row = {"epoch": 0, "lr": 1e-3, "train_loss": 1.5, "val_loss": 1.25}
+            return ["loss.csv"], tr._write_loss_csv, [row], [row, dict(row, epoch=1, val_loss=1.0)]
+        if kind == "run_config":
+            def write(extra, path):
+                cli._write_run_config(path.parent, "probe", small_cfg(), extra)
+            return ["run_config.json"], write, {"seed": 1}, {"seed": 2}
+        if kind == "report":
+            def write(report, path):
+                cli._write_report(path.parent, "probe_report", report)
+            return (["probe_report.csv", "probe_report.txt"], write,
+                    ek.ProbeReport([0.5, 0.75], [0.5, 0.7]),
+                    ek.ProbeReport([1.0, 0.25], [1.0, 0.2]))
+        row = ek.EmbeddingRow(id="a", label=0, vec=np.array([0.5, -1.25]))
+        return (["embeddings.csv"], ek.export_embeddings_csv, ek.EmbeddingTable([row]),
+                ek.EmbeddingTable([row, ek.EmbeddingRow(id="b", label=1, vec=np.ones(2))]))
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "loss_csv", "run_config", "report",
+                                      "embeddings_csv"])
     @pytest.mark.parametrize("earlier", [True, False], ids=["over-earlier", "fresh"])
     def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch, kind, earlier):
-        if kind == "checkpoint":
-            name = "epoch_0002.ckpt"
-            write = tr.save_checkpoint
-            old, new = tr.make_initial_checkpoint(small_cfg()), tr.make_initial_checkpoint(
-                small_cfg(seed=4))
-        else:
-            name = "loss.csv"
-            write = tr._write_loss_csv
-            row = {"epoch": 0, "lr": 1e-3, "train_loss": 1.5, "val_loss": 1.25}
-            old, new = [row], [row, dict(row, epoch=1, val_loss=1.0)]
-        path = tmp_path / name
+        names, write, old, new = self.writer(kind)
+        path = tmp_path / names[0]
         if earlier:
             write(old, path)
-        before = path.read_bytes() if earlier else None
+        before = _contents(tmp_path)
+        assert sorted(before) == (names if earlier else [])
         files = self.fail_after(monkeypatch, budget=20)
         with pytest.raises(OSError, match="No space"):
             write(new, path)
         assert files and files[0].written == 20  # the write failed part-way
         monkeypatch.undo()
-        assert [p.name for p in tmp_path.iterdir()] == ([name] if earlier else [])
-        if earlier:
-            assert path.read_bytes() == before
+        assert _contents(tmp_path) == before  # earlier bytes kept, no .tmp left
         write(new, path)  # the next write succeeds
-        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert sorted(_contents(tmp_path)) == names
+
+
+def _contents(directory) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
 class TestStage1(object):
