@@ -53,13 +53,13 @@ def _write_run_config(out_dir: Path, command: str, cfg: TrainConfig | None,
                "config": cfg.to_dict() if cfg is not None else None}
     payload.update(extra)
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    tr._write_atomic(out_dir / "run_config.json", [text.encode("utf-8")])
+    dp._write_atomic(out_dir / "run_config.json", [text.encode("utf-8")])
 
 
 def _write_report(out_dir: Path, stem: str, report) -> None:
     """<stem>.csv and <stem>.txt, each written atomically."""
-    tr._write_atomic(out_dir / f"{stem}.csv", [report.to_csv().encode("utf-8")])
-    tr._write_atomic(out_dir / f"{stem}.txt", [report.to_text().encode("utf-8")])
+    dp._write_atomic(out_dir / f"{stem}.csv", [report.to_csv().encode("utf-8")])
+    dp._write_atomic(out_dir / f"{stem}.txt", [report.to_text().encode("utf-8")])
 
 
 def _config_overrides(args) -> dict:

@@ -3,10 +3,22 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigurationError
+
+# what a field of each annotated type accepts; bool is an int subclass, but
+# no number field takes one, and the bound on a real number refuses nan,
+# infinities and integers too large for a float
+_ACCEPTS = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a finite real number",
+              lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                         and abs(v) <= sys.float_info.max)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+}
 
 
 @dataclass
@@ -41,6 +53,14 @@ class TrainConfig:
         return self.d_model // self.heads
 
     def validate(self) -> "TrainConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            what, accepts = _ACCEPTS[f.type]
+            if not accepts(value):
+                raise ConfigurationError(f"{f.name} must be {what}, got {value!r}")
+        if min(self.d_model, self.d_hidden, self.d_text, self.vocab, self.s_max,
+               self.patch_size, self.image_size) < 1:
+            raise ConfigurationError("model dimensions must be positive")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be >= 0")
         if self.batch_size < 2:
@@ -56,8 +76,6 @@ class TrainConfig:
         if self.image_size % self.patch_size != 0:
             raise ConfigurationError(
                 f"patch_size ({self.patch_size}) must divide image_size ({self.image_size})")
-        if min(self.d_model, self.d_hidden, self.d_text, self.vocab, self.s_max) < 1:
-            raise ConfigurationError("model dimensions must be positive")
         if self.patience < 1:
             raise ConfigurationError("patience must be >= 1")
         return self
@@ -84,7 +102,7 @@ class TrainConfig:
     def from_json(cls, path, overrides: dict | None = None) -> "TrainConfig":
         try:
             data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigurationError(f"config {path}: top level must be an object")

@@ -10,6 +10,7 @@ a volume is one call of each; the statistics are per image (slice).
 from __future__ import annotations
 
 import json
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -127,12 +128,25 @@ def load_manifest(path) -> list[ManifestEntry]:
     return entries
 
 
+def _write_atomic(path, chunks) -> None:
+    """Write byte chunks to a temporary file in path's directory, then
+    os.replace it over path: a failed write leaves an earlier file at path as
+    it was and no partial file behind."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_manifest(entries: list[ManifestEntry], path) -> None:
-    records = []
-    for e in entries:
-        rec = {k: getattr(e, k) for k in _MANIFEST_FIELDS}
-        records.append(rec)
-    Path(path).write_text(json.dumps(records, indent=2) + "\n")
+    records = [{k: getattr(e, k) for k in _MANIFEST_FIELDS} for e in entries]
+    _write_atomic(path, [(json.dumps(records, indent=2) + "\n").encode("utf-8")])
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +416,13 @@ def synth_dataset(spec: SynthSpec, seed: int, out_dir) -> list[ManifestEntry]:
                          "text": build_caption(cap_entry)})
 
     save_manifest(entries, out_dir / "manifest.json")
-    (out_dir / "captions.json").write_text(json.dumps(captions, indent=2) + "\n")
+    save_captions(captions, out_dir / "captions.json")
     return entries
+
+
+def save_captions(records: list[dict], path) -> None:
+    """Write caption records (label, body_region, modality, condition, text)."""
+    _write_atomic(path, [(json.dumps(records, indent=2) + "\n").encode("utf-8")])
 
 
 def load_captions(path, vocab: int = DEFAULT_VOCAB) -> list[Caption]:
@@ -411,7 +430,7 @@ def load_captions(path, vocab: int = DEFAULT_VOCAB) -> list[Caption]:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise LoadError(f"cannot read captions {path}: {exc}") from exc
     if not isinstance(raw, list) or not raw:
         raise LoadError(f"captions {path}: expected a non-empty list")

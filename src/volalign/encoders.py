@@ -4,7 +4,10 @@ Two towers meet in one d_model space: a frozen, seed-determined hashed-bag
 text encoder (word identity is all the short templated captions need) and a
 trainable patch + MLP image encoder for single slices. A batch of images is
 a leading axis of the image array; encode_slices encodes a volume's slices
-as one such batch.
+as one such batch. encode_frozen is the frozen (eval-mode) path over many
+volumes: volumes of one slice count share each encode_image2d call, at most
+_FROZEN_SLICES slices at a time. numpy multiplies a stack one matrix at a
+time, so every slice keeps the bits it gets when encoded alone.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from .config import TrainConfig
 from .datapipe import Volume
 from .diffmath import ParamGroup, Tape, Tensor
 from .errors import InputError
+
+_FROZEN_SLICES = 64  # slices per encode_image2d call of encode_frozen; bounds its activations
 
 
 def text_shapes(cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
@@ -101,8 +106,37 @@ def encode_slices(volume: Volume, params: ParamGroup, s_max: int = 64,
                   tape: Tape | None = None) -> SliceStack:
     """Encode every slice of a volume in one batch; row i is encode_image2d of
     slice i, bit for bit."""
-    n = volume.n
+    _check_slice_count(volume.n, s_max)
+    return SliceStack(mat=encode_image2d(volume.voxels.data, params, train_mode,
+                                         dropout_rate, rng, tape), n=volume.n)
+
+
+def _check_slice_count(n: int, s_max: int) -> None:
     if not 1 <= n <= s_max:
         raise InputError(f"encode_slices: slice count {n} outside [1, {s_max}]")
-    return SliceStack(mat=encode_image2d(volume.voxels.data, params, train_mode,
-                                         dropout_rate, rng, tape), n=n)
+
+
+def slice_batches(counts: list[int], s_max: int) -> list[list[int]]:
+    """Indices of volumes with these slice counts, grouped by count and cut
+    into batches of at most _FROZEN_SLICES slices (one volume at least)."""
+    by_count: dict[int, list[int]] = {}
+    for i, n in enumerate(counts):
+        _check_slice_count(n, s_max)
+        by_count.setdefault(n, []).append(i)
+    batches = []
+    for n, idxs in by_count.items():
+        size = max(1, _FROZEN_SLICES // n)
+        batches += [idxs[s:s + size] for s in range(0, len(idxs), size)]
+    return batches
+
+
+def encode_frozen(volumes: list[Volume], params: ParamGroup, s_max: int) -> list[np.ndarray]:
+    """Eval-mode slice embeddings of many volumes of one image size: one
+    [n, d_model] array per volume, in input order, bit for bit what
+    encode_slices gives; one encode_image2d call per slice_batches batch."""
+    out: list[np.ndarray] = [None] * len(volumes)
+    for batch in slice_batches([v.n for v in volumes], s_max):
+        emb = encode_image2d(np.stack([volumes[i].voxels.data for i in batch]), params)
+        for i, rows in zip(batch, emb.data):
+            out[i] = rows
+    return out

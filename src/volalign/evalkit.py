@@ -2,6 +2,12 @@
 stratified cross-validation, cross-modal top-1 matching, and the
 four-configuration ablation runner.
 
+Extraction encodes the slices of many volumes per encoder call and pools
+them in the same batches (encoders.encode_frozen, encoders.slice_batches);
+every row keeps the bits it gets alone. The ablation runner shares one memo
+of slice embeddings across its rows, so each test volume is encoded once
+per distinct image group.
+
 The probe recipe is fixed (full-batch gradient descent, 500 iterations, step
 0.1, no regularization) so reports are reproducible; F1 is macro-averaged.
 The k folds' probes train as stacks, one stack per training-set size (one
@@ -11,6 +17,7 @@ bit for bit those it would get trained alone.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,12 +71,16 @@ class EmbeddingTable:
 
 
 def extract_embeddings(ckpt: tr.Checkpoint, entries, data_root, pool_mode: str,
-                       cfg: TrainConfig | None = None,
-                       volumes: dict | None = None) -> EmbeddingTable:
+                       cfg: TrainConfig | None = None, volumes: dict | None = None,
+                       encoded: dict | None = None) -> EmbeddingTable:
     """One embedding per manifest entry, in manifest order, eval mode throughout.
 
-    `volumes` caches preprocessed volumes across calls, keyed by
-    (sample path, image size): a miss loads, preprocesses and stores.
+    Slices are encoded by enc.encode_frozen and pooled one slice_batches
+    batch per pool call; each row has the bits of encode_slices and pool on
+    its volume alone. `volumes` caches preprocessed volumes across calls,
+    keyed by (sample path, image size); `encoded` caches slice embeddings,
+    keyed by (sample path, image size, sha256 of the image group). A miss
+    computes and stores.
     """
     if cfg is not None:
         tr.check_geometry(ckpt, cfg)
@@ -77,18 +88,38 @@ def extract_embeddings(ckpt: tr.Checkpoint, entries, data_root, pool_mode: str,
         raise InputError(f"pool mode must be one of {sp.POOL_MODES}, got {pool_mode!r}")
     root = Path(data_root)
     size = ckpt.config.image_size
-    rows = []
-    for e in entries:
-        key = (root / e.path, size)
-        vol = None if volumes is None else volumes.get(key)
+    image = _group_sha256(ckpt.image)
+    keys = [(root / e.path, size, image) for e in entries]
+    encoded = {} if encoded is None else encoded
+    missing = [k for k in dict.fromkeys(keys) if k not in encoded]
+    vols = []
+    for path, _, _ in missing:
+        vol = None if volumes is None else volumes.get((path, size))
         if vol is None:
-            vol = dp.preprocess_volume(dp.load_volume(root / e.path), size, size)
+            vol = dp.preprocess_volume(dp.load_volume(path), size, size)
             if volumes is not None:
-                volumes[key] = vol
-        stack = enc.encode_slices(vol, ckpt.image, s_max=ckpt.config.s_max)
-        vec = sp.pool(stack, pool_mode, ckpt.adapter)
-        rows.append(EmbeddingRow(id=e.id, label=e.label, vec=vec.data))
-    return EmbeddingTable(rows)
+                volumes[path, size] = vol
+        vols.append(vol)
+    encoded.update(zip(missing, enc.encode_frozen(vols, ckpt.image, s_max=ckpt.config.s_max)))
+
+    mats = [encoded[k] for k in keys]
+    vecs = [None] * len(mats)
+    for batch in enc.slice_batches([m.shape[0] for m in mats], ckpt.config.s_max):
+        n = mats[batch[0]].shape[0]
+        stack = enc.SliceStack(Tensor(np.stack([mats[i] for i in batch])), n)
+        for i, vec in zip(batch, sp.pool(stack, pool_mode, ckpt.adapter).data):
+            vecs[i] = vec
+    return EmbeddingTable([EmbeddingRow(id=e.id, label=e.label, vec=v)
+                           for e, v in zip(entries, vecs)])
+
+
+def _group_sha256(group: ParamGroup) -> str:
+    """sha256 over the names, shapes and bytes of a parameter group."""
+    h = hashlib.sha256()
+    for name, p in group.items():
+        h.update(f"{name}{p.value.shape}".encode("utf-8"))
+        h.update(np.ascontiguousarray(p.value.data))
+    return h.hexdigest()
 
 
 def export_embeddings_csv(table: EmbeddingTable, path) -> None:
@@ -97,13 +128,13 @@ def export_embeddings_csv(table: EmbeddingTable, path) -> None:
     lines = [header]
     for r in table.rows:
         lines.append(f"{r.id},{r.label}," + ",".join(repr(float(v)) for v in r.vec))
-    tr._write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
+    dp._write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def read_embeddings_csv(path) -> EmbeddingTable:
     try:
         lines = Path(path).read_text().strip().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LoadError(f"cannot read embeddings {path}: {exc}") from exc
     if not lines or not lines[0].startswith("id,label,"):
         raise LoadError(f"{path}: missing embedding CSV header")
@@ -386,7 +417,8 @@ def run_ablation(data: AblationData, cfg: TrainConfig, workdir=None,
 
     Trains whatever is missing: the stage-1 encoder (unless supplied or cached
     in workdir) and one adapter per encoder variant. Configuration "vanilla
-    encoder + gap" involves no training at all.
+    encoder + gap" involves no training at all. The rows share preprocessed
+    volumes and, per image group, slice embeddings.
     """
     cfg.validate()
     if workdir is not None:
@@ -424,10 +456,14 @@ def run_ablation(data: AblationData, cfg: TrainConfig, workdir=None,
         (ABLATION_CONFIGS[2], stage1_ckpt, "gap"),
         (ABLATION_CONFIGS[3], adapter_tuned, "attention"),
     ]
-    volumes: dict = {}  # every row shares cfg.image_size, so rows 2-4 reuse row 1's
+    # every row shares cfg.image_size, so rows 2-4 reuse row 1's volumes; stage 2
+    # freezes the image group, so rows 2 and 4 reuse the encodings of rows 1 and 3
+    volumes: dict = {}
+    encoded: dict = {}
     rows = []
     for name, ckpt, mode in setups:
-        table = extract_embeddings(ckpt, test3d, data.root3d, mode, volumes=volumes)
+        table = extract_embeddings(ckpt, test3d, data.root3d, mode, volumes=volumes,
+                                   encoded=encoded)
         probe = linear_probe_cv(table, k=5, seed=cfg.seed)
         match = top1_match(table, data.captions3d, ckpt.text)
         rows.append(AblationRow(config=name, probe_accuracy=probe.accuracy_mean,

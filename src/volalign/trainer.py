@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import mmap
-import os
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -222,22 +221,6 @@ def _rng_state_from_json(state: dict) -> dict:
     return out
 
 
-def _write_atomic(path, chunks) -> None:
-    """Write byte chunks to a temporary file in path's directory, then
-    os.replace it over path: a failed write leaves an earlier file at path as
-    it was and no partial file behind."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     meta = {
         "stage": ckpt.stage,
@@ -264,7 +247,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     for name, payload in sections:
         nb = name.encode("utf-8")
         chunks += [struct.pack("<I", len(nb)), nb, struct.pack("<Q", len(payload)), payload]
-    _write_atomic(path, chunks)
+    dp._write_atomic(path, chunks)
 
 
 def _read_sections(blob: bytes, path) -> dict[str, bytes]:
@@ -329,7 +312,10 @@ def load_checkpoint(path) -> Checkpoint:
     except (OSError, ValueError) as exc:  # ValueError: an empty file cannot be mapped
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     meta = _read_meta(sections.pop("meta", None), path)
-    cfg = TrainConfig.from_dict(meta["config"])
+    try:
+        cfg = TrainConfig.from_dict(meta["config"])
+    except ConfigurationError as exc:
+        raise CheckpointError(f"{path}: meta config is invalid: {exc}") from exc
 
     def tensor(key: str, shape: tuple) -> np.ndarray:
         a = _unpack_tensor(sections.pop(key))
@@ -426,9 +412,8 @@ def _stage1_items(entries, data_root, cfg, text_params) -> list[_Item]:
 def _stage2_items(entries, data_root, cfg, text_params, image_params) -> list[_Item]:
     vols = _load_slices(entries, data_root, cfg)
     texts = _text_vectors(entries, text_params, cfg.vocab)
-    return [_Item(inputs=enc.encode_slices(v, image_params, s_max=cfg.s_max).mat.data,
-                  text_vec=t)  # frozen, eval mode
-            for v, t in zip(vols, texts)]
+    mats = enc.encode_frozen(vols, image_params, s_max=cfg.s_max)  # frozen, eval mode
+    return [_Item(inputs=m, text_vec=t) for m, t in zip(mats, texts)]
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +467,7 @@ def _write_loss_csv(history: list[dict], path) -> None:
     lines = ["epoch,lr,train_loss,val_loss"]
     for h in history:
         lines.append(f"{h['epoch']},{h['lr']!r},{h['train_loss']!r},{h['val_loss']!r}")
-    _write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
+    dp._write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def _check_finite(values: np.ndarray, epoch: int, batch: int, what: str) -> None:
@@ -605,8 +590,8 @@ def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
                  resume: Checkpoint | None = None) -> Checkpoint:
     """Train the slice-pooling adapter on volumes; both encoders are frozen.
 
-    Slice stacks are embedded once up front (the encoder is frozen), so each
-    epoch touches only the adapter parameters.
+    Slice stacks are embedded once up front by encoders.encode_frozen (the
+    encoder is frozen), so each epoch touches only the adapter parameters.
     """
     cfg.validate()
     _require_kind(train_entries, "3d")

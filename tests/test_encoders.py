@@ -127,6 +127,12 @@ class TestEncodeSlices:
         with pytest.raises(InputError):
             enc.encode_slices(self.vol(vox), p, s_max=8)
 
+    def test_frozen_capacity(self):
+        p = tr.init_group(SMALL, "image", seed=4)
+        vols = [self.vol(np.zeros((n, 8, 8))) for n in (8, 9)]
+        with pytest.raises(InputError, match="slice count 9"):
+            enc.encode_frozen(vols, p, s_max=8)
+
     def test_volume_rejects_empty(self):
         with pytest.raises(InputError):
             Volume(Tensor(np.zeros((0, 8, 8))))

@@ -1,17 +1,21 @@
 import hashlib
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volalign import datapipe as dp
 from volalign import encoders as enc
 from volalign import evalkit as ek
+from volalign import slice_pool as sp
 from volalign import trainer as tr
 from volalign.config import TrainConfig
 from volalign.datapipe import Caption
-from volalign.diffmath import make_rng
+from volalign.diffmath import Tensor, make_rng
 from volalign.errors import (AmbiguityError, CompatibilityError, DependencyError,
                              EvaluationError, InputError, StratificationError)
 
@@ -97,6 +101,33 @@ class TestExtract:
         ckpt = tr.make_initial_checkpoint(small_cfg())
         with pytest.raises(InputError):
             ek.extract_embeddings(ckpt, entries[:2], root, "max")
+
+    # 64 slices per batch: 9 volumes of 8 slices and 30 of 3 fill more than one
+    @settings(max_examples=25, deadline=None)
+    @example(counts=[8] * 9 + [3] * 30, seed=0)
+    @given(counts=st.lists(st.integers(1, 20), min_size=1, max_size=30),
+           seed=st.integers(0, 2**16))
+    def test_batched_rows_equal_per_volume_encode_and_pool(self, counts, seed):
+        cfg = small_cfg(s_max=20)
+        ckpt = tr.make_initial_checkpoint(cfg)
+        rng = make_rng(seed, "volumes")
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "samples").mkdir()
+            entries = []
+            for i, n in enumerate(counts):
+                dp.save_volume(dp.Volume(Tensor(rng.normal(size=(n, 12, 12)))),
+                               root / "samples" / f"{i}.vol")
+                entries.append(dp.ManifestEntry(id=f"v{i}", path=f"samples/{i}.vol", kind="3d",
+                                                body_region="Brain", modality="MRI",
+                                                condition=None, label=i % 2, split="test"))
+            for mode in sp.POOL_MODES:
+                table = ek.extract_embeddings(ckpt, entries, root, mode)
+                assert [r.id for r in table.rows] == [e.id for e in entries]
+                for e, row in zip(entries, table.rows):
+                    vol = dp.preprocess_volume(dp.load_volume(root / e.path), 8, 8)
+                    stack = enc.encode_slices(vol, ckpt.image, s_max=cfg.s_max)
+                    assert row.vec.tobytes() == sp.pool(stack, mode, ckpt.adapter).data.tobytes()
 
 
 class TestLinearProbe:
@@ -369,6 +400,58 @@ class TestAblationPreprocessesOnce:
             rows.append(ek.AblationRow(name, probe.accuracy_mean, probe.f1_mean,
                                        match.precision))
         assert report == ek.AblationReport(rows)
+
+    @staticmethod
+    def count_encoded_slices(monkeypatch) -> list[int]:
+        counts = []
+        encode = enc.encode_image2d
+
+        def counting_encode(image, *args, **kwargs):
+            counts.append(math.prod(np.shape(image)[:-2]))
+            return encode(image, *args, **kwargs)
+
+        monkeypatch.setattr(enc, "encode_image2d", counting_encode)
+        return counts
+
+    def test_each_test_volume_encoded_once_per_distinct_encoder(self, trained, monkeypatch):
+        data, workdir = trained
+        cfg = small_cfg(epochs=2)
+        groups = [ek._group_sha256(tr.load_checkpoint(workdir / name).image)
+                  for name in ("stage2_vanilla.ckpt", "stage1.ckpt", "stage2_finetuned.ckpt")]
+        assert groups[0] == ek._group_sha256(tr.make_initial_checkpoint(cfg).image)
+        assert groups[1] == groups[2] != groups[0]
+        counts = self.count_encoded_slices(monkeypatch)
+        ek.run_ablation(data, cfg, workdir=workdir)
+        test3d = [e for e in data.entries3d if e.split == "test"]
+        slices = sum(dp.load_volume(data.root3d / e.path).n for e in test3d)
+        assert sum(counts) == 2 * slices
+        assert max(counts) <= enc._FROZEN_SLICES
+
+    def test_changed_image_group_gets_its_own_encoding(self, trained, tmp_path, monkeypatch):
+        data, workdir = trained
+        cfg = small_cfg(epochs=2)
+        for name in ("stage1.ckpt", "stage2_finetuned.ckpt"):
+            (tmp_path / name).write_bytes((workdir / name).read_bytes())
+        vanilla = tr.load_checkpoint(workdir / "stage2_vanilla.ckpt")
+        vanilla.image["out_proj"].value.data[0, 0] += 1e-9
+        tr.save_checkpoint(vanilla, tmp_path / "stage2_vanilla.ckpt")
+        tables = []
+        extract = ek.extract_embeddings
+
+        def keeping_extract(*args, **kwargs):
+            tables.append(extract(*args, **kwargs))
+            return tables[-1]
+
+        counts = self.count_encoded_slices(monkeypatch)
+        monkeypatch.setattr(ek, "extract_embeddings", keeping_extract)
+        ek.run_ablation(data, cfg, workdir=tmp_path)
+        monkeypatch.undo()
+
+        test3d = [e for e in data.entries3d if e.split == "test"]
+        slices = sum(dp.load_volume(data.root3d / e.path).n for e in test3d)
+        assert sum(counts) == 3 * slices
+        uncached = ek.extract_embeddings(vanilla, test3d, data.root3d, "attention")
+        assert tables[1].matrix().tobytes() == uncached.matrix().tobytes()
 
     def test_cache_is_keyed_by_image_size(self, ordered3d):
         root, entries = ordered3d

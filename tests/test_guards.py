@@ -1,6 +1,7 @@
-"""Typed failures: malformed loader input, an invalid temperature, and a
-training run that overflows."""
+"""Typed failures: malformed loader input, config values of the wrong
+type, an invalid temperature, and a training run that overflows."""
 
+import dataclasses
 import json
 import struct
 import tempfile
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volalign import contrastive as ct
@@ -19,7 +20,8 @@ from volalign import evalkit as ek
 from volalign import trainer as tr
 from volalign.cli import EXIT_NONFINITE, main
 from volalign.config import TrainConfig
-from volalign.errors import ConfigurationError, LoadError, NonFiniteError, VolalignError
+from volalign.errors import (CheckpointError, ConfigurationError, LoadError, NonFiniteError,
+                             VolalignError)
 
 CSV_HEADER = "id,label,e0,e1\n"
 
@@ -132,6 +134,113 @@ def test_any_manifest_records_load_or_raise_load_error(sample_dir, records):
             dp.caption_for(e)
         except VolalignError:
             pass
+
+
+LOADERS = {"captions": dp.load_captions, "embeddings": ek.read_embeddings_csv}
+CSV_CELLS = st.sampled_from(["a", "b", "0", "1", "-1", "2.5", "nan", "inf", "1e999", "", " ",
+                             "\u00e9"])
+CSV_TEXTS = st.lists(st.lists(CSV_CELLS, max_size=5).map(",".join), max_size=4).map(
+    lambda rows: "\n".join(["id,label,e0,e1", *rows]))
+CAPTION_TEXTS = st.lists(
+    st.fixed_dictionaries({"label": st.integers(-1, 3) | JSON_VALUES,
+                           "text": st.sampled_from(["Chest CT", "-", ""]) | JSON_VALUES})
+    | JSON_VALUES, max_size=3).map(json.dumps)
+# raw bytes, a non-UTF-8 or well-formed prefix with raw bytes after it, or text
+# that is close to a loadable file
+PREFIXES = st.sampled_from([b"\xff", CSV_HEADER.encode(), b'[{"label": 0, "text": "'])
+LOADER_BYTES = (st.binary(max_size=40)
+                | st.builds(bytes.__add__, PREFIXES, st.binary(max_size=20))
+                | (CSV_TEXTS | CAPTION_TEXTS).map(str.encode))
+
+
+@settings(max_examples=300, deadline=None)
+@given(loader=st.sampled_from(sorted(LOADERS)), blob=LOADER_BYTES)
+def test_any_bytes_load_or_raise_typed_error(loader, blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file"
+        path.write_bytes(blob)
+        try:
+            LOADERS[loader](path)
+        except VolalignError:
+            pass
+
+
+@pytest.mark.parametrize("loader, error", [
+    (dp.load_captions, LoadError),
+    (ek.read_embeddings_csv, LoadError),
+    (TrainConfig.from_json, ConfigurationError),
+], ids=["captions", "embeddings", "config"])
+def test_non_utf8_file_is_typed_error(tmp_path, loader, error):
+    path = tmp_path / "file"
+    path.write_bytes(b"\xff" + CSV_HEADER.encode())
+    with pytest.raises(error, match="cannot read"):
+        loader(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("epochs", "3", "epochs must be an integer"),
+    ("batch_size", True, "batch_size must be an integer"),
+    ("patch_size", 8.0, "patch_size must be an integer"),
+    ("heads", None, "heads must be an integer"),
+    ("lr0", "1e-3", "lr0 must be a finite real number"),
+    ("tau", False, "tau must be a finite real number"),
+    ("weight_decay", float("nan"), "weight_decay must be a finite real number"),
+    ("lr0", float("inf"), "lr0 must be a finite real number"),
+    ("lr0", 10**400, "lr0 must be a finite real number"),
+    ("symmetric", 1, "symmetric must be a boolean"),
+    ("symmetric", "true", "symmetric must be a boolean"),
+    ("patch_size", 0, "dimensions must be positive"),  # before patch_size divides image_size
+    ("image_size", 0, "dimensions must be positive"),
+])
+def test_config_value_of_wrong_type_or_size_is_configuration_error(field, value, message):
+    with pytest.raises(ConfigurationError, match=message):
+        TrainConfig.from_dict({field: value})
+
+
+def test_integer_is_a_real_number():
+    assert TrainConfig.from_dict({"lr0": 1, "tau": 2}).lr0 == 1
+
+
+CONFIG_FIELDS = [f.name for f in dataclasses.fields(TrainConfig)]
+# near-valid values, nan and infinities, and any JSON value
+CONFIG_VALUES = (st.sampled_from([0, 1, 2, 4, 8, -1, 1.0, 8.0, 0.5, True, False, "8"])
+                 | st.floats() | JSON_VALUES)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_sections(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "c.ckpt"
+    tr.save_checkpoint(tr.make_initial_checkpoint(small_cfg()), path)
+    return tr._read_sections(path.read_bytes(), path)
+
+
+def checkpoint_bytes(sections: dict[str, bytes]) -> bytes:
+    out = [b"RCKP", struct.pack("<I", tr.CHECKPOINT_VERSION)]
+    for name, payload in sections.items():
+        nb = name.encode()
+        out += [struct.pack("<I", len(nb)), nb, struct.pack("<Q", len(payload)), payload]
+    return b"".join(out)
+
+
+@settings(max_examples=300, deadline=None)
+@example(edits={"d_model": "8"})
+@given(edits=st.dictionaries(st.sampled_from(CONFIG_FIELDS), CONFIG_VALUES, min_size=1,
+                             max_size=3))
+def test_any_meta_config_loads_or_raises_checkpoint_error(checkpoint_sections, edits):
+    meta = json.loads(checkpoint_sections["meta"])
+    meta["config"].update(edits)
+    sections = {**checkpoint_sections, "meta": json.dumps(meta).encode()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.ckpt"
+        path.write_bytes(checkpoint_bytes(sections))
+        try:
+            ckpt = tr.load_checkpoint(path)
+        except CheckpointError as exc:
+            assert str(path) in str(exc)
+            return
+    assert (json.dumps(ckpt.config.to_dict(), sort_keys=True)
+            == json.dumps(meta["config"], sort_keys=True))
+
 
 
 def test_loss_config_checks_tau_once_at_construction():

@@ -1,4 +1,5 @@
 
+import dataclasses
 import errno
 import hashlib
 import json
@@ -9,6 +10,7 @@ import pytest
 
 from volalign import cli
 from volalign import datapipe as dp
+from volalign import encoders as enc
 from volalign import evalkit as ek
 from volalign import trainer as tr
 from volalign.config import TrainConfig
@@ -266,7 +268,7 @@ class TestCrashSafeWrites:
             files.append(_DiskFullAfter(open(path, mode), budget))
             return files[-1]
 
-        monkeypatch.setattr(tr, "open", disk_full_open, raising=False)
+        monkeypatch.setattr(dp, "open", disk_full_open, raising=False)
         return files
 
     def writer(self, kind):
@@ -289,12 +291,23 @@ class TestCrashSafeWrites:
             return (["probe_report.csv", "probe_report.txt"], write,
                     ek.ProbeReport([0.5, 0.75], [0.5, 0.7]),
                     ek.ProbeReport([1.0, 0.25], [1.0, 0.2]))
+        if kind == "manifest":
+            entry = dp.ManifestEntry(id="a", path="samples/a.vol", kind="3d",
+                                     body_region="Chest", modality="CT", condition=None,
+                                     label=0, split="train")
+            return (["manifest.json"], dp.save_manifest, [entry],
+                    [entry, dataclasses.replace(entry, id="b", label=1)])
+        if kind == "captions":
+            record = {"label": 0, "body_region": "Chest", "modality": "CT",
+                      "condition": None, "text": "Chest CT"}
+            return (["captions.json"], dp.save_captions, [record],
+                    [record, dict(record, label=1, text="Chest CT with disk marker")])
         row = ek.EmbeddingRow(id="a", label=0, vec=np.array([0.5, -1.25]))
         return (["embeddings.csv"], ek.export_embeddings_csv, ek.EmbeddingTable([row]),
                 ek.EmbeddingTable([row, ek.EmbeddingRow(id="b", label=1, vec=np.ones(2))]))
 
     @pytest.mark.parametrize("kind", ["checkpoint", "loss_csv", "run_config", "report",
-                                      "embeddings_csv"])
+                                      "embeddings_csv", "manifest", "captions"])
     @pytest.mark.parametrize("earlier", [True, False], ids=["over-earlier", "fresh"])
     def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch, kind, earlier):
         names, write, old, new = self.writer(kind)
@@ -403,6 +416,17 @@ class TestStage2(object):
                                root, stage1)
         assert len(ckpt.history) <= 2  # best checkpoint is from epoch 0
         assert ckpt.best_epoch == 0
+
+    def test_items_equal_encode_slices_bitwise(self, corpus3d, stage1):
+        root, entries = corpus3d  # 20 volumes of 4 slices: more than one 64-slice batch
+        cfg = small_cfg()
+        items = tr._stage2_items(entries, root, cfg, stage1.text, stage1.image)
+        assert len(items) == len(entries)
+        for e, item in zip(entries, items):
+            vol = dp.preprocess_volume(dp.load_volume(root / e.path), cfg.image_size,
+                                       cfg.image_size)
+            stack = enc.encode_slices(vol, stage1.image, s_max=cfg.s_max)
+            assert item.inputs.tobytes() == stack.mat.data.tobytes()
 
     def test_geometry_mismatch(self, corpus3d, stage1):
         root, entries = corpus3d
