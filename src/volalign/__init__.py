@@ -5,14 +5,14 @@ evaluation protocol (linear probing, top-1 matching, ablations)."""
 __version__ = "0.1.0"
 
 from .config import TrainConfig
-from .contrastive import LossConfig, SimilarityMatrix, batch_loss, info_nce, similarity_matrix
+from .contrastive import LossConfig, batch_loss, info_nce, similarity_matrix
 from .datapipe import (Caption, ManifestEntry, SynthSpec, Volume, build_caption,
                        load_captions, load_manifest, load_volume, preprocess_volume,
                        resize_bilinear, save_manifest, save_volume, synth_dataset,
                        tokenize, zscore)
 from .diffmath import Param, ParamGroup, Tape, Tensor, grad_check, make_rng
-from .encoders import (SliceStack, encode_image2d, encode_slices, encode_text,
-                       image_shapes, text_shapes)
+from .encoders import (encode_frozen, encode_image2d, encode_text, image_shapes,
+                       text_shapes)
 from .evalkit import (AblationData, AblationReport, EmbeddingRow, EmbeddingTable,
                       MatchReport, ProbeReport, export_embeddings_csv,
                       extract_embeddings, linear_probe_cv, read_embeddings_csv,

@@ -1,9 +1,10 @@
 """Temperature-scaled cosine similarity logits and the InfoNCE objective.
 
-Both embedding matrices are L2-normalized inside similarity_matrix, so the
-logits are cosine similarities divided by the temperature; matching pairs sit
-on the diagonal. The loss is batch-mean cross-entropy toward that diagonal,
-averaged over both directions when symmetric.
+Both embedding matrices are L2-normalized inside similarity_matrix, so its
+[N x N] logits Tensor holds cosine similarities divided by the temperature;
+matching pairs sit on the diagonal. info_nce takes that Tensor. The loss is
+batch-mean cross-entropy toward the diagonal, averaged over both directions
+when symmetric.
 """
 
 from __future__ import annotations
@@ -25,14 +26,9 @@ class LossConfig:
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
 
 
-@dataclass
-class SimilarityMatrix:
-    logits: Tensor  # [N x N], entry ij = cos(img_i, txt_j) / tau
-    tau: float
-
-
-def similarity_matrix(img, txt, cfg: LossConfig, tape: Tape | None = None) -> SimilarityMatrix:
-    """Cosine similarities of all image/text pairs, scaled by 1/tau."""
+def similarity_matrix(img, txt, cfg: LossConfig, tape: Tape | None = None) -> Tensor:
+    """Cosine similarities of all image/text pairs, scaled by 1/tau: the
+    [N x N] logits, entry ij = cos(img_i, txt_j) / tau."""
     iv, tv = dm._val(img), dm._val(txt)
     if iv.ndim != 2 or tv.ndim != 2 or iv.shape[1] != tv.shape[1]:
         raise DimensionError(
@@ -44,8 +40,7 @@ def similarity_matrix(img, txt, cfg: LossConfig, tape: Tape | None = None) -> Si
         raise BatchError("similarity_matrix: need N >= 2 pairs for in-batch negatives")
     img_n = dm.l2_normalize_rows(img, tape=tape)
     txt_n = dm.l2_normalize_rows(txt, tape=tape)
-    logits = dm.scale(dm.matmul(img_n, dm.transpose(txt_n, tape), tape), 1.0 / cfg.tau, tape)
-    return SimilarityMatrix(logits=logits, tau=cfg.tau)
+    return dm.scale(dm.matmul(img_n, dm.transpose(txt_n, tape), tape), 1.0 / cfg.tau, tape)
 
 
 def _direction_loss(logits, tape: Tape | None) -> Tensor:
@@ -55,15 +50,15 @@ def _direction_loss(logits, tape: Tape | None) -> Tensor:
     return dm.mean_all(dm.sub(lse, diag, tape), tape)
 
 
-def info_nce(sim: SimilarityMatrix, cfg: LossConfig, tape: Tape | None = None) -> Tensor:
-    """Cross-entropy toward the diagonal; image->text plus (optionally) text->image."""
-    lv = sim.logits.data if isinstance(sim.logits, Tensor) else sim.logits
-    if lv.ndim != 2 or lv.shape[0] != lv.shape[1]:
-        raise InputError(f"info_nce: logits must be square, got shape {lv.shape}")
-    i2t = _direction_loss(sim.logits, tape)
+def info_nce(logits: Tensor, cfg: LossConfig, tape: Tape | None = None) -> Tensor:
+    """Cross-entropy toward the diagonal of the [N x N] logits; image->text
+    plus (optionally) text->image."""
+    if logits.data.ndim != 2 or logits.shape[0] != logits.shape[1]:
+        raise InputError(f"info_nce: logits must be square, got shape {logits.shape}")
+    i2t = _direction_loss(logits, tape)
     if not cfg.symmetric:
         return i2t
-    t2i = _direction_loss(dm.transpose(sim.logits, tape), tape)
+    t2i = _direction_loss(dm.transpose(logits, tape), tape)
     return dm.scale(dm.add(i2t, t2i, tape), 0.5, tape)
 
 

@@ -159,11 +159,8 @@ _VOL1_HEADER = struct.Struct("<III")
 def save_volume(volume: Volume, path) -> None:
     v = volume.voxels.data
     n, h, w = v.shape
-    payload = v.astype("<f4").tobytes(order="C")
-    with open(path, "wb") as fh:
-        fh.write(_VOL1_MAGIC)
-        fh.write(_VOL1_HEADER.pack(n, h, w))
-        fh.write(payload)
+    _write_atomic(path, [_VOL1_MAGIC, _VOL1_HEADER.pack(n, h, w),
+                         v.astype("<f4").tobytes(order="C")])
 
 
 def load_volume(path) -> Volume:

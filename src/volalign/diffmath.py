@@ -43,7 +43,6 @@ __all__ = [
     "take_rows",
     "take_diag",
     "concat_cols",
-    "stack_rows",
     "dropout",
     "zero_grads",
     "grad_check",
@@ -437,24 +436,6 @@ def concat_cols(parts: Sequence, tape: Tape | None = None, axis: int = 1) -> Ten
             for p, piece in zip(parts, np.split(g, bounds, axis=axis)):
                 accum(p, np.ascontiguousarray(piece))
         tape.record(out, tuple(parts), bwd)
-    return out
-
-
-def stack_rows(vectors: Sequence, tape: Tape | None = None) -> Tensor:
-    """Stack 1-D tensors of equal length into a matrix, one per row."""
-    vals = [_val(v) for v in vectors]
-    if not vals:
-        raise InputError("stack_rows: no inputs")
-    d = vals[0].shape[0]
-    for v in vals:
-        if v.ndim != 1 or v.shape[0] != d:
-            raise DimensionError(f"stack_rows: lengths differ: {[v.shape for v in vals]}")
-    out = Tensor(np.stack(vals, axis=0))
-    if tape is not None:
-        def bwd(g, accum, vectors=tuple(vectors)):
-            for i, v in enumerate(vectors):
-                accum(v, g[i].copy())
-        tape.record(out, tuple(vectors), bwd)
     return out
 
 

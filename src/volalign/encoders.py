@@ -3,17 +3,17 @@
 Two towers meet in one d_model space: a frozen, seed-determined hashed-bag
 text encoder (word identity is all the short templated captions need) and a
 trainable patch + MLP image encoder for single slices. A batch of images is
-a leading axis of the image array; encode_slices encodes a volume's slices
-as one such batch. encode_frozen is the frozen (eval-mode) path over many
-volumes: volumes of one slice count share each encode_image2d call, at most
-_FROZEN_SLICES slices at a time. numpy multiplies a stack one matrix at a
-time, so every slice keeps the bits it gets when encoded alone.
+a leading axis of the image array, so encode_image2d of a volume's
+[n, H, W] voxels is its [n, d_model] slice embeddings, the stack the
+slice-pooling adapter takes. encode_frozen is the frozen (eval-mode) path
+over many volumes: volumes of one slice count share each encode_image2d
+call, at most _FROZEN_SLICES slices at a time. numpy multiplies a stack one
+matrix at a time, so every slice keeps the bits it gets when encoded alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +37,6 @@ def image_shapes(cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
     return {"patch_proj": (cfg.patch_size * cfg.patch_size, cfg.d_hidden),
             "mlp_hidden": (cfg.d_hidden, cfg.d_hidden),
             "out_proj": (cfg.d_hidden, cfg.d_model)}
-
-
-@dataclass
-class SliceStack:
-    """Per-slice embeddings, one row per slice, of one volume or of a batch of
-    volumes with the same slice count."""
-
-    mat: Tensor  # [..., n, d_model]; leading axes index volumes of a batch
-    n: int
 
 
 def encode_text(token_ids: list[int], params: ParamGroup) -> Tensor:
@@ -101,27 +92,13 @@ def encode_image2d(image, params: ParamGroup, train_mode: bool = False,
     return dm.mean_rows(dm.matmul(h2, params["out_proj"], tape), tape)
 
 
-def encode_slices(volume: Volume, params: ParamGroup, s_max: int = 64,
-                  train_mode: bool = False, dropout_rate: float = 0.0, rng=None,
-                  tape: Tape | None = None) -> SliceStack:
-    """Encode every slice of a volume in one batch; row i is encode_image2d of
-    slice i, bit for bit."""
-    _check_slice_count(volume.n, s_max)
-    return SliceStack(mat=encode_image2d(volume.voxels.data, params, train_mode,
-                                         dropout_rate, rng, tape), n=volume.n)
-
-
-def _check_slice_count(n: int, s_max: int) -> None:
-    if not 1 <= n <= s_max:
-        raise InputError(f"encode_slices: slice count {n} outside [1, {s_max}]")
-
-
 def slice_batches(counts: list[int], s_max: int) -> list[list[int]]:
     """Indices of volumes with these slice counts, grouped by count and cut
     into batches of at most _FROZEN_SLICES slices (one volume at least)."""
     by_count: dict[int, list[int]] = {}
     for i, n in enumerate(counts):
-        _check_slice_count(n, s_max)
+        if not 1 <= n <= s_max:
+            raise InputError(f"slice count {n} outside [1, {s_max}]")
         by_count.setdefault(n, []).append(i)
     batches = []
     for n, idxs in by_count.items():
@@ -133,7 +110,8 @@ def slice_batches(counts: list[int], s_max: int) -> list[list[int]]:
 def encode_frozen(volumes: list[Volume], params: ParamGroup, s_max: int) -> list[np.ndarray]:
     """Eval-mode slice embeddings of many volumes of one image size: one
     [n, d_model] array per volume, in input order, bit for bit what
-    encode_slices gives; one encode_image2d call per slice_batches batch."""
+    encode_image2d gives on that volume alone; one encode_image2d call per
+    slice_batches batch."""
     out: list[np.ndarray] = [None] * len(volumes)
     for batch in slice_batches([v.n for v in volumes], s_max):
         emb = encode_image2d(np.stack([volumes[i].voxels.data for i in batch]), params)

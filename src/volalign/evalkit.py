@@ -3,10 +3,10 @@ stratified cross-validation, cross-modal top-1 matching, and the
 four-configuration ablation runner.
 
 Extraction encodes the slices of many volumes per encoder call and pools
-them in the same batches (encoders.encode_frozen, encoders.slice_batches);
-every row keeps the bits it gets alone. The ablation runner shares one memo
-of slice embeddings across its rows, so each test volume is encoded once
-per distinct image group.
+them in the same batches (encoders.encode_frozen, encoders.slice_batches),
+each batch one [B, n, d_model] Tensor; every row keeps the bits it gets
+alone. The ablation runner shares one memo of slice embeddings across its
+rows, so each test volume is encoded once per distinct image group.
 
 The probe recipe is fixed (full-batch gradient descent, 500 iterations, step
 0.1, no regularization) so reports are reproducible; F1 is macro-averaged.
@@ -76,7 +76,7 @@ def extract_embeddings(ckpt: tr.Checkpoint, entries, data_root, pool_mode: str,
     """One embedding per manifest entry, in manifest order, eval mode throughout.
 
     Slices are encoded by enc.encode_frozen and pooled one slice_batches
-    batch per pool call; each row has the bits of encode_slices and pool on
+    batch per pool call; each row has the bits of encode_image2d and pool on
     its volume alone. `volumes` caches preprocessed volumes across calls,
     keyed by (sample path, image size); `encoded` caches slice embeddings,
     keyed by (sample path, image size, sha256 of the image group). A miss
@@ -105,8 +105,7 @@ def extract_embeddings(ckpt: tr.Checkpoint, entries, data_root, pool_mode: str,
     mats = [encoded[k] for k in keys]
     vecs = [None] * len(mats)
     for batch in enc.slice_batches([m.shape[0] for m in mats], ckpt.config.s_max):
-        n = mats[batch[0]].shape[0]
-        stack = enc.SliceStack(Tensor(np.stack([mats[i] for i in batch])), n)
+        stack = Tensor(np.stack([mats[i] for i in batch]))
         for i, vec in zip(batch, sp.pool(stack, pool_mode, ckpt.adapter).data):
             vecs[i] = vec
     return EmbeddingTable([EmbeddingRow(id=e.id, label=e.label, vec=v)
@@ -123,6 +122,9 @@ def _group_sha256(group: ParamGroup) -> str:
 
 
 def export_embeddings_csv(table: EmbeddingTable, path) -> None:
+    bad = [r.id for r in table.rows if any(c in r.id for c in ",\r\n")]
+    if bad:
+        raise InputError(f"embedding ids cannot hold ',' or a line break: {bad[:3]!r}")
     d = table.dim
     header = "id,label," + ",".join(f"e{i}" for i in range(d))
     lines = [header]

@@ -1,9 +1,11 @@
 """Pool a stack of per-slice embeddings into one volume embedding.
 
-Two modes: "attention" adds a learnable per-position encoding to the stack,
-runs one multi-head self-attention layer over the slices (no residual, no
-layer norm), and averages the output rows; "gap" is the plain order-invariant
-mean used as the ablation baseline.
+A stack is a [..., n, d_model] Tensor: row i holds slice i, and leading axes
+index the volumes of a batch with the same slice count n. Two modes:
+"attention" adds a learnable per-position encoding to the stack, runs one
+multi-head self-attention layer over the slices (no residual, no layer
+norm), and averages the output rows; "gap" is the plain order-invariant mean
+used as the ablation baseline.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from typing import Literal
 from . import diffmath as dm
 from .config import TrainConfig
 from .diffmath import ParamGroup, Tape, Tensor
-from .encoders import SliceStack
-from .errors import CapacityError, ConfigurationError, InputError
+from .errors import CapacityError, ConfigurationError, DimensionError, InputError
 
 PoolMode = Literal["attention", "gap"]
 
@@ -35,7 +36,16 @@ def adapter_shapes(cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def attention_pool(stack: SliceStack, params: ParamGroup, train_mode: bool = False,
+def _slice_count(stack: Tensor, who: str) -> int:
+    """n of a [..., n, d] stack; an empty stack is an InputError."""
+    if stack.data.ndim < 2:
+        raise DimensionError(f"{who}: expected a [..., n, d] stack, got shape {stack.shape}")
+    if stack.shape[-2] < 1:
+        raise InputError(f"{who}: empty slice stack")
+    return stack.shape[-2]
+
+
+def attention_pool(stack: Tensor, params: ParamGroup, train_mode: bool = False,
                    dropout_rate: float = 0.0, rng=None, tape: Tape | None = None) -> Tensor:
     """Position-aware attention over slices, then mean over the output rows;
     [..., n, d_model] -> [..., d_model].
@@ -43,17 +53,15 @@ def attention_pool(stack: SliceStack, params: ParamGroup, train_mode: bool = Fal
     The heads run together: each of q, k and v is one product with its heads'
     weights side by side, in table order, split into heads by a reshape.
     """
-    n = stack.n
+    n = _slice_count(stack, "attention_pool")
     pe_table = params["pe_table"]
     s_max = pe_table.value.shape[0]
-    if n < 1:
-        raise InputError("attention_pool: empty slice stack")
     if n > s_max:
         raise CapacityError(
             f"attention_pool: {n} slices exceed the position table capacity {s_max}")
 
     pe_n = dm.take_rows(pe_table, n, tape)
-    z = dm.add(stack.mat, pe_n, tape)  # [..., n, d_model]
+    z = dm.add(stack, pe_n, tape)  # [..., n, d_model]
     lead = z.shape[:-2]
 
     w = list(params.values())[1:-1]  # h0.wq, h0.wk, h0.wv, h1.wq, ...
@@ -76,15 +84,14 @@ def attention_pool(stack: SliceStack, params: ParamGroup, train_mode: bool = Fal
     return dm.mean_rows(merged, tape)
 
 
-def gap_pool(stack: SliceStack, tape: Tape | None = None) -> Tensor:
+def gap_pool(stack: Tensor, tape: Tape | None = None) -> Tensor:
     """Order-invariant mean over slice embeddings, [..., n, d] -> [..., d];
     bitwise identical for any permutation of the slices."""
-    if stack.n < 1:
-        raise InputError("gap_pool: empty slice stack")
-    return dm.mean_rows(stack.mat, tape)
+    _slice_count(stack, "gap_pool")
+    return dm.mean_rows(stack, tape)
 
 
-def pool(stack: SliceStack, mode: str, params: ParamGroup | None = None,
+def pool(stack: Tensor, mode: str, params: ParamGroup | None = None,
          train_mode: bool = False, dropout_rate: float = 0.0, rng=None,
          tape: Tape | None = None) -> Tensor:
     """Dispatch on pool mode; "attention" requires adapter params."""

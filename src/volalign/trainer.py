@@ -276,13 +276,39 @@ def _read_sections(blob: bytes, path) -> dict[str, bytes]:
         ofs += 8
         if ofs + plen > len(blob):
             raise CheckpointError(f"{path}: truncated payload for section {name!r}")
+        if name in sections:
+            raise CheckpointError(f"{path}: duplicate section {name!r}")
         sections[name] = blob[ofs:ofs + plen]
         ofs += plen
     return sections
 
 
-_META_KEYS = ("stage", "epoch", "config", "best_val_loss", "best_epoch",
-              "rng_state", "history", "optimizer_step")
+def _count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_HISTORY_KEYS = ("epoch", "lr", "train_loss", "val_loss")  # of a history record; loss.csv columns
+
+
+def _history(v) -> bool:
+    return isinstance(v, list) and all(
+        isinstance(h, dict) and all(_number(h.get(k)) for k in _HISTORY_KEYS) for h in v)
+
+
+# what each meta field beside config accepts
+_META_FIELDS = {
+    "stage": ("1 or 2", lambda v: _count(v) and v in (1, 2)),
+    "epoch": ("an integer >= 0", _count),
+    "best_val_loss": ("a number or null", lambda v: v is None or _number(v)),
+    "best_epoch": ("an integer >= 0 or null", lambda v: v is None or _count(v)),
+    "rng_state": ("an object or null", lambda v: v is None or isinstance(v, dict)),
+    "history": ("a list of objects with numbers at " + ", ".join(_HISTORY_KEYS), _history),
+    "optimizer_step": ("an integer >= 0 or null", lambda v: v is None or _count(v)),
+}
 
 
 def _read_meta(payload: bytes | None, path) -> dict:
@@ -294,9 +320,12 @@ def _read_meta(payload: bytes | None, path) -> dict:
         raise CheckpointError(f"{path}: corrupt meta section: {exc}") from exc
     if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
         raise CheckpointError(f"{path}: meta section must be an object with a config object")
-    missing = [k for k in _META_KEYS if k not in meta]
+    missing = [k for k in _META_FIELDS if k not in meta]
     if missing:
         raise CheckpointError(f"{path}: meta section lacks {missing}")
+    for key, (what, accepts) in _META_FIELDS.items():
+        if not accepts(meta[key]):
+            raise CheckpointError(f"{path}: meta {key} must be {what}, got {meta[key]!r:.80}")
     return meta
 
 
@@ -426,8 +455,8 @@ def _forward(stage: int, inputs: np.ndarray, ckpt: Checkpoint, cfg: TrainConfig,
     [B, n, d_model] (stage 2) -> [B, d_model]."""
     if stage == 1:
         return enc.encode_image2d(inputs, ckpt.image, train_mode, cfg.dropout_rate, rng, tape)
-    stack = enc.SliceStack(Tensor(inputs), inputs.shape[-2])
-    return sp.attention_pool(stack, ckpt.adapter, train_mode, cfg.dropout_rate, rng, tape)
+    return sp.attention_pool(Tensor(inputs), ckpt.adapter, train_mode, cfg.dropout_rate,
+                             rng, tape)
 
 
 def _batch_loss(items: list[_Item], idxs, stage, ckpt, cfg, loss_cfg, train_mode, rng, tape):
@@ -464,7 +493,7 @@ def _mean_val_loss(items: list[_Item], stage, ckpt, cfg, loss_cfg) -> float:
 
 
 def _write_loss_csv(history: list[dict], path) -> None:
-    lines = ["epoch,lr,train_loss,val_loss"]
+    lines = [",".join(_HISTORY_KEYS)]
     for h in history:
         lines.append(f"{h['epoch']},{h['lr']!r},{h['train_loss']!r},{h['val_loss']!r}")
     dp._write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
@@ -494,7 +523,11 @@ def _run_stage(cfg: TrainConfig, stage: int, ckpt: Checkpoint, items, val_items,
         best_epoch = resume.best_epoch
         adam = Adam(trainables, weight_decay=cfg.weight_decay, state=resume.optimizer)
         if resume.rng_state is not None:
-            rng.bit_generator.state = _rng_state_from_json(resume.rng_state)
+            try:
+                rng.bit_generator.state = _rng_state_from_json(resume.rng_state)
+            except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+                raise CheckpointError(f"resume checkpoint has a malformed rng_state: "
+                                      f"{exc!r}") from exc
     else:
         start_epoch = 0
         history = []

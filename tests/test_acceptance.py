@@ -20,7 +20,7 @@ from volalign import slice_pool as sp
 from volalign import trainer as tr
 from volalign.cli import main as cli_main
 from volalign.config import TrainConfig
-from volalign.datapipe import SynthSpec, Volume
+from volalign.datapipe import SynthSpec
 from volalign.diffmath import Tensor
 
 DURATIONS: dict[str, float] = {}
@@ -131,19 +131,16 @@ def test_criterion_1_gradient_oracle():
     image = tr.init_group(cfg, "image", seed=11)
     adapter = tr.init_group(cfg, "adapter", seed=11)
     data_rng = dm.make_rng(12, "acc1:data")
-    volumes = [Volume(Tensor(data_rng.normal(size=(6, 16, 16)))) for _ in range(4)]
+    voxels = np.stack([data_rng.normal(size=(6, 16, 16)) for _ in range(4)])  # [4, 6, 16, 16]
     txt = Tensor(data_rng.normal(size=(4, 16)))
     loss_cfg = ct.LossConfig(tau=0.07)
 
     def composite(tape):
         drop = dm.make_rng(99, "acc1:drop")
-        rows = []
-        for vol in volumes:
-            stack = enc.encode_slices(vol, image, s_max=cfg.s_max, train_mode=True,
-                                      dropout_rate=cfg.dropout_rate, rng=drop, tape=tape)
-            rows.append(sp.attention_pool(stack, adapter, train_mode=True,
-                                          dropout_rate=cfg.dropout_rate, rng=drop, tape=tape))
-        img = dm.stack_rows(rows, tape)
+        stack = enc.encode_image2d(voxels, image, train_mode=True,
+                                   dropout_rate=cfg.dropout_rate, rng=drop, tape=tape)
+        img = sp.attention_pool(stack, adapter, train_mode=True,
+                                dropout_rate=cfg.dropout_rate, rng=drop, tape=tape)
         return ct.batch_loss(img, txt, loss_cfg, tape)
 
     params = list(image.values()) + list(adapter.values())
@@ -156,12 +153,10 @@ def test_criterion_1_gradient_oracle():
 
 def test_criterion_2_analytic_loss_values():
     for n in (2, 4, 8):
-        sim = ct.SimilarityMatrix(logits=Tensor(np.full((n, n), 1.23)), tau=1.0)
-        loss = ct.info_nce(sim, ct.LossConfig()).item()
+        loss = ct.info_nce(Tensor(np.full((n, n), 1.23)), ct.LossConfig()).item()
         assert abs(loss - math.log(n)) < 1e-9
     logits = np.array([[10.0, 0.0], [0.0, 10.0]])
-    loss = ct.info_nce(ct.SimilarityMatrix(logits=Tensor(logits), tau=1.0),
-                       ct.LossConfig()).item()
+    loss = ct.info_nce(Tensor(logits), ct.LossConfig()).item()
     assert abs(loss - math.log(1.0 + math.exp(-10.0))) < 1e-9
 
 
@@ -241,26 +236,26 @@ def test_criterion_6_permutation_invariances(ord_adapter_tuned):
     r = dm.make_rng(61, "perms")
     # GAP: bitwise invariant under any row permutation
     mat = r.normal(size=(8, 64))
-    base = sp.gap_pool(enc.SliceStack(mat=Tensor(mat), n=8)).data
+    base = sp.gap_pool(Tensor(mat)).data
     for _ in range(10):
         perm = r.permutation(8)
-        out = sp.gap_pool(enc.SliceStack(mat=Tensor(mat[perm]), n=8)).data
+        out = sp.gap_pool(Tensor(mat[perm])).data
         assert np.array_equal(out, base)
 
     # attention with zero positional table: invariant within 1e-9
     cfg = acc_cfg(epochs=1, lr0=1e-3)
     adapter = tr.init_group(cfg, "adapter", seed=62)
     adapter["pe_table"].value.data[...] = 0.0
-    a = sp.attention_pool(enc.SliceStack(mat=Tensor(mat), n=8), adapter).data
+    a = sp.attention_pool(Tensor(mat), adapter).data
     perm = r.permutation(8)
-    b = sp.attention_pool(enc.SliceStack(mat=Tensor(mat[perm]), n=8), adapter).data
+    b = sp.attention_pool(Tensor(mat[perm]), adapter).data
     assert np.abs(a - b).max() < 1e-9
 
     # trained (nonzero) positional table: order-sensitive beyond 1e-6
     trained = ord_adapter_tuned.adapter
     assert np.abs(trained["pe_table"].value.data).max() > 0.0
-    a = sp.attention_pool(enc.SliceStack(mat=Tensor(mat), n=8), trained).data
-    b = sp.attention_pool(enc.SliceStack(mat=Tensor(mat[perm]), n=8), trained).data
+    a = sp.attention_pool(Tensor(mat), trained).data
+    b = sp.attention_pool(Tensor(mat[perm]), trained).data
     assert np.abs(a - b).max() > 1e-6
 
 

@@ -10,7 +10,6 @@ from volalign import encoders as enc
 from volalign import slice_pool as sp
 from volalign import trainer as tr
 from volalign.config import TrainConfig
-from volalign.datapipe import Volume
 from volalign.diffmath import Param, Tape, Tensor
 from volalign.errors import DimensionError
 
@@ -142,13 +141,11 @@ class TestBatchedEqualsPerVolume:
             tape = Tape()
             if batched:
                 emb = enc.encode_image2d(vox, image, True, 0.5, enc_rng, tape)
-                img = sp.attention_pool(enc.SliceStack(emb, 5), adapter, True, 0.5,
-                                        pool_rng, tape)
+                img = sp.attention_pool(emb, adapter, True, 0.5, pool_rng, tape)
             else:
-                rows = [sp.attention_pool(enc.encode_slices(Volume(Tensor(v)), image, 8, True,
-                                                            0.5, enc_rng, tape),
+                rows = [sp.attention_pool(enc.encode_image2d(v, image, True, 0.5, enc_rng, tape),
                                           adapter, True, 0.5, pool_rng, tape) for v in vox]
-                img = dm.stack_rows(rows, tape)
+                img = dm.concat_cols([dm.reshape(r, (1, CFG.d_model), tape) for r in rows], tape, axis=0)
             loss = ct.batch_loss(img, txt, loss_cfg, tape)
             tape.backward(loss)
             return loss.item(), [p.grad.data.copy() for p in params]
@@ -159,12 +156,12 @@ class TestBatchedEqualsPerVolume:
             assert np.abs(a).max() > 0.0, p.name
             assert np.abs(a - b).max() <= 1e-10, p.name
 
-    def test_encode_slices_rows_match_single_images_bitwise(self):
+    def test_volume_rows_match_single_images_bitwise(self):
         image, _ = model()
         vox = dm.make_rng(7, "sl").normal(size=(6, 8, 8))
-        stack = enc.encode_slices(Volume(Tensor(vox)), image, s_max=8)
+        stack = enc.encode_image2d(vox, image)
         for i in range(6):
-            assert np.array_equal(stack.mat.data[i], enc.encode_image2d(vox[i], image).data)
+            assert np.array_equal(stack.data[i], enc.encode_image2d(vox[i], image).data)
 
 
 def items_2d(n, seed):
@@ -205,10 +202,9 @@ class TestTrainerBatchLoss:
         ckpt = tr.make_initial_checkpoint(CFG)
         items = items_3d([3, 5, 3, 4, 5], 11)
         batched = self.loss_fn(items, 2, ckpt, train_mode=False)(None).item()
-        rows = [sp.attention_pool(enc.SliceStack(Tensor(it.inputs), it.inputs.shape[0]),
-                                  ckpt.adapter) for it in items]
+        rows = [sp.attention_pool(Tensor(it.inputs), ckpt.adapter).data for it in items]
         txt = Tensor(np.stack([it.text_vec for it in items]))
-        per_volume = ct.batch_loss(dm.stack_rows(rows), txt, self.loss_cfg).item()
+        per_volume = ct.batch_loss(Tensor(np.stack(rows)), txt, self.loss_cfg).item()
         assert abs(batched - per_volume) <= 1e-10
 
     def test_one_record_per_layer_per_batch(self):

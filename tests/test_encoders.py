@@ -100,32 +100,32 @@ class TestEncodeSlices:
     def test_identical_slices_identical_rows(self):
         p = tr.init_group(SMALL, "image", seed=4)
         sl = dm.make_rng(3, "sl").normal(size=(8, 8))
-        stack = enc.encode_slices(self.vol(np.stack([sl] * 3)), p, s_max=8)
-        assert stack.n == 3
-        assert np.array_equal(stack.mat.data[0], stack.mat.data[1])
-        assert np.array_equal(stack.mat.data[0], stack.mat.data[2])
+        stack = enc.encode_image2d(self.vol(np.stack([sl] * 3)).voxels.data, p)
+        assert stack.shape == (3, 6)
+        assert np.array_equal(stack.data[0], stack.data[1])
+        assert np.array_equal(stack.data[0], stack.data[2])
 
     def test_single_slice_matches_encode_image2d(self):
         p = tr.init_group(SMALL, "image", seed=4)
         sl = dm.make_rng(4, "sl").normal(size=(8, 8))
-        stack = enc.encode_slices(self.vol(sl[None]), p, s_max=8)
+        stack = enc.encode_image2d(self.vol(sl[None]).voxels.data, p)
         direct = enc.encode_image2d(sl, p)
-        assert stack.mat.shape == (1, 6)
-        assert np.array_equal(stack.mat.data[0], direct.data)
+        assert stack.shape == (1, 6)
+        assert np.array_equal(stack.data[0], direct.data)
 
     def test_reversed_order_reverses_rows(self):
         p = tr.init_group(SMALL, "image", seed=4)
         r = dm.make_rng(5, "sl")
         vox = r.normal(size=(4, 8, 8))
-        fwd = enc.encode_slices(self.vol(vox), p, s_max=8)
-        rev = enc.encode_slices(self.vol(vox[::-1].copy()), p, s_max=8)
-        assert np.array_equal(rev.mat.data, fwd.mat.data[::-1])
+        fwd = enc.encode_image2d(self.vol(vox).voxels.data, p)
+        rev = enc.encode_image2d(self.vol(vox[::-1].copy()).voxels.data, p)
+        assert np.array_equal(rev.data, fwd.data[::-1])
 
     def test_capacity(self):
         p = tr.init_group(SMALL, "image", seed=4)
         vox = np.zeros((9, 8, 8))
         with pytest.raises(InputError):
-            enc.encode_slices(self.vol(vox), p, s_max=8)
+            enc.encode_frozen([self.vol(vox)], p, s_max=8)
 
     def test_frozen_capacity(self):
         p = tr.init_group(SMALL, "image", seed=4)

@@ -89,6 +89,14 @@ class TestExtract:
         assert [x.id for x in back.rows] == [x.id for x in table.rows]
         assert np.abs(back.matrix() - table.matrix()).max() < 1e-9
 
+    @pytest.mark.parametrize("bad_id", ["a,1", "a\nb", "a\rb"])
+    def test_csv_refuses_id_it_cannot_read_back(self, tmp_path, bad_id):
+        rows = [ek.EmbeddingRow(id="ok", label=0, vec=np.zeros(2)),
+                ek.EmbeddingRow(id=bad_id, label=1, vec=np.ones(2))]
+        with pytest.raises(InputError, match="embedding ids"):
+            ek.export_embeddings_csv(ek.EmbeddingTable(rows), tmp_path / "e.csv")
+        assert list(tmp_path.iterdir()) == []  # refused before writing
+
     def test_geometry_check(self, ordered3d):
         root, entries = ordered3d
         ckpt = tr.make_initial_checkpoint(small_cfg())
@@ -126,7 +134,7 @@ class TestExtract:
                 assert [r.id for r in table.rows] == [e.id for e in entries]
                 for e, row in zip(entries, table.rows):
                     vol = dp.preprocess_volume(dp.load_volume(root / e.path), 8, 8)
-                    stack = enc.encode_slices(vol, ckpt.image, s_max=cfg.s_max)
+                    stack = enc.encode_image2d(vol.voxels.data, ckpt.image)
                     assert row.vec.tobytes() == sp.pool(stack, mode, ckpt.adapter).data.tobytes()
 
 

@@ -18,7 +18,7 @@ from volalign import datapipe as dp
 from volalign import diffmath as dm
 from volalign import evalkit as ek
 from volalign import trainer as tr
-from volalign.cli import EXIT_NONFINITE, main
+from volalign.cli import EXIT_DATA, EXIT_NONFINITE, main
 from volalign.config import TrainConfig
 from volalign.errors import (CheckpointError, ConfigurationError, LoadError, NonFiniteError,
                              VolalignError)
@@ -222,13 +222,33 @@ def checkpoint_bytes(sections: dict[str, bytes]) -> bytes:
     return b"".join(out)
 
 
+META_FIELDS = ["stage", "epoch", "best_val_loss", "best_epoch", "rng_state", "history",
+               "optimizer_step"]
+HISTORY_RECORD = {"epoch": 0, "lr": 1e-3, "train_loss": 1.5, "val_loss": 1.25}
+# near-valid values of each meta field's type, and any JSON value
+META_VALUES = (st.sampled_from([0, 1, 2, 3, -1, 1.0, True, None, "1", [], {}, [{}],
+                                [HISTORY_RECORD], [dict(HISTORY_RECORD, lr="x")]])
+               | st.floats() | JSON_VALUES)
+
+
+def loaded_meta(ckpt) -> dict:
+    """The meta fields of a loaded checkpoint, as save_checkpoint writes them."""
+    return {"stage": ckpt.stage, "epoch": ckpt.epoch, "best_val_loss": ckpt.best_val_loss,
+            "best_epoch": ckpt.best_epoch, "rng_state": ckpt.rng_state,
+            "history": ckpt.history,
+            "optimizer_step": ckpt.optimizer.step if ckpt.optimizer else None}
+
+
 @settings(max_examples=300, deadline=None)
-@example(edits={"d_model": "8"})
-@given(edits=st.dictionaries(st.sampled_from(CONFIG_FIELDS), CONFIG_VALUES, min_size=1,
-                             max_size=3))
-def test_any_meta_config_loads_or_raises_checkpoint_error(checkpoint_sections, edits):
+@example(edits={"d_model": "8"}, meta_edits={})
+@example(edits={}, meta_edits={"epoch": "1"})
+@given(edits=st.dictionaries(st.sampled_from(CONFIG_FIELDS), CONFIG_VALUES, max_size=3),
+       meta_edits=st.dictionaries(st.sampled_from(META_FIELDS), META_VALUES, max_size=3))
+def test_any_meta_config_loads_or_raises_checkpoint_error(checkpoint_sections, edits,
+                                                          meta_edits):
     meta = json.loads(checkpoint_sections["meta"])
     meta["config"].update(edits)
+    meta.update(meta_edits)
     sections = {**checkpoint_sections, "meta": json.dumps(meta).encode()}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.ckpt"
@@ -240,6 +260,8 @@ def test_any_meta_config_loads_or_raises_checkpoint_error(checkpoint_sections, e
             return
     assert (json.dumps(ckpt.config.to_dict(), sort_keys=True)
             == json.dumps(meta["config"], sort_keys=True))
+    assert json.dumps(loaded_meta(ckpt)) == json.dumps({k: meta[k] for k in loaded_meta(ckpt)})
+    assert isinstance(ckpt.epoch, int) and ckpt.stage in (1, 2)
 
 
 
@@ -270,6 +292,31 @@ def train(cfg, corpus):
     root, entries = corpus
     return tr.train_stage1(cfg, [e for e in entries if e.split == "train"],
                            [e for e in entries if e.split == "val"], root)
+
+
+class TestResumeGuard:
+    def test_cli_resume_from_string_epoch_is_checkpoint_error(self, corpus2d, tmp_path, capsys):
+        path = tmp_path / "c.ckpt"
+        tr.save_checkpoint(tr.make_initial_checkpoint(small_cfg()), path)
+        sections = tr._read_sections(path.read_bytes(), path)
+        meta = dict(json.loads(sections["meta"]), epoch="1")
+        path.write_bytes(checkpoint_bytes({**sections, "meta": json.dumps(meta).encode()}))
+        (tmp_path / "cfg.json").write_text(json.dumps(small_cfg().to_dict()))
+        code = main(["train2d", "--config", str(tmp_path / "cfg.json"),
+                     "--data", str(corpus2d[0]), "--out", str(tmp_path / "run"),
+                     "--resume", str(path)])
+        assert code == EXIT_DATA
+        assert f"error:checkpoint: {path}: meta epoch must be an integer >= 0, got '1'" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rng_state", [{}, {"state": 5}, {"bit_generator": "Philox"}])
+    def test_malformed_rng_state_fails_at_resume(self, corpus2d, rng_state):
+        resume = tr.make_initial_checkpoint(small_cfg())
+        resume.rng_state = rng_state
+        root, entries = corpus2d
+        with pytest.raises(CheckpointError, match="malformed rng_state"):
+            tr.train_stage1(small_cfg(), [e for e in entries if e.split == "train"],
+                            [e for e in entries if e.split == "val"], root, resume=resume)
 
 
 class TestNonFiniteGuard:

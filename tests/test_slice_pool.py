@@ -8,16 +8,10 @@ from volalign import slice_pool as sp
 from volalign import trainer as tr
 from volalign.config import TrainConfig
 from volalign.diffmath import Param, Tensor
-from volalign.encoders import SliceStack
-from volalign.errors import CapacityError, ConfigurationError, InputError
+from volalign.errors import CapacityError, ConfigurationError, DimensionError, InputError
 
 CFG = TrainConfig(d_model=8, heads=2, s_max=16, dropout_rate=0.0,
                   d_hidden=8, d_text=8, vocab=32, patch_size=4, image_size=8)
-
-
-def stack_of(arr) -> SliceStack:
-    arr = np.asarray(arr, dtype=np.float64)
-    return SliceStack(mat=Tensor(arr), n=arr.shape[0])
 
 
 def identity_adapter(d_model: int, heads: int, s_max: int = 16) -> dict[str, Param]:
@@ -65,13 +59,13 @@ class TestAttentionPool:
     def test_single_row_identity_config(self):
         adapter = identity_adapter(8, 2)
         row = dm.make_rng(0, "row").normal(size=(1, 8))
-        out = sp.attention_pool(stack_of(row), adapter)
+        out = sp.attention_pool(Tensor(row), adapter)
         assert np.allclose(out.data, row[0], atol=1e-15)
 
     def test_identical_rows_identity_config(self):
         adapter = identity_adapter(8, 2)
         row = dm.make_rng(1, "row").normal(size=8)
-        out = sp.attention_pool(stack_of(np.stack([row] * 5)), adapter)
+        out = sp.attention_pool(Tensor(np.stack([row] * 5)), adapter)
         assert np.allclose(out.data, row, atol=1e-12)
 
     def test_permutation_invariant_with_zero_pe(self):
@@ -79,10 +73,10 @@ class TestAttentionPool:
         adapter["pe_table"].value.data[...] = 0.0
         r = dm.make_rng(2, "stack")
         mat = r.normal(size=(8, 8))
-        base = sp.attention_pool(stack_of(mat), adapter).data
+        base = sp.attention_pool(Tensor(mat), adapter).data
         for _ in range(5):
             perm = r.permutation(8)
-            out = sp.attention_pool(stack_of(mat[perm]), adapter).data
+            out = sp.attention_pool(Tensor(mat[perm]), adapter).data
             assert np.abs(out - base).max() < 1e-9
 
     def test_order_sensitive_with_random_pe(self):
@@ -92,15 +86,15 @@ class TestAttentionPool:
         r = dm.make_rng(3, "stack")
         mat = r.normal(size=(8, 64))
         perm = np.array([3, 1, 4, 0, 2, 7, 5, 6])
-        a = sp.attention_pool(stack_of(mat), adapter).data
-        b = sp.attention_pool(stack_of(mat[perm]), adapter).data
+        a = sp.attention_pool(Tensor(mat), adapter).data
+        b = sp.attention_pool(Tensor(mat[perm]), adapter).data
         assert np.abs(a - b).max() > 1e-6
 
     def test_matches_manual_computation_and_attention_rows_sum_to_one(self):
         adapter = tr.init_group(CFG, "adapter", seed=6)
         r = dm.make_rng(4, "stack")
         mat = r.normal(size=(5, 8))
-        out = sp.attention_pool(stack_of(mat), adapter).data
+        out = sp.attention_pool(Tensor(mat), adapter).data
 
         z = mat + adapter["pe_table"].value.data[:5]
         outs = []
@@ -120,12 +114,12 @@ class TestAttentionPool:
         adapter = tr.init_group(CFG, "adapter", seed=5)
         mat = np.zeros((17, 8))
         with pytest.raises(CapacityError, match="17.*16"):
-            sp.attention_pool(stack_of(mat), adapter)
+            sp.attention_pool(Tensor(mat), adapter)
 
     def test_empty_stack(self):
         adapter = tr.init_group(CFG, "adapter", seed=5)
         with pytest.raises(InputError):
-            sp.attention_pool(SliceStack(mat=Tensor(np.zeros((0, 8))), n=0), adapter)
+            sp.attention_pool(Tensor(np.zeros((0, 8))), adapter)
 
     def test_gradients_pass_check(self):
         adapter = tr.init_group(CFG, "adapter", seed=8)
@@ -133,7 +127,7 @@ class TestAttentionPool:
         probe = Param(dm.make_rng(6, "probe").normal(size=(8, 1)), name="probe")
 
         def f(tape):
-            emb = sp.attention_pool(stack_of(mat), adapter, train_mode=True,
+            emb = sp.attention_pool(Tensor(mat), adapter, train_mode=True,
                                     rng=dm.make_rng(11, "drop"), tape=tape)
             return dm.mean_all(dm.matmul(emb, probe, tape), tape)
 
@@ -143,36 +137,36 @@ class TestAttentionPool:
 
 class TestGapPool:
     def test_mean(self):
-        out = sp.gap_pool(stack_of([[1.0, 1.0], [3.0, 3.0]]))
+        out = sp.gap_pool(Tensor([[1.0, 1.0], [3.0, 3.0]]))
         assert out.data.tolist() == [2.0, 2.0]
 
     def test_permutation_bitwise_invariant(self):
         r = dm.make_rng(7, "gap")
         mat = r.normal(size=(9, 8))
-        base = sp.gap_pool(stack_of(mat)).data
+        base = sp.gap_pool(Tensor(mat)).data
         for _ in range(10):
-            out = sp.gap_pool(stack_of(mat[r.permutation(9)])).data
+            out = sp.gap_pool(Tensor(mat[r.permutation(9)])).data
             assert np.array_equal(out, base)
 
     def test_single_row(self):
         row = dm.make_rng(8, "gap").normal(size=(1, 5))
-        assert np.array_equal(sp.gap_pool(stack_of(row)).data, row[0])
+        assert np.array_equal(sp.gap_pool(Tensor(row)).data, row[0])
 
     def test_equals_mean_rows_exactly(self):
         mat = dm.make_rng(9, "gap").normal(size=(6, 4))
-        assert np.array_equal(sp.gap_pool(stack_of(mat)).data,
+        assert np.array_equal(sp.gap_pool(Tensor(mat)).data,
                               dm.mean_rows(Tensor(mat)).data)
 
     def test_empty(self):
         with pytest.raises(InputError):
-            sp.gap_pool(SliceStack(mat=Tensor(np.zeros((0, 4))), n=0))
+            sp.gap_pool(Tensor(np.zeros((0, 4))))
 
 
 class TestPoolDispatch:
     def test_modes(self):
         adapter = tr.init_group(CFG, "adapter", seed=5)
         mat = dm.make_rng(10, "d").normal(size=(3, 8))
-        st = stack_of(mat)
+        st = Tensor(mat)
         assert np.array_equal(sp.pool(st, "gap").data, sp.gap_pool(st).data)
         assert np.array_equal(sp.pool(st, "attention", adapter).data,
                               sp.attention_pool(st, adapter).data)
@@ -180,3 +174,11 @@ class TestPoolDispatch:
             sp.pool(st, "max")
         with pytest.raises(ConfigurationError):
             sp.pool(st, "attention")
+
+    def test_vector_is_not_a_stack(self):
+        adapter = tr.init_group(CFG, "adapter", seed=5)
+        vec = Tensor(np.zeros(8))
+        with pytest.raises(DimensionError):
+            sp.gap_pool(vec)
+        with pytest.raises(DimensionError):
+            sp.attention_pool(vec, adapter)

@@ -3,6 +3,7 @@ import dataclasses
 import errno
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -14,6 +15,7 @@ from volalign import encoders as enc
 from volalign import evalkit as ek
 from volalign import trainer as tr
 from volalign.config import TrainConfig
+from volalign.diffmath import Tensor
 from volalign.errors import (CheckpointError, CompatibilityError,
                              ConfigurationError, InputError)
 
@@ -228,6 +230,37 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError):
             tr.load_checkpoint(craft(stage1, tmp_path, edit))
 
+    def test_duplicate_section_rejected(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        tr.save_checkpoint(tr.make_initial_checkpoint(small_cfg()), path)
+        name, payload = b"param:image.patch_proj", tr._pack_tensor(np.ones((16, 8)))
+        with open(path, "ab") as fh:  # a second, well-formed section of the same name
+            fh.write(struct.pack("<I", len(name)) + name + struct.pack("<Q", len(payload))
+                     + payload)
+        with pytest.raises(CheckpointError, match="duplicate section 'param:image.patch_proj'"):
+            tr.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("stage", 3, "stage must be 1 or 2"),
+        ("stage", True, "stage must be 1 or 2"),
+        ("epoch", "1", "epoch must be an integer >= 0"),
+        ("epoch", -1, "epoch must be an integer >= 0"),
+        ("epoch", 1.0, "epoch must be an integer >= 0"),
+        ("best_epoch", "0", "best_epoch must be an integer >= 0 or null"),
+        ("optimizer_step", 2.5, "optimizer_step must be an integer >= 0 or null"),
+        ("best_val_loss", "1.5", "best_val_loss must be a number or null"),
+        ("best_val_loss", False, "best_val_loss must be a number or null"),
+        ("history", {}, "history must be a list of objects"),
+        ("history", [[1.0]], "history must be a list of objects"),
+        ("history", [{"epoch": 0}], "history must be a list of objects"),
+        ("rng_state", [], "rng_state must be an object or null"),
+    ])
+    def test_meta_field_of_wrong_type_rejected(self, tmp_path, key, value, message):
+        path = craft(tr.make_initial_checkpoint(small_cfg()), tmp_path,
+                     edit_meta(lambda m: {**m, key: value}))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: meta {message}")):
+            tr.load_checkpoint(path)
+
     @pytest.mark.parametrize("edit, message", [
         (with_tensor(b"param:adapter.pe_table", (3, 5)), "shape"),
         (with_tensor(b"adam.m:image.patch_proj", (3, 5)), "shape"),
@@ -297,6 +330,9 @@ class TestCrashSafeWrites:
                                      label=0, split="train")
             return (["manifest.json"], dp.save_manifest, [entry],
                     [entry, dataclasses.replace(entry, id="b", label=1)])
+        if kind == "volume":
+            return (["a.vol"], dp.save_volume, dp.Volume(Tensor(np.zeros((1, 2, 2)))),
+                    dp.Volume(Tensor(np.ones((2, 3, 3)))))
         if kind == "captions":
             record = {"label": 0, "body_region": "Chest", "modality": "CT",
                       "condition": None, "text": "Chest CT"}
@@ -307,7 +343,7 @@ class TestCrashSafeWrites:
                 ek.EmbeddingTable([row, ek.EmbeddingRow(id="b", label=1, vec=np.ones(2))]))
 
     @pytest.mark.parametrize("kind", ["checkpoint", "loss_csv", "run_config", "report",
-                                      "embeddings_csv", "manifest", "captions"])
+                                      "embeddings_csv", "manifest", "captions", "volume"])
     @pytest.mark.parametrize("earlier", [True, False], ids=["over-earlier", "fresh"])
     def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch, kind, earlier):
         names, write, old, new = self.writer(kind)
@@ -417,7 +453,7 @@ class TestStage2(object):
         assert len(ckpt.history) <= 2  # best checkpoint is from epoch 0
         assert ckpt.best_epoch == 0
 
-    def test_items_equal_encode_slices_bitwise(self, corpus3d, stage1):
+    def test_items_equal_encode_image2d_bitwise(self, corpus3d, stage1):
         root, entries = corpus3d  # 20 volumes of 4 slices: more than one 64-slice batch
         cfg = small_cfg()
         items = tr._stage2_items(entries, root, cfg, stage1.text, stage1.image)
@@ -425,8 +461,8 @@ class TestStage2(object):
         for e, item in zip(entries, items):
             vol = dp.preprocess_volume(dp.load_volume(root / e.path), cfg.image_size,
                                        cfg.image_size)
-            stack = enc.encode_slices(vol, stage1.image, s_max=cfg.s_max)
-            assert item.inputs.tobytes() == stack.mat.data.tobytes()
+            stack = enc.encode_image2d(vol.voxels.data, stage1.image)
+            assert item.inputs.tobytes() == stack.data.tobytes()
 
     def test_geometry_mismatch(self, corpus3d, stage1):
         root, entries = corpus3d
