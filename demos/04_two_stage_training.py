@@ -17,8 +17,7 @@ CFG = dict(d_model=16, d_hidden=16, d_text=16, vocab=256, patch_size=4,
            lr0=1e-3, patience=50, seed=0)
 
 
-def main():
-    work = Path(tempfile.mkdtemp(prefix="volalign_demo4_"))
+def main(work: Path):
     print(f"working under {work}")
 
     print("\n== synthesize corpora ==")
@@ -64,4 +63,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="volalign_demo4_") as tmp:
+        main(Path(tmp))

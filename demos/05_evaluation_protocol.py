@@ -17,8 +17,7 @@ from volalign import trainer as tr
 from volalign.config import TrainConfig
 
 
-def main():
-    work = Path(tempfile.mkdtemp(prefix="volalign_demo5_"))
+def main(work: Path):
     cfg = TrainConfig(d_model=32, d_hidden=32, d_text=16, vocab=512, patch_size=4,
                       image_size=8, heads=4, s_max=4, epochs=60, batch_size=8,
                       dropout_rate=0.2, lr0=2e-3, patience=60, seed=0)
@@ -68,4 +67,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="volalign_demo5_") as tmp:
+        main(Path(tmp))

@@ -4,11 +4,13 @@ and synthetic corpus generation.
 Manifests are JSON lists of entry records; samples are little-endian VOL1
 files (magic, n/H/W as u32, then float32 voxels, slice-major). Preprocessing
 is always resize first, z-score second. Both act on `[..., H, W]` arrays, so
-a volume is one call of each; the statistics are per image (slice).
+a volume is one call of each; the statistics are per image (slice), taken
+by one reduction over the image axes of a C-contiguous array.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -189,16 +191,10 @@ def load_volume(path) -> Volume:
 # preprocessing
 
 
-def resize_bilinear(img, out_h: int, out_w: int) -> Tensor:
-    """Bilinear resize of each `[H, W]` image of `[..., H, W]`, with pixel
-    centers at (i + 0.5) / size and border replicate."""
-    a = img.data if isinstance(img, Tensor) else np.asarray(img, dtype=np.float64)
-    if a.ndim < 2:
-        raise InputError(f"resize_bilinear expects [..., H, W] images, got shape {a.shape}")
-    h, w = a.shape[-2:]
-    if out_h < 1 or out_w < 1:
-        raise InputError(f"target size must be >= 1, got {(out_h, out_w)}")
-
+@functools.lru_cache(maxsize=8)
+def _resize_plan(h: int, w: int, out_h: int, out_w: int) -> tuple:
+    """Corner indices and the four corner weight planes of one resize size,
+    read-only because every call with that size shares them."""
     ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
     xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
     y0 = np.floor(ys)
@@ -209,24 +205,40 @@ def resize_bilinear(img, out_h: int, out_w: int) -> Tensor:
     y1c = np.clip(y0.astype(int) + 1, 0, h - 1)[:, None]
     x0c = np.clip(x0.astype(int), 0, w - 1)[None, :]
     x1c = np.clip(x0.astype(int) + 1, 0, w - 1)[None, :]
+    plan = (y0c, y1c, x0c, x1c, (1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx)
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
 
-    out = ((1 - fy) * (1 - fx) * a[..., y0c, x0c] + (1 - fy) * fx * a[..., y0c, x1c]
-           + fy * (1 - fx) * a[..., y1c, x0c] + fy * fx * a[..., y1c, x1c])
+
+def resize_bilinear(img, out_h: int, out_w: int) -> Tensor:
+    """Bilinear resize of each `[H, W]` image of `[..., H, W]`, with pixel
+    centers at (i + 0.5) / size and border replicate. The index and weight
+    plan of each (H, W, out_h, out_w) is built once and cached (last 8 sizes)."""
+    a = img.data if isinstance(img, Tensor) else np.asarray(img, dtype=np.float64)
+    if a.ndim < 2:
+        raise InputError(f"resize_bilinear expects [..., H, W] images, got shape {a.shape}")
+    h, w = a.shape[-2:]
+    if out_h < 1 or out_w < 1:
+        raise InputError(f"target size must be >= 1, got {(out_h, out_w)}")
+
+    y0c, y1c, x0c, x1c, w00, w01, w10, w11 = _resize_plan(h, w, out_h, out_w)
+    out = (w00 * a[..., y0c, x0c] + w01 * a[..., y0c, x1c]
+           + w10 * a[..., y1c, x0c] + w11 * a[..., y1c, x1c])
     return Tensor(out)
 
 
 def zscore(img, eps: float = 1e-8) -> Tensor:
     """Standardize each `[H, W]` image of `[..., H, W]` to zero mean and unit
-    population std; constant images map to zeros."""
+    population std; constant images map to zeros. The moments come from one
+    mean and one std reduction over the last two axes of a C-contiguous array,
+    so an image's bits do not depend on its memory layout or batch."""
     a = img.data if isinstance(img, Tensor) else np.asarray(img, dtype=np.float64)
     if a.ndim < 2:
         raise InputError(f"zscore expects [..., H, W] images, got shape {a.shape}")
-    # scalar moments of each 2-D view: a reduction over a flattened or
-    # multi-axis view may round the last bit differently
-    images = a.reshape(-1, *a.shape[-2:])
-    stats = a.shape[:-2] + (1, 1)
-    mean = np.array([s.mean() for s in images]).reshape(stats)
-    std = np.array([s.std() for s in images]).reshape(stats)
+    a = np.ascontiguousarray(a)
+    mean = a.mean(axis=(-2, -1), keepdims=True)
+    std = a.std(axis=(-2, -1), keepdims=True)
     return Tensor((a - mean) / np.maximum(std, eps))
 
 

@@ -231,6 +231,8 @@ def _macro_f1(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> float:
 
 def linear_probe_cv(table: EmbeddingTable, k: int = 5, seed: int = 0) -> ProbeReport:
     """Stratified seeded k-fold; a fresh probe per fold, scored on the held-out fold."""
+    if k < 2:
+        raise EvaluationError(f"linear probe needs k >= 2 folds, got k={k}")
     labels = table.labels()
     classes = np.unique(labels)
     if len(classes) < 2:

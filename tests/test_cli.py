@@ -113,6 +113,13 @@ class TestEvalCommands:
         assert run(args) == 0
         assert (out / "probe_report.csv").read_bytes() == first
 
+    def test_probe_one_fold_is_evaluation_error(self, trained, tmp_path, capsys):
+        code = run(["probe", "--ckpt", trained / "run2" / "stage2.ckpt",
+                    "--data", trained / "data" / "3d", "--folds", 1,
+                    "--out", tmp_path / "probe"])
+        assert code == 6
+        assert "error:evaluation:" in capsys.readouterr().err
+
     def test_match(self, trained, tmp_path):
         out = tmp_path / "match"
         assert run(["match", "--ckpt", trained / "run2" / "stage2.ckpt",

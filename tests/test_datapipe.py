@@ -213,6 +213,84 @@ class TestVolumePreprocessing:
             dp.preprocess_volume(Volume(Tensor(np.zeros((3, 4, 4)))), 4, 0)
 
 
+def reference_resize(a, out_h, out_w):
+    """The four-corner resize as written before its plan was cached."""
+    h, w = a.shape[-2:]
+    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    y0 = np.floor(ys)
+    x0 = np.floor(xs)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    y0c = np.clip(y0.astype(int), 0, h - 1)[:, None]
+    y1c = np.clip(y0.astype(int) + 1, 0, h - 1)[:, None]
+    x0c = np.clip(x0.astype(int), 0, w - 1)[None, :]
+    x1c = np.clip(x0.astype(int) + 1, 0, w - 1)[None, :]
+    return ((1 - fy) * (1 - fx) * a[..., y0c, x0c] + (1 - fy) * fx * a[..., y0c, x1c]
+            + fy * (1 - fx) * a[..., y1c, x0c] + fy * fx * a[..., y1c, x1c])
+
+
+def reference_zscore(a, eps=1e-8):
+    """The z-score with scalar moments of each 2-D view, one image at a time."""
+    images = a.reshape(-1, *a.shape[-2:])
+    stats = a.shape[:-2] + (1, 1)
+    mean = np.array([s.mean() for s in images]).reshape(stats)
+    std = np.array([s.std() for s in images]).reshape(stats)
+    return (a - mean) / np.maximum(std, eps)
+
+
+class TestPreprocessingReference:
+    """Array-wide moments and the cached resize plan keep every bit of the
+    per-image loop and the per-call four-corner resize."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lead=st.lists(st.integers(1, 3), max_size=2), h=st.integers(1, 24),
+           w=st.integers(1, 24), out_h=st.integers(1, 24), out_w=st.integers(1, 24),
+           loc=st.sampled_from([0.0, -3.5, 250.0]), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           constant=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_reference(self, lead, h, w, out_h, out_w, loc, scale, constant, seed):
+        a = np.random.default_rng(seed).normal(loc, scale, size=(*lead, h, w))
+        if constant:
+            a.reshape(-1, h, w)[0] = loc + scale
+        assert dp.zscore(Tensor(a)).data.tobytes() == reference_zscore(a).tobytes()
+        out = dp.resize_bilinear(Tensor(a), out_h, out_w).data
+        assert out.tobytes() == reference_resize(a, out_h, out_w).tobytes()
+
+    @pytest.mark.parametrize("shape", [(97, 97), (224, 224), (3, 97, 97), (2, 224, 224)])
+    def test_large_images_equal_reference(self, shape):
+        a = np.random.default_rng(6).normal(1.5, 4.0, size=shape)
+        assert dp.zscore(Tensor(a)).data.tobytes() == reference_zscore(a).tobytes()
+        for out_h, out_w in ((16, 16), (224, 224), (97, 50)):
+            out = dp.resize_bilinear(Tensor(a), out_h, out_w).data
+            assert out.tobytes() == reference_resize(a, out_h, out_w).tobytes()
+
+    def test_zscore_ignores_memory_layout(self):
+        # raw arrays keep their layout; a Tensor would make them C-contiguous
+        img = np.random.default_rng(7).normal(250.0, 2.0, size=(97, 97))
+        for view in (img.T, np.asfortranarray(img), img[::-1, ::2]):
+            copy = np.ascontiguousarray(view)
+            assert dp.zscore(view).data.tobytes() == dp.zscore(copy).data.tobytes()
+
+    def test_alternating_sizes_past_the_cache_bound(self):
+        rng = np.random.default_rng(8)
+        sizes = [(5 + i, 9 + 2 * i) for i in range(11)]
+        for _ in range(2):
+            for h, w in sizes:
+                a = rng.normal(size=(2, h, w))
+                for out in ((16, 16), (h + 1, 3)):
+                    got = dp.resize_bilinear(Tensor(a), *out).data
+                    assert got.tobytes() == reference_resize(a, *out).tobytes()
+
+    def test_cached_plan_is_read_only(self):
+        dp.resize_bilinear(Tensor(np.zeros((6, 10))), 4, 4)
+        plan = dp._resize_plan(6, 10, 4, 4)
+        assert len(plan) == 8
+        for arr in plan:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1
+
+
 class TestCaptions:
     def test_brain_mri_with_condition(self):
         e = make_entry(body_region="Brain", modality="MRI", condition="Pituitary Tumor")

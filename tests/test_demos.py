@@ -23,3 +23,4 @@ def test_demo_exits_zero(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
+    assert list(tmp_path.iterdir()) == []  # work dirs are removed on exit

@@ -173,6 +173,12 @@ class TestLinearProbe:
         with pytest.raises(EvaluationError):
             ek.linear_probe_cv(table_from(np.eye(6), [0] * 6))
 
+    @pytest.mark.parametrize("k", [1, 0, -1])
+    def test_fewer_than_two_folds_rejected(self, k):
+        table = table_from(np.eye(8), [0] * 4 + [1] * 4)
+        with pytest.raises(EvaluationError, match=f"k={k}"):
+            ek.linear_probe_cv(table, k=k)
+
     def test_small_class_rejected(self):
         with pytest.raises(StratificationError):
             ek.linear_probe_cv(table_from(np.eye(8), [0] * 4 + [1] * 4), k=5)
