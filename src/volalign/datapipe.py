@@ -5,7 +5,10 @@ Manifests are JSON lists of entry records; samples are little-endian VOL1
 files (magic, n/H/W as u32, then float32 voxels, slice-major). Preprocessing
 is always resize first, z-score second. Both act on `[..., H, W]` arrays, so
 a volume is one call of each; the statistics are per image (slice), taken
-by one reduction over the image axes of a C-contiguous array.
+by one reduction over the image axes of a C-contiguous array. Splits are
+loaded by load_preprocessed: samples of one image size share each
+preprocess_volume call, a batch closing at the sample that brings it to
+SLICE_BATCH slices, and each sample keeps the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ from .diffmath import Tensor, fnv1a64, make_rng
 from .errors import ConfigurationError, FormatError, InputError, LoadError
 
 DEFAULT_VOCAB = 4096
+# Slices per preprocess_volume call of load_preprocessed and per encode_image2d
+# call of encoders.encode_frozen: big enough to amortise numpy call overhead,
+# small enough that a batch's gathers and activations stay in cache.
+SLICE_BATCH = 64
 
 _KINDS = ("2d", "3d")
 _SPLITS = ("train", "val", "test")
@@ -245,6 +252,45 @@ def zscore(img, eps: float = 1e-8) -> Tensor:
 def preprocess_volume(volume: Volume, out_h: int, out_w: int, eps: float = 1e-8) -> Volume:
     """Resize then z-score each slice, in that order."""
     return Volume(zscore(resize_bilinear(volume.voxels, out_h, out_w), eps))
+
+
+def load_preprocessed(paths, size: int, volumes: dict | None = None) -> list[Volume]:
+    """load_volume then preprocess_volume to size x size for each path, in
+    input order, bit for bit as one sample at a time.
+
+    Samples are read in order and their raw slices held per image size (H, W);
+    once a size has SLICE_BATCH slices pending they are joined into one volume,
+    preprocessed by one preprocess_volume call and split back, so at most one
+    batch of raw slices per size is alive. `volumes` caches the results across
+    calls, keyed by (path, size); a path listed twice is loaded once.
+    """
+    memo = {} if volumes is None else volumes
+    keys = [(p, size) for p in paths]
+    pending: dict[tuple, list] = {}  # (H, W) -> [(key, raw [n, H, W])]
+    slices: dict[tuple, int] = {}    # (H, W) -> slices pending
+
+    def flush(hw):
+        batch = pending.pop(hw)
+        del slices[hw]
+        raw = np.concatenate([a for _, a in batch])
+        out = preprocess_volume(Volume(Tensor(raw)), size, size).voxels.data
+        start = 0
+        for key, a in batch:
+            memo[key] = Volume(Tensor(out[start:start + len(a)]))
+            start += len(a)
+
+    for key in dict.fromkeys(keys):
+        if key in memo:
+            continue
+        raw = load_volume(key[0]).voxels.data
+        hw = raw.shape[1:]
+        pending.setdefault(hw, []).append((key, raw))
+        slices[hw] = slices.get(hw, 0) + len(raw)
+        if slices[hw] >= SLICE_BATCH:
+            flush(hw)
+    for hw in list(pending):
+        flush(hw)
+    return [memo[k] for k in keys]
 
 
 # ---------------------------------------------------------------------------

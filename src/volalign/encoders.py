@@ -7,8 +7,9 @@ a leading axis of the image array, so encode_image2d of a volume's
 [n, H, W] voxels is its [n, d_model] slice embeddings, the stack the
 slice-pooling adapter takes. encode_frozen is the frozen (eval-mode) path
 over many volumes: volumes of one slice count share each encode_image2d
-call, at most _FROZEN_SLICES slices at a time. numpy multiplies a stack one
-matrix at a time, so every slice keeps the bits it gets when encoded alone.
+call, at most datapipe.SLICE_BATCH slices at a time. numpy multiplies a
+stack one matrix at a time, so every slice keeps the bits it gets when
+encoded alone.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ import numpy as np
 
 from . import diffmath as dm
 from .config import TrainConfig
-from .datapipe import Volume
+from .datapipe import SLICE_BATCH, Volume
 from .diffmath import ParamGroup, Tape, Tensor
 from .errors import InputError
-
-_FROZEN_SLICES = 64  # slices per encode_image2d call of encode_frozen; bounds its activations
 
 
 def text_shapes(cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
@@ -94,7 +93,7 @@ def encode_image2d(image, params: ParamGroup, train_mode: bool = False,
 
 def slice_batches(counts: list[int], s_max: int) -> list[list[int]]:
     """Indices of volumes with these slice counts, grouped by count and cut
-    into batches of at most _FROZEN_SLICES slices (one volume at least)."""
+    into batches of at most SLICE_BATCH slices (one volume at least)."""
     by_count: dict[int, list[int]] = {}
     for i, n in enumerate(counts):
         if not 1 <= n <= s_max:
@@ -102,7 +101,7 @@ def slice_batches(counts: list[int], s_max: int) -> list[list[int]]:
         by_count.setdefault(n, []).append(i)
     batches = []
     for n, idxs in by_count.items():
-        size = max(1, _FROZEN_SLICES // n)
+        size = max(1, SLICE_BATCH // n)
         batches += [idxs[s:s + size] for s in range(0, len(idxs), size)]
     return batches
 

@@ -2,11 +2,14 @@
 stratified cross-validation, cross-modal top-1 matching, and the
 four-configuration ablation runner.
 
-Extraction encodes the slices of many volumes per encoder call and pools
-them in the same batches (encoders.encode_frozen, encoders.slice_batches),
-each batch one [B, n, d_model] Tensor; every row keeps the bits it gets
-alone. The ablation runner shares one memo of slice embeddings across its
-rows, so each test volume is encoded once per distinct image group.
+Extraction loads and preprocesses its volumes in 64-slice batches
+(datapipe.load_preprocessed), encodes the slices of many volumes per encoder
+call and pools them in the same batches (encoders.encode_frozen,
+encoders.slice_batches), each batch one [B, n, d_model] Tensor; every row
+keeps the bits it gets alone. The ablation runner shares one memo of
+preprocessed volumes between its two stage-2 trainings and its rows, so each
+3D sample is loaded once, and one memo of slice embeddings across its rows,
+so each test volume is encoded once per distinct image group.
 
 The probe recipe is fixed (full-batch gradient descent, 500 iterations, step
 0.1, no regularization) so reports are reproducible; F1 is macro-averaged.
@@ -75,12 +78,12 @@ def extract_embeddings(ckpt: tr.Checkpoint, entries, data_root, pool_mode: str,
                        encoded: dict | None = None) -> EmbeddingTable:
     """One embedding per manifest entry, in manifest order, eval mode throughout.
 
-    Slices are encoded by enc.encode_frozen and pooled one slice_batches
-    batch per pool call; each row has the bits of encode_image2d and pool on
-    its volume alone. `volumes` caches preprocessed volumes across calls,
-    keyed by (sample path, image size); `encoded` caches slice embeddings,
-    keyed by (sample path, image size, sha256 of the image group). A miss
-    computes and stores.
+    Volumes are loaded by dp.load_preprocessed, slices are encoded by
+    enc.encode_frozen and pooled one slice_batches batch per pool call; each
+    row has the bits of encode_image2d and pool on its volume alone.
+    `volumes` caches preprocessed volumes across calls, keyed by (sample
+    path, image size); `encoded` caches slice embeddings, keyed by (sample
+    path, image size, sha256 of the image group). A miss computes and stores.
     """
     if cfg is not None:
         tr.check_geometry(ckpt, cfg)
@@ -92,14 +95,7 @@ def extract_embeddings(ckpt: tr.Checkpoint, entries, data_root, pool_mode: str,
     keys = [(root / e.path, size, image) for e in entries]
     encoded = {} if encoded is None else encoded
     missing = [k for k in dict.fromkeys(keys) if k not in encoded]
-    vols = []
-    for path, _, _ in missing:
-        vol = None if volumes is None else volumes.get((path, size))
-        if vol is None:
-            vol = dp.preprocess_volume(dp.load_volume(path), size, size)
-            if volumes is not None:
-                volumes[path, size] = vol
-        vols.append(vol)
+    vols = dp.load_preprocessed([path for path, _, _ in missing], size, volumes)
     encoded.update(zip(missing, enc.encode_frozen(vols, ckpt.image, s_max=ckpt.config.s_max)))
 
     mats = [encoded[k] for k in keys]
@@ -400,7 +396,7 @@ def _splits(entries):
             [e for e in entries if e.split == "test"])
 
 
-def _cached_stage2(cfg, data, base_ckpt, workdir, name):
+def _cached_stage2(cfg, data, base_ckpt, workdir, name, volumes):
     if workdir is not None:
         path = Path(workdir) / name
         if path.is_file():
@@ -409,7 +405,8 @@ def _cached_stage2(cfg, data, base_ckpt, workdir, name):
             return ckpt
     train3d, val3d, _ = _splits(data.entries3d)
     out = Path(workdir) / name.removesuffix(".ckpt") if workdir is not None else None
-    ckpt = tr.train_stage2(cfg, train3d, val3d, data.root3d, base_ckpt, out_dir=out)
+    ckpt = tr.train_stage2(cfg, train3d, val3d, data.root3d, base_ckpt, out_dir=out,
+                           volumes=volumes)
     if workdir is not None:
         tr.save_checkpoint(ckpt, Path(workdir) / name)
     return ckpt
@@ -421,8 +418,9 @@ def run_ablation(data: AblationData, cfg: TrainConfig, workdir=None,
 
     Trains whatever is missing: the stage-1 encoder (unless supplied or cached
     in workdir) and one adapter per encoder variant. Configuration "vanilla
-    encoder + gap" involves no training at all. The rows share preprocessed
-    volumes and, per image group, slice embeddings.
+    encoder + gap" involves no training at all. The adapter trainings and the
+    rows share preprocessed volumes, and the rows share slice embeddings per
+    image group.
     """
     cfg.validate()
     if workdir is not None:
@@ -447,8 +445,13 @@ def run_ablation(data: AblationData, cfg: TrainConfig, workdir=None,
     else:
         tr.check_geometry(stage1_ckpt, cfg)
 
-    adapter_vanilla = _cached_stage2(cfg, data, init_ckpt, workdir, "stage2_vanilla.ckpt")
-    adapter_tuned = _cached_stage2(cfg, data, stage1_ckpt, workdir, "stage2_finetuned.ckpt")
+    # both adapters and every row share cfg.image_size, so each 3D sample is
+    # loaded and preprocessed once
+    volumes: dict = {}
+    adapter_vanilla = _cached_stage2(cfg, data, init_ckpt, workdir, "stage2_vanilla.ckpt",
+                                     volumes)
+    adapter_tuned = _cached_stage2(cfg, data, stage1_ckpt, workdir, "stage2_finetuned.ckpt",
+                                   volumes)
 
     _, _, test3d = _splits(data.entries3d)
     if not test3d:
@@ -460,9 +463,8 @@ def run_ablation(data: AblationData, cfg: TrainConfig, workdir=None,
         (ABLATION_CONFIGS[2], stage1_ckpt, "gap"),
         (ABLATION_CONFIGS[3], adapter_tuned, "attention"),
     ]
-    # every row shares cfg.image_size, so rows 2-4 reuse row 1's volumes; stage 2
-    # freezes the image group, so rows 2 and 4 reuse the encodings of rows 1 and 3
-    volumes: dict = {}
+    # stage 2 freezes the image group, so rows 2 and 4 reuse the encodings of
+    # rows 1 and 3
     encoded: dict = {}
     rows = []
     for name, ckpt, mode in setups:

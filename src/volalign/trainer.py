@@ -421,14 +421,12 @@ def _text_vectors(entries, text_params, vocab) -> list[np.ndarray]:
     return out
 
 
-def _load_slices(entries, data_root, cfg) -> list[dp.Volume]:
+def _load_slices(entries, data_root, cfg, volumes=None) -> list[dp.Volume]:
     root = Path(data_root)
-    vols = []
-    for e in entries:
-        vol = dp.load_volume(root / e.path)
+    vols = dp.load_preprocessed([root / e.path for e in entries], cfg.image_size, volumes)
+    for e, vol in zip(entries, vols):
         if e.kind == "2d" and vol.n != 1:
             raise InputError(f"entry {e.id!r} is 2d but its sample has {vol.n} slices")
-        vols.append(dp.preprocess_volume(vol, cfg.image_size, cfg.image_size))
     return vols
 
 
@@ -438,8 +436,9 @@ def _stage1_items(entries, data_root, cfg, text_params) -> list[_Item]:
     return [_Item(inputs=v.voxels.data[0], text_vec=t) for v, t in zip(vols, texts)]
 
 
-def _stage2_items(entries, data_root, cfg, text_params, image_params) -> list[_Item]:
-    vols = _load_slices(entries, data_root, cfg)
+def _stage2_items(entries, data_root, cfg, text_params, image_params,
+                  volumes=None) -> list[_Item]:
+    vols = _load_slices(entries, data_root, cfg, volumes)
     texts = _text_vectors(entries, text_params, cfg.vocab)
     mats = enc.encode_frozen(vols, image_params, s_max=cfg.s_max)  # frozen, eval mode
     return [_Item(inputs=m, text_vec=t) for m, t in zip(mats, texts)]
@@ -619,12 +618,14 @@ def train_stage1(cfg: TrainConfig, train_entries, val_entries, data_root,
 
 
 def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
-                 stage1_ckpt: Checkpoint, out_dir=None,
-                 resume: Checkpoint | None = None) -> Checkpoint:
+                 stage1_ckpt: Checkpoint, out_dir=None, resume: Checkpoint | None = None,
+                 volumes: dict | None = None) -> Checkpoint:
     """Train the slice-pooling adapter on volumes; both encoders are frozen.
 
     Slice stacks are embedded once up front by encoders.encode_frozen (the
     encoder is frozen), so each epoch touches only the adapter parameters.
+    `volumes` caches preprocessed volumes across calls, as in
+    datapipe.load_preprocessed.
     """
     cfg.validate()
     _require_kind(train_entries, "3d")
@@ -647,7 +648,7 @@ def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
     for p in ckpt.image.values():  # stage-2 freeze contract
         p.trainable = False
 
-    items = _stage2_items(train_entries, data_root, cfg, ckpt.text, ckpt.image)
-    val_items = _stage2_items(val_entries, data_root, cfg, ckpt.text, ckpt.image)
+    items = _stage2_items(train_entries, data_root, cfg, ckpt.text, ckpt.image, volumes)
+    val_items = _stage2_items(val_entries, data_root, cfg, ckpt.text, ckpt.image, volumes)
     return _run_stage(cfg, 2, ckpt, items, val_items, list(ckpt.adapter.values()),
                       out_dir, resume, "stage2")

@@ -1,4 +1,8 @@
 
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,6 +293,105 @@ class TestPreprocessingReference:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1
+
+
+def write_samples(root, samples) -> list:
+    """Save each [n, H, W] array as a VOL1 file under root; the sample paths."""
+    paths = []
+    for i, vox in enumerate(samples):
+        paths.append(root / f"s{i}.vol")
+        dp.save_volume(Volume(Tensor(vox)), paths[-1])
+    return paths
+
+
+def assert_as_loaded_alone(paths, vols, size):
+    assert len(vols) == len(paths)
+    for path, vol in zip(paths, vols):
+        alone = dp.preprocess_volume(dp.load_volume(path), size, size).voxels.data
+        assert vol.voxels.shape == alone.shape
+        assert vol.voxels.data.flags.c_contiguous
+        assert vol.voxels.data.tobytes() == alone.tobytes()
+
+
+class TestLoadPreprocessed:
+    """load_preprocessed streams a split through preprocess_volume in batches
+    of one image size and keeps every bit of one sample at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.tuples(st.integers(2, 20), st.integers(2, 20)),
+                          min_size=2, max_size=2, unique=True),
+           samples=st.lists(st.tuples(st.booleans(), st.integers(1, 9), st.booleans(),
+                                      st.integers(0, 2**32 - 1)), min_size=1, max_size=40),
+           repeats=st.lists(st.integers(0, 39), max_size=4),
+           size=st.integers(1, 24))
+    def test_equals_one_sample_at_a_time(self, sizes, samples, repeats, size):
+        arrays = []
+        for second, n, constant, seed in samples:
+            vox = np.random.default_rng(seed).normal(3.0, 2.0, size=(n, *sizes[second]))
+            if constant:
+                vox[-1] = 1.5
+            arrays.append(vox)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = write_samples(Path(tmp), arrays)
+            paths += [paths[i % len(paths)] for i in repeats]  # duplicates
+            vols = dp.load_preprocessed(paths, size)
+            assert_as_loaded_alone(paths, vols, size)
+
+    def test_batches_straddle_the_slice_bound(self, tmp_path):
+        rng = np.random.default_rng(9)
+        arrays = [rng.normal(size=(1 + i % 9, 12 if i % 3 else 7, 10)) for i in range(60)]
+        paths = write_samples(tmp_path, arrays)
+        assert_as_loaded_alone(paths, dp.load_preprocessed(paths, 8), 8)
+        assert_as_loaded_alone(paths, dp.load_preprocessed(paths, 16), 16)
+
+    def test_pending_raw_slices_stay_within_one_batch_per_size(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(10)
+        arrays = [rng.normal(size=(1 + i % 9, *((6, 6) if i % 4 else (9, 5))))
+                  for i in range(80)]
+        paths = write_samples(tmp_path, arrays)
+        pending: dict = {}
+        batches = []
+        load, preprocess = dp.load_volume, dp.preprocess_volume
+
+        def counting_load(path):
+            vol = load(path)
+            hw = vol.voxels.shape[1:]
+            pending[hw] = pending.get(hw, 0) + vol.n
+            assert pending[hw] < dp.SLICE_BATCH + vol.n  # fewer than a batch before it
+            return vol
+
+        def counting_preprocess(volume, *args, **kwargs):
+            hw = volume.voxels.shape[1:]
+            pending[hw] -= volume.n
+            batches.append(volume.n)
+            return preprocess(volume, *args, **kwargs)
+
+        monkeypatch.setattr(dp, "load_volume", counting_load)
+        monkeypatch.setattr(dp, "preprocess_volume", counting_preprocess)
+        vols = dp.load_preprocessed(paths, 4)
+        monkeypatch.undo()
+        assert set(pending.values()) == {0}
+        assert sum(batches) == sum(len(a) for a in arrays)
+        assert len(batches) < len(paths) // 4
+        assert_as_loaded_alone(paths, vols, 4)
+
+    def test_memo_is_keyed_by_path_and_size(self, tmp_path, monkeypatch):
+        paths = write_samples(tmp_path, [np.arange(12.0).reshape(1, 3, 4)] * 2)
+        volumes: dict = {}
+        first = dp.load_preprocessed(paths[:1], 5, volumes)
+        loads = []
+        load = dp.load_volume
+        monkeypatch.setattr(dp, "load_volume", lambda p: loads.append(p) or load(p))
+        again = dp.load_preprocessed(paths + paths[:1], 5, volumes)
+        assert loads == [paths[1]]
+        assert again[0] is first[0] is again[2]
+        assert sorted(volumes) == sorted((p, 5) for p in paths)
+
+    def test_truncated_sample_names_its_file(self, tmp_path):
+        paths = write_samples(tmp_path, [np.ones((2, 4, 4))] * 3)
+        paths[1].write_bytes(paths[1].read_bytes()[:-3])
+        with pytest.raises(FormatError, match=re.escape(str(paths[1]))):
+            dp.load_preprocessed(paths, 4)
 
 
 class TestCaptions:

@@ -415,6 +415,33 @@ class TestAblationPreprocessesOnce:
                                        match.precision))
         assert report == ek.AblationReport(rows)
 
+    def test_uncached_ablation_loads_each_sample_once(self, trained, tmp_path, monkeypatch):
+        data, _ = trained
+        cfg = small_cfg(epochs=2)
+        loads = []
+        load = dp.load_volume
+
+        def counting_load(path):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(dp, "load_volume", counting_load)
+        ek.run_ablation(data, cfg, workdir=tmp_path)
+        monkeypatch.undo()
+
+        train2d = [e for e in data.entries2d if e.split != "test"]
+        expected = ([data.root2d / e.path for e in train2d]
+                    + [data.root3d / e.path for e in data.entries3d])
+        assert sorted(loads) == sorted(expected)
+
+        train3d, val3d, _ = ek._splits(data.entries3d)
+        stage1 = tr.load_checkpoint(tmp_path / "stage1.ckpt")
+        for name, base in (("stage2_vanilla.ckpt", tr.make_initial_checkpoint(cfg)),
+                           ("stage2_finetuned.ckpt", stage1)):
+            alone = tr.train_stage2(cfg, train3d, val3d, data.root3d, base)
+            tr.save_checkpoint(alone, tmp_path / "alone.ckpt")
+            assert (tmp_path / "alone.ckpt").read_bytes() == (tmp_path / name).read_bytes()
+
     @staticmethod
     def count_encoded_slices(monkeypatch) -> list[int]:
         counts = []
@@ -439,7 +466,7 @@ class TestAblationPreprocessesOnce:
         test3d = [e for e in data.entries3d if e.split == "test"]
         slices = sum(dp.load_volume(data.root3d / e.path).n for e in test3d)
         assert sum(counts) == 2 * slices
-        assert max(counts) <= enc._FROZEN_SLICES
+        assert max(counts) <= dp.SLICE_BATCH
 
     def test_changed_image_group_gets_its_own_encoding(self, trained, tmp_path, monkeypatch):
         data, workdir = trained

@@ -1,8 +1,11 @@
 """Typed failures: malformed loader input, config values of the wrong
-type, an invalid temperature, and a training run that overflows."""
+type, an invalid temperature, a bad sample inside a split, and a training
+run that overflows."""
 
 import dataclasses
 import json
+import re
+import shutil
 import struct
 import tempfile
 import warnings
@@ -20,8 +23,9 @@ from volalign import evalkit as ek
 from volalign import trainer as tr
 from volalign.cli import EXIT_DATA, EXIT_NONFINITE, main
 from volalign.config import TrainConfig
-from volalign.errors import (CheckpointError, ConfigurationError, LoadError, NonFiniteError,
-                             VolalignError)
+from volalign.diffmath import Tensor
+from volalign.errors import (CheckpointError, ConfigurationError, FormatError, InputError,
+                             LoadError, NonFiniteError, VolalignError)
 
 CSV_HEADER = "id,label,e0,e1\n"
 
@@ -317,6 +321,38 @@ class TestResumeGuard:
         with pytest.raises(CheckpointError, match="malformed rng_state"):
             tr.train_stage1(small_cfg(), [e for e in entries if e.split == "train"],
                             [e for e in entries if e.split == "val"], root, resume=resume)
+
+
+class TestBadSampleInSplit:
+    """A split is loaded in batches, but a bad sample still fails by name."""
+
+    @pytest.fixture
+    def copy2d(self, corpus2d, tmp_path):
+        root, entries = corpus2d
+        shutil.copytree(root, tmp_path / "c2d")
+        return tmp_path / "c2d", entries
+
+    def test_2d_entry_with_two_slices_is_input_error(self, copy2d):
+        root, entries = copy2d
+        bad = [e for e in entries if e.split == "train"][5]
+        dp.save_volume(dp.Volume(Tensor(np.ones((2, 8, 8)))), root / bad.path)
+        with pytest.raises(InputError, match=f"entry '{bad.id}' is 2d but its sample has 2"):
+            train(small_cfg(), (root, entries))
+
+    def test_truncated_sample_is_format_error_in_training(self, copy2d):
+        root, entries = copy2d
+        bad = root / [e for e in entries if e.split == "train"][5].path
+        bad.write_bytes(bad.read_bytes()[:-4])
+        with pytest.raises(FormatError, match=re.escape(f"{bad}: payload is")):
+            train(small_cfg(), (root, entries))
+
+    def test_truncated_sample_is_format_error_in_extraction(self, copy2d):
+        root, entries = copy2d
+        bad = root / entries[len(entries) // 2].path
+        bad.write_bytes(bad.read_bytes()[:-4])
+        ckpt = tr.make_initial_checkpoint(small_cfg())
+        with pytest.raises(FormatError, match=re.escape(f"{bad}: payload is")):
+            ek.extract_embeddings(ckpt, entries, root, "gap")
 
 
 class TestNonFiniteGuard:
