@@ -1,5 +1,4 @@
 
-import re
 import tempfile
 from pathlib import Path
 
@@ -386,12 +385,6 @@ class TestLoadPreprocessed:
         assert loads == [paths[1]]
         assert again[0] is first[0] is again[2]
         assert sorted(volumes) == sorted((p, 5) for p in paths)
-
-    def test_truncated_sample_names_its_file(self, tmp_path):
-        paths = write_samples(tmp_path, [np.ones((2, 4, 4))] * 3)
-        paths[1].write_bytes(paths[1].read_bytes()[:-3])
-        with pytest.raises(FormatError, match=re.escape(str(paths[1]))):
-            dp.load_preprocessed(paths, 4)
 
 
 class TestCaptions:
