@@ -6,10 +6,10 @@ __version__ = "0.1.0"
 
 from .config import TrainConfig
 from .contrastive import LossConfig, batch_loss, info_nce, similarity_matrix
-from .datapipe import (Caption, ManifestEntry, SynthSpec, Volume, build_caption,
-                       load_captions, load_manifest, load_preprocessed, load_volume,
-                       preprocess_volume, resize_bilinear, save_manifest, save_volume,
-                       synth_dataset, tokenize, zscore)
+from .datapipe import (Caption, ManifestEntry, SynthSpec, build_caption, load_captions,
+                       load_manifest, load_preprocessed, load_volume, preprocess_volume,
+                       resize_bilinear, save_manifest, save_volume, synth_dataset,
+                       tokenize, zscore)
 from .diffmath import Param, ParamGroup, Tape, Tensor, grad_check, make_rng
 from .encoders import (encode_frozen, encode_image2d, encode_text, image_shapes,
                        text_shapes)

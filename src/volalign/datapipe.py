@@ -2,13 +2,16 @@
 and synthetic corpus generation.
 
 Manifests are JSON lists of entry records; samples are little-endian VOL1
-files (magic, n/H/W as u32, then float32 voxels, slice-major). Preprocessing
-is always resize first, z-score second. Both act on `[..., H, W]` arrays, so
-a volume is one call of each; the statistics are per image (slice), taken
-by one reduction over the image axes of a C-contiguous array. Splits are
-loaded by load_preprocessed: samples of one image size share each
-preprocess_volume call, a batch closing at the sample that brings it to
-SLICE_BATCH slices, and each sample keeps the bits it gets alone.
+files (magic, n/H/W as u32, then float32 voxels, slice-major), passed from
+load_volume to the encoder as plain float64 `[n, H, W]` arrays (n = 1 in
+2D). load_volume alone checks voxels for finiteness; save_volume refuses
+what load_volume would refuse. Preprocessing is always resize first,
+z-score second. Both act on `[..., H, W]` arrays, so a volume is one call
+of each; the statistics are per image (slice), taken by one reduction over
+the image axes of a C-contiguous array. Splits are loaded by
+load_preprocessed: samples of one image size share each preprocess_volume
+call, a batch closing at the sample that brings it to SLICE_BATCH slices,
+and each sample keeps the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffmath import Tensor, fnv1a64, make_rng
+from .diffmath import fnv1a64, make_rng
 from .errors import ConfigurationError, FormatError, InputError, LoadError
 
 DEFAULT_VOCAB = 4096
@@ -47,23 +50,6 @@ class ManifestEntry:
     condition: str | None
     label: int
     split: str
-
-
-@dataclass
-class Volume:
-    """An n x H x W voxel block; 2D samples use n = 1."""
-
-    voxels: Tensor
-
-    def __post_init__(self):
-        if self.voxels.data.ndim != 3 or self.voxels.data.shape[0] < 1:
-            raise InputError(f"volume must be n x H x W with n >= 1, got {self.voxels.shape}")
-        if not np.isfinite(self.voxels.data).all():
-            raise InputError("volume contains non-finite voxels")
-
-    @property
-    def n(self) -> int:
-        return self.voxels.data.shape[0]
 
 
 @dataclass
@@ -165,14 +151,22 @@ _VOL1_MAGIC = b"VOL1"
 _VOL1_HEADER = struct.Struct("<III")
 
 
-def save_volume(volume: Volume, path) -> None:
-    v = volume.voxels.data
-    n, h, w = v.shape
-    _write_atomic(path, [_VOL1_MAGIC, _VOL1_HEADER.pack(n, h, w),
-                         v.astype("<f4").tobytes(order="C")])
+def save_volume(voxels: np.ndarray, path) -> None:
+    """Write `[n, H, W]` voxels as VOL1; refuse, before writing, another
+    shape, an empty axis or values not finite as float32."""
+    a = np.asarray(voxels)
+    if a.ndim != 3 or min(a.shape) < 1:
+        raise InputError(f"{path}: voxels must be [n, H, W] with every size >= 1, "
+                         f"got shape {a.shape}")
+    with np.errstate(over="ignore"):
+        f4 = a.astype("<f4")
+    if not np.isfinite(f4).all():
+        raise InputError(f"{path}: voxel values are not finite as float32")
+    _write_atomic(path, [_VOL1_MAGIC, _VOL1_HEADER.pack(*a.shape), f4.tobytes(order="C")])
 
 
-def load_volume(path) -> Volume:
+def load_volume(path) -> np.ndarray:
+    """Read VOL1 as C-contiguous float64 `[n, H, W]` voxels, checked finite."""
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -191,7 +185,7 @@ def load_volume(path) -> Volume:
     data = np.frombuffer(blob, dtype="<f4", offset=4 + _VOL1_HEADER.size)
     if not np.isfinite(data).all():
         raise FormatError(f"{path}: non-finite voxel values")
-    return Volume(Tensor(data.astype(np.float64).reshape(n, h, w)))
+    return data.astype(np.float64).reshape(n, h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +212,11 @@ def _resize_plan(h: int, w: int, out_h: int, out_w: int) -> tuple:
     return plan
 
 
-def resize_bilinear(img, out_h: int, out_w: int) -> Tensor:
+def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize of each `[H, W]` image of `[..., H, W]`, with pixel
     centers at (i + 0.5) / size and border replicate. The index and weight
     plan of each (H, W, out_h, out_w) is built once and cached (last 8 sizes)."""
-    a = img.data if isinstance(img, Tensor) else np.asarray(img, dtype=np.float64)
+    a = np.asarray(img, dtype=np.float64)
     if a.ndim < 2:
         raise InputError(f"resize_bilinear expects [..., H, W] images, got shape {a.shape}")
     h, w = a.shape[-2:]
@@ -232,29 +226,30 @@ def resize_bilinear(img, out_h: int, out_w: int) -> Tensor:
     y0c, y1c, x0c, x1c, w00, w01, w10, w11 = _resize_plan(h, w, out_h, out_w)
     out = (w00 * a[..., y0c, x0c] + w01 * a[..., y0c, x1c]
            + w10 * a[..., y1c, x0c] + w11 * a[..., y1c, x1c])
-    return Tensor(out)
+    return out
 
 
-def zscore(img, eps: float = 1e-8) -> Tensor:
+def zscore(img: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     """Standardize each `[H, W]` image of `[..., H, W]` to zero mean and unit
     population std; constant images map to zeros. The moments come from one
     mean and one std reduction over the last two axes of a C-contiguous array,
     so an image's bits do not depend on its memory layout or batch."""
-    a = img.data if isinstance(img, Tensor) else np.asarray(img, dtype=np.float64)
+    a = np.asarray(img, dtype=np.float64)
     if a.ndim < 2:
         raise InputError(f"zscore expects [..., H, W] images, got shape {a.shape}")
     a = np.ascontiguousarray(a)
     mean = a.mean(axis=(-2, -1), keepdims=True)
     std = a.std(axis=(-2, -1), keepdims=True)
-    return Tensor((a - mean) / np.maximum(std, eps))
+    return (a - mean) / np.maximum(std, eps)
 
 
-def preprocess_volume(volume: Volume, out_h: int, out_w: int, eps: float = 1e-8) -> Volume:
-    """Resize then z-score each slice, in that order."""
-    return Volume(zscore(resize_bilinear(volume.voxels, out_h, out_w), eps))
+def preprocess_volume(volume: np.ndarray, out_h: int, out_w: int,
+                      eps: float = 1e-8) -> np.ndarray:
+    """Resize then z-score each slice of `[n, H, W]` voxels, in that order."""
+    return zscore(resize_bilinear(volume, out_h, out_w), eps)
 
 
-def load_preprocessed(paths, size: int, volumes: dict | None = None) -> list[Volume]:
+def load_preprocessed(paths, size: int, volumes: dict | None = None) -> list[np.ndarray]:
     """load_volume then preprocess_volume to size x size for each path, in
     input order, bit for bit as one sample at a time.
 
@@ -272,17 +267,16 @@ def load_preprocessed(paths, size: int, volumes: dict | None = None) -> list[Vol
     def flush(hw):
         batch = pending.pop(hw)
         del slices[hw]
-        raw = np.concatenate([a for _, a in batch])
-        out = preprocess_volume(Volume(Tensor(raw)), size, size).voxels.data
+        out = preprocess_volume(np.concatenate([a for _, a in batch]), size, size)
         start = 0
         for key, a in batch:
-            memo[key] = Volume(Tensor(out[start:start + len(a)]))
+            memo[key] = out[start:start + len(a)]
             start += len(a)
 
     for key in dict.fromkeys(keys):
         if key in memo:
             continue
-        raw = load_volume(key[0]).voxels.data
+        raw = load_volume(key[0])
         hw = raw.shape[1:]
         pending.setdefault(hw, []).append((key, raw))
         slices[hw] = slices.get(hw, 0) + len(raw)
@@ -417,18 +411,18 @@ def _base_slices(spec: SynthSpec, seed: int) -> np.ndarray:
 
 
 def _make_sample(spec: SynthSpec, seed: int, label: int, index: int,
-                 base: np.ndarray | None) -> Volume:
+                 base: np.ndarray | None) -> np.ndarray:
     r = make_rng(seed, f"sample:{label}:{index}")
     n = 1 if spec.kind == "2d" else spec.slices
     if spec.family == "pattern":
         vox = r.normal(0.0, spec.noise, size=(n, spec.height, spec.width))
         pattern = _PATTERNS[label]
         _draw_pattern(vox[int(r.integers(n))], pattern)
-        return Volume(Tensor(vox))
+        return vox
     # order-coded: no per-sample noise, identical multiset for every sample
     others = [j for j in range(spec.slices) if j != label]
     order = [label] + [others[k] for k in r.permutation(len(others))]
-    return Volume(Tensor(base[order].copy()))
+    return base[order]
 
 
 def _split_for(index: int, per_class: int) -> str:

@@ -4,12 +4,12 @@ Two towers meet in one d_model space: a frozen, seed-determined hashed-bag
 text encoder (word identity is all the short templated captions need) and a
 trainable patch + MLP image encoder for single slices. A batch of images is
 a leading axis of the image array, so encode_image2d of a volume's
-[n, H, W] voxels is its [n, d_model] slice embeddings, the stack the
-slice-pooling adapter takes. encode_frozen is the frozen (eval-mode) path
-over many volumes: volumes of one slice count share each encode_image2d
-call, at most datapipe.SLICE_BATCH slices at a time. numpy multiplies a
-stack one matrix at a time, so every slice keeps the bits it gets when
-encoded alone.
+[n, H, W] voxel array is its [n, d_model] slice embeddings, the stack the
+slice-pooling adapter takes; patchify turns the array into a Tensor.
+encode_frozen is the frozen (eval-mode) path over many voxel arrays: those
+of one slice count share each encode_image2d call, at most
+datapipe.SLICE_BATCH slices at a time. numpy multiplies a stack one matrix
+at a time, so every slice keeps the bits it gets when encoded alone.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import diffmath as dm
 from .config import TrainConfig
-from .datapipe import SLICE_BATCH, Volume
+from .datapipe import SLICE_BATCH
 from .diffmath import ParamGroup, Tape, Tensor
 from .errors import InputError
 
@@ -59,7 +59,7 @@ def encode_text(token_ids: list[int], params: ParamGroup) -> Tensor:
 def patchify(image, patch_size: int) -> Tensor:
     """Split [..., H, W] images into non-overlapping flattened patches,
     row-major: [..., (H/p)*(W/p), p*p]."""
-    a = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
+    a = np.asarray(image, dtype=np.float64)
     if a.ndim < 2:
         raise InputError(f"patchify expects an image, got shape {a.shape}")
     *lead, h, w = a.shape
@@ -106,14 +106,14 @@ def slice_batches(counts: list[int], s_max: int) -> list[list[int]]:
     return batches
 
 
-def encode_frozen(volumes: list[Volume], params: ParamGroup, s_max: int) -> list[np.ndarray]:
+def encode_frozen(volumes: list[np.ndarray], params: ParamGroup, s_max: int) -> list[np.ndarray]:
     """Eval-mode slice embeddings of many volumes of one image size: one
     [n, d_model] array per volume, in input order, bit for bit what
     encode_image2d gives on that volume alone; one encode_image2d call per
     slice_batches batch."""
     out: list[np.ndarray] = [None] * len(volumes)
-    for batch in slice_batches([v.n for v in volumes], s_max):
-        emb = encode_image2d(np.stack([volumes[i].voxels.data for i in batch]), params)
+    for batch in slice_batches([len(v) for v in volumes], s_max):
+        emb = encode_image2d(np.stack([volumes[i] for i in batch]), params)
         for i, rows in zip(batch, emb.data):
             out[i] = rows
     return out

@@ -78,7 +78,7 @@ def extract_embeddings(ckpt: tr.Checkpoint, entries, data_root, pool_mode: str,
                        encoded: dict | None = None) -> EmbeddingTable:
     """One embedding per manifest entry, in manifest order, eval mode throughout.
 
-    Volumes are loaded by dp.load_preprocessed, slices are encoded by
+    Samples are loaded by dp.load_preprocessed, slices are encoded by
     enc.encode_frozen and pooled one slice_batches batch per pool call; each
     row has the bits of encode_image2d and pool on its volume alone.
     `volumes` caches preprocessed volumes across calls, keyed by (sample

@@ -331,7 +331,8 @@ def _read_meta(payload: bytes | None, path) -> dict:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint, refusing any section the registry does not expect
-    for the file's own config and any tensor of the wrong shape."""
+    for the file's own config and any tensor of the wrong shape or with a
+    non-finite value."""
     path = Path(path)
     try:
         # mapped rather than read into one file-sized heap block, which a
@@ -351,6 +352,8 @@ def load_checkpoint(path) -> Checkpoint:
         if a.shape != shape:
             raise CheckpointError(f"{path}: section {key} has shape {a.shape}, "
                                   f"expected {shape}")
+        if not np.isfinite(a).all():
+            raise CheckpointError(f"{path}: section {key} has non-finite values")
         return a
 
     groups: dict[str, ParamGroup] = {}
@@ -421,19 +424,19 @@ def _text_vectors(entries, text_params, vocab) -> list[np.ndarray]:
     return out
 
 
-def _load_slices(entries, data_root, cfg, volumes=None) -> list[dp.Volume]:
+def _load_slices(entries, data_root, cfg, volumes=None) -> list[np.ndarray]:
     root = Path(data_root)
     vols = dp.load_preprocessed([root / e.path for e in entries], cfg.image_size, volumes)
     for e, vol in zip(entries, vols):
-        if e.kind == "2d" and vol.n != 1:
-            raise InputError(f"entry {e.id!r} is 2d but its sample has {vol.n} slices")
+        if e.kind == "2d" and len(vol) != 1:
+            raise InputError(f"entry {e.id!r} is 2d but its sample has {len(vol)} slices")
     return vols
 
 
 def _stage1_items(entries, data_root, cfg, text_params) -> list[_Item]:
     vols = _load_slices(entries, data_root, cfg)
     texts = _text_vectors(entries, text_params, cfg.vocab)
-    return [_Item(inputs=v.voxels.data[0], text_vec=t) for v, t in zip(vols, texts)]
+    return [_Item(inputs=v[0], text_vec=t) for v, t in zip(vols, texts)]
 
 
 def _stage2_items(entries, data_root, cfg, text_params, image_params,

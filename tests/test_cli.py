@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from volalign.cli import main
+from volalign import trainer as tr
+from volalign.cli import EXIT_DATA, main
 
 
 def run(argv):
@@ -119,6 +120,16 @@ class TestEvalCommands:
                     "--out", tmp_path / "probe"])
         assert code == 6
         assert "error:evaluation:" in capsys.readouterr().err
+
+    def test_probe_refuses_non_finite_checkpoint(self, trained, tmp_path, capsys):
+        ckpt = tr.load_checkpoint(trained / "run2" / "stage2.ckpt")
+        ckpt.adapter["wo"].value.data[0, 0] = float("nan")
+        tr.save_checkpoint(ckpt, tmp_path / "nan.ckpt")
+        code = run(["probe", "--ckpt", tmp_path / "nan.ckpt", "--data", trained / "data" / "3d",
+                    "--out", tmp_path / "probe"])
+        assert code == EXIT_DATA == 5
+        assert "section param:adapter.wo has non-finite values" in capsys.readouterr().err
+        assert not (tmp_path / "probe").exists()
 
     def test_match(self, trained, tmp_path):
         out = tmp_path / "match"

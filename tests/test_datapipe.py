@@ -4,13 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from volalign import datapipe as dp
-from volalign.datapipe import ManifestEntry, SynthSpec, Volume
-from volalign.diffmath import Tensor, fnv1a64
+from volalign.datapipe import ManifestEntry, SynthSpec
+from volalign.diffmath import fnv1a64
 from volalign.errors import ConfigurationError, FormatError, InputError, LoadError
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+FINITE_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 
 
 def make_entry(**kw):
@@ -27,7 +32,7 @@ class TestManifest:
         assert dp.load_manifest(path) == []
 
     def test_round_trip(self, tmp_path):
-        vol = Volume(Tensor(np.zeros((1, 8, 8))))
+        vol = np.zeros((1, 8, 8))
         (tmp_path / "samples").mkdir()
         dp.save_volume(vol, tmp_path / "samples" / "a.vol")
         dp.save_volume(vol, tmp_path / "samples" / "b.vol")
@@ -37,7 +42,7 @@ class TestManifest:
         assert dp.load_manifest(tmp_path / "manifest.json") == entries
 
     def test_duplicate_id_names_the_id(self, tmp_path):
-        vol = Volume(Tensor(np.zeros((1, 8, 8))))
+        vol = np.zeros((1, 8, 8))
         (tmp_path / "samples").mkdir()
         dp.save_volume(vol, tmp_path / "samples" / "a.vol")
         dp.save_manifest([make_entry(), make_entry()], tmp_path / "manifest.json")
@@ -83,14 +88,14 @@ class TestManifest:
 class TestVol1:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        vol = Volume(Tensor(rng.normal(size=(3, 5, 7)).astype(np.float32).astype(np.float64)))
+        vol = rng.normal(size=(3, 5, 7)).astype(np.float32).astype(np.float64)
         dp.save_volume(vol, tmp_path / "v.vol")
         back = dp.load_volume(tmp_path / "v.vol")
-        assert back.voxels.shape == (3, 5, 7)
-        assert np.array_equal(back.voxels.data, vol.voxels.data)
+        assert back.shape == (3, 5, 7)
+        assert np.array_equal(back, vol)
 
     def test_header_layout(self, tmp_path):
-        vol = Volume(Tensor(np.zeros((2, 3, 4))))
+        vol = np.zeros((2, 3, 4))
         dp.save_volume(vol, tmp_path / "v.vol")
         blob = (tmp_path / "v.vol").read_bytes()
         assert blob[:4] == b"VOL1"
@@ -104,7 +109,7 @@ class TestVol1:
             dp.load_volume(tmp_path / "v.vol")
 
     def test_truncated_payload(self, tmp_path):
-        vol = Volume(Tensor(np.zeros((2, 3, 4))))
+        vol = np.zeros((2, 3, 4))
         dp.save_volume(vol, tmp_path / "v.vol")
         blob = (tmp_path / "v.vol").read_bytes()
         (tmp_path / "t.vol").write_bytes(blob[:-5])
@@ -118,53 +123,76 @@ class TestVol1:
         with pytest.raises(FormatError, match="finite"):
             dp.load_volume(tmp_path / "v.vol")
 
+    @pytest.mark.parametrize("dims", [(0, 2, 2), (1, 0, 2), (1, 2, 0)])
+    def test_empty_dimension_rejected(self, tmp_path, dims):
+        import struct
+        (tmp_path / "v.vol").write_bytes(b"VOL1" + struct.pack("<III", *dims))
+        with pytest.raises(FormatError, match="invalid dimensions"):
+            dp.load_volume(tmp_path / "v.vol")
+
+    @pytest.mark.parametrize("voxels, message", [
+        (np.zeros((2, 2)), "must be"), (np.zeros((1, 1, 2, 2)), "must be"),
+        (np.zeros((0, 2, 2)), "must be"), (np.zeros((1, 2, 0)), "must be"),
+        (np.full((1, 2, 2), 1e39), "not finite"), (np.full((1, 2, 2), -1e39), "not finite"),
+        (np.array([[[0.0, np.nan]]]), "not finite"), (np.array([[[np.inf, 0.0]]]), "not finite"),
+    ])
+    def test_save_refuses_what_load_refuses(self, tmp_path, voxels, message):
+        with pytest.raises(InputError, match=message):
+            dp.save_volume(voxels, tmp_path / "v.vol")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_float32_round_trips(self, tmp_path):
+        vox = np.full((1, 2, 2), F32_MAX) * np.array([1.0, -1.0])
+        dp.save_volume(vox, tmp_path / "v.vol")
+        assert np.array_equal(dp.load_volume(tmp_path / "v.vol"), vox)
+
 
 class TestResize:
     def test_identity_exact(self):
         rng = np.random.default_rng(1)
         img = rng.normal(size=(9, 13))
-        out = dp.resize_bilinear(Tensor(img), 9, 13)
-        assert np.abs(out.data - img).max() < 1e-12
+        out = dp.resize_bilinear(img, 9, 13)
+        assert np.abs(out - img).max() < 1e-12
 
     def test_constant_image(self):
-        out = dp.resize_bilinear(Tensor(np.full((5, 5), 3.25)), 11, 7)
-        assert np.allclose(out.data, 3.25, atol=1e-12)
+        out = dp.resize_bilinear(np.full((5, 5), 3.25), 11, 7)
+        assert np.allclose(out, 3.25, atol=1e-12)
 
     def test_two_by_two_down_to_one(self):
-        out = dp.resize_bilinear(Tensor([[0.0, 0.0], [2.0, 2.0]]), 1, 1)
-        assert out.data.shape == (1, 1)
-        assert abs(out.data[0, 0] - 1.0) < 1e-15
+        out = dp.resize_bilinear(np.array([[0.0, 0.0], [2.0, 2.0]]), 1, 1)
+        assert out.shape == (1, 1)
+        assert abs(out[0, 0] - 1.0) < 1e-15
 
     def test_zero_target_rejected(self):
         with pytest.raises(InputError):
-            dp.resize_bilinear(Tensor(np.zeros((4, 4))), 0, 4)
+            dp.resize_bilinear(np.zeros((4, 4)), 0, 4)
 
 
 class TestZscore:
     def test_two_values(self):
-        out = dp.zscore(Tensor([[0.0, 2.0]]))
-        assert np.allclose(out.data, [[-1.0, 1.0]], atol=1e-15)
+        out = dp.zscore(np.array([[0.0, 2.0]]))
+        assert np.allclose(out, [[-1.0, 1.0]], atol=1e-15)
 
     def test_constant_image_maps_to_zeros(self):
-        out = dp.zscore(Tensor(np.full((4, 4), 9.0)))
-        assert np.array_equal(out.data, np.zeros((4, 4)))
+        out = dp.zscore(np.full((4, 4), 9.0))
+        assert np.array_equal(out, np.zeros((4, 4)))
 
     def test_moments_on_random_input(self):
         rng = np.random.default_rng(2)
-        out = dp.zscore(Tensor(rng.normal(3.0, 7.0, size=(32, 32)))).data
+        out = dp.zscore(rng.normal(3.0, 7.0, size=(32, 32)))
         assert abs(out.mean()) < 1e-10
         assert abs(out.std() - 1.0) < 1e-10
 
     def test_preprocess_order_resize_then_zscore(self):
         rng = np.random.default_rng(3)
-        vol = Volume(Tensor(rng.normal(size=(2, 8, 8))))
+        vol = rng.normal(size=(2, 8, 8))
         pre = dp.preprocess_volume(vol, 4, 4)
         for i in range(2):
-            sl = pre.voxels.data[i]
+            sl = pre[i]
             assert abs(sl.mean()) < 1e-10
             assert abs(sl.std() - 1.0) < 1e-10
-            manual = dp.zscore(dp.resize_bilinear(Tensor(vol.voxels.data[i]), 4, 4))
-            assert np.array_equal(sl, manual.data)
+            manual = dp.zscore(dp.resize_bilinear(vol[i], 4, 4))
+            assert np.array_equal(sl, manual)
 
 
 class TestVolumePreprocessing:
@@ -181,39 +209,61 @@ class TestVolumePreprocessing:
         vox = np.random.default_rng(seed).normal(loc, scale, size=(n, h, w))
         if constant is not None:
             vox[constant] = loc + scale
-        pre = dp.preprocess_volume(Volume(Tensor(vox)), out_h, out_w).voxels.data
-        manual = np.stack([dp.zscore(dp.resize_bilinear(Tensor(vox[i]), out_h, out_w)).data
+        pre = dp.preprocess_volume(vox, out_h, out_w)
+        manual = np.stack([dp.zscore(dp.resize_bilinear(vox[i], out_h, out_w))
                            for i in range(n)])
         assert pre.shape == (n, out_h, out_w)
         assert pre.tobytes() == manual.tobytes()
 
     def test_leading_axes_are_batch_axes(self):
         imgs = np.random.default_rng(4).normal(size=(2, 3, 7, 5))
-        resized = dp.resize_bilinear(Tensor(imgs), 4, 9).data
-        normed = dp.zscore(Tensor(imgs)).data
+        resized = dp.resize_bilinear(imgs, 4, 9)
+        normed = dp.zscore(imgs)
         assert resized.shape == (2, 3, 4, 9) and normed.shape == imgs.shape
         for i in range(2):
             for j in range(3):
-                one = Tensor(imgs[i, j])
-                assert resized[i, j].tobytes() == dp.resize_bilinear(one, 4, 9).data.tobytes()
-                assert normed[i, j].tobytes() == dp.zscore(one).data.tobytes()
+                one = imgs[i, j]
+                assert resized[i, j].tobytes() == dp.resize_bilinear(one, 4, 9).tobytes()
+                assert normed[i, j].tobytes() == dp.zscore(one).tobytes()
 
     def test_constant_slice_maps_to_zeros_beside_others(self):
         vox = np.random.default_rng(5).normal(size=(3, 6, 6))
         vox[1] = 7.0
-        pre = dp.preprocess_volume(Volume(Tensor(vox)), 4, 4).voxels.data
+        pre = dp.preprocess_volume(vox, 4, 4)
         assert np.array_equal(pre[1], np.zeros((4, 4)))
         assert abs(pre[0].std() - 1.0) < 1e-10
 
     @pytest.mark.parametrize("fn", [lambda a: dp.resize_bilinear(a, 2, 2), dp.zscore])
     def test_fewer_than_two_dimensions_rejected(self, fn):
-        for bad in (Tensor(np.zeros(4)), Tensor(np.float64(1.0))):
+        for bad in (np.zeros(4), np.float64(1.0)):
             with pytest.raises(InputError, match=r"\[\.\.\., H, W\]"):
                 fn(bad)
 
     def test_bad_target_size_rejected_for_volumes(self):
         with pytest.raises(InputError, match="target size"):
-            dp.preprocess_volume(Volume(Tensor(np.zeros((3, 4, 4)))), 4, 0)
+            dp.preprocess_volume(np.zeros((3, 4, 4)), 4, 0)
+
+
+class TestPreprocessingStaysFinite:
+    """Finite float32 voxels, all that load_volume lets through, give finite
+    resize and z-score outputs, so nothing after load_volume needs to check."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(vox=np.tile([[F32_MAX, -F32_MAX], [-F32_MAX, F32_MAX]], (1, 3, 2)),
+             constant=None, out_h=13, out_w=2)
+    @example(vox=np.full((2, 5, 3), -F32_MAX), constant=F32_MAX, out_h=1, out_w=9)
+    @given(vox=arrays(np.float32, array_shapes(min_dims=3, max_dims=3, max_side=12),
+                      elements=FINITE_F32),
+           constant=st.none() | FINITE_F32 | st.sampled_from([F32_MAX, -F32_MAX]),
+           out_h=st.integers(1, 24), out_w=st.integers(1, 24))
+    def test_finite_float32_voxels_stay_finite(self, vox, constant, out_h, out_w):
+        vox = vox.astype(np.float64)
+        if constant is not None:
+            vox[0] = constant
+        resized = dp.resize_bilinear(vox, out_h, out_w)
+        assert np.isfinite(resized).all()
+        assert np.isfinite(dp.zscore(vox)).all()
+        assert np.isfinite(dp.zscore(resized)).all()
 
 
 def reference_resize(a, out_h, out_w):
@@ -255,24 +305,23 @@ class TestPreprocessingReference:
         a = np.random.default_rng(seed).normal(loc, scale, size=(*lead, h, w))
         if constant:
             a.reshape(-1, h, w)[0] = loc + scale
-        assert dp.zscore(Tensor(a)).data.tobytes() == reference_zscore(a).tobytes()
-        out = dp.resize_bilinear(Tensor(a), out_h, out_w).data
+        assert dp.zscore(a).tobytes() == reference_zscore(a).tobytes()
+        out = dp.resize_bilinear(a, out_h, out_w)
         assert out.tobytes() == reference_resize(a, out_h, out_w).tobytes()
 
     @pytest.mark.parametrize("shape", [(97, 97), (224, 224), (3, 97, 97), (2, 224, 224)])
     def test_large_images_equal_reference(self, shape):
         a = np.random.default_rng(6).normal(1.5, 4.0, size=shape)
-        assert dp.zscore(Tensor(a)).data.tobytes() == reference_zscore(a).tobytes()
+        assert dp.zscore(a).tobytes() == reference_zscore(a).tobytes()
         for out_h, out_w in ((16, 16), (224, 224), (97, 50)):
-            out = dp.resize_bilinear(Tensor(a), out_h, out_w).data
+            out = dp.resize_bilinear(a, out_h, out_w)
             assert out.tobytes() == reference_resize(a, out_h, out_w).tobytes()
 
     def test_zscore_ignores_memory_layout(self):
-        # raw arrays keep their layout; a Tensor would make them C-contiguous
         img = np.random.default_rng(7).normal(250.0, 2.0, size=(97, 97))
         for view in (img.T, np.asfortranarray(img), img[::-1, ::2]):
             copy = np.ascontiguousarray(view)
-            assert dp.zscore(view).data.tobytes() == dp.zscore(copy).data.tobytes()
+            assert dp.zscore(view).tobytes() == dp.zscore(copy).tobytes()
 
     def test_alternating_sizes_past_the_cache_bound(self):
         rng = np.random.default_rng(8)
@@ -281,11 +330,11 @@ class TestPreprocessingReference:
             for h, w in sizes:
                 a = rng.normal(size=(2, h, w))
                 for out in ((16, 16), (h + 1, 3)):
-                    got = dp.resize_bilinear(Tensor(a), *out).data
+                    got = dp.resize_bilinear(a, *out)
                     assert got.tobytes() == reference_resize(a, *out).tobytes()
 
     def test_cached_plan_is_read_only(self):
-        dp.resize_bilinear(Tensor(np.zeros((6, 10))), 4, 4)
+        dp.resize_bilinear(np.zeros((6, 10)), 4, 4)
         plan = dp._resize_plan(6, 10, 4, 4)
         assert len(plan) == 8
         for arr in plan:
@@ -299,17 +348,17 @@ def write_samples(root, samples) -> list:
     paths = []
     for i, vox in enumerate(samples):
         paths.append(root / f"s{i}.vol")
-        dp.save_volume(Volume(Tensor(vox)), paths[-1])
+        dp.save_volume(vox, paths[-1])
     return paths
 
 
 def assert_as_loaded_alone(paths, vols, size):
     assert len(vols) == len(paths)
     for path, vol in zip(paths, vols):
-        alone = dp.preprocess_volume(dp.load_volume(path), size, size).voxels.data
-        assert vol.voxels.shape == alone.shape
-        assert vol.voxels.data.flags.c_contiguous
-        assert vol.voxels.data.tobytes() == alone.tobytes()
+        alone = dp.preprocess_volume(dp.load_volume(path), size, size)
+        assert vol.shape == alone.shape
+        assert vol.flags.c_contiguous
+        assert vol.tobytes() == alone.tobytes()
 
 
 class TestLoadPreprocessed:
@@ -354,15 +403,15 @@ class TestLoadPreprocessed:
 
         def counting_load(path):
             vol = load(path)
-            hw = vol.voxels.shape[1:]
-            pending[hw] = pending.get(hw, 0) + vol.n
-            assert pending[hw] < dp.SLICE_BATCH + vol.n  # fewer than a batch before it
+            hw = vol.shape[1:]
+            pending[hw] = pending.get(hw, 0) + len(vol)
+            assert pending[hw] < dp.SLICE_BATCH + len(vol)  # fewer than a batch before it
             return vol
 
         def counting_preprocess(volume, *args, **kwargs):
-            hw = volume.voxels.shape[1:]
-            pending[hw] -= volume.n
-            batches.append(volume.n)
+            hw = volume.shape[1:]
+            pending[hw] -= len(volume)
+            batches.append(len(volume))
             return preprocess(volume, *args, **kwargs)
 
         monkeypatch.setattr(dp, "load_volume", counting_load)
@@ -457,8 +506,8 @@ class TestSynth:
         for e in entries:
             if e.label not in by_class:
                 by_class[e.label] = dp.load_volume(tmp_path / e.path)
-        v0 = by_class[0].voxels.data
-        v1 = by_class[1].voxels.data
+        v0 = by_class[0]
+        v1 = by_class[1]
         # same multiset of slices, different order
         key = lambda v: sorted(v.reshape(v.shape[0], -1).tolist())
         assert key(v0) == key(v1)
@@ -469,9 +518,9 @@ class TestSynth:
                          height=8, width=8)
         entries = dp.synth_dataset(spec, seed=3, out_dir=tmp_path)
         vols = {e.id: dp.load_volume(tmp_path / e.path) for e in entries if e.label == 0}
-        first = next(iter(vols.values())).voxels.data[0]
+        first = next(iter(vols.values()))[0]
         for v in vols.values():
-            assert np.array_equal(v.voxels.data[0], first)
+            assert np.array_equal(v[0], first)
 
     def test_split_counts(self, tmp_path):
         spec = SynthSpec(family="pattern", classes=2, per_class=20, height=8, width=8, kind="2d")
@@ -507,7 +556,7 @@ class TestSynth:
         spec = SynthSpec(family="pattern", classes=4, per_class=12, slices=4,
                          height=16, width=16)
         entries = dp.synth_dataset(spec, seed=11, out_dir=tmp_path)
-        xs = np.stack([dp.load_volume(tmp_path / e.path).voxels.data.ravel() for e in entries])
+        xs = np.stack([dp.load_volume(tmp_path / e.path).ravel() for e in entries])
         ys = np.array([e.label for e in entries])
         # multinomial logistic regression, full batch
         x1 = np.hstack([xs, np.ones((len(xs), 1))])

@@ -5,8 +5,7 @@ from volalign import diffmath as dm
 from volalign import encoders as enc
 from volalign import trainer as tr
 from volalign.config import TrainConfig
-from volalign.datapipe import Volume
-from volalign.diffmath import Param, Tensor
+from volalign.diffmath import Param
 from volalign.errors import InputError
 
 SMALL = TrainConfig(d_model=6, d_hidden=8, d_text=8, vocab=64, patch_size=4,
@@ -94,13 +93,10 @@ class TestImageEncoder:
 
 
 class TestEncodeSlices:
-    def vol(self, arr):
-        return Volume(Tensor(arr))
-
     def test_identical_slices_identical_rows(self):
         p = tr.init_group(SMALL, "image", seed=4)
         sl = dm.make_rng(3, "sl").normal(size=(8, 8))
-        stack = enc.encode_image2d(self.vol(np.stack([sl] * 3)).voxels.data, p)
+        stack = enc.encode_image2d(np.stack([sl] * 3), p)
         assert stack.shape == (3, 6)
         assert np.array_equal(stack.data[0], stack.data[1])
         assert np.array_equal(stack.data[0], stack.data[2])
@@ -108,7 +104,7 @@ class TestEncodeSlices:
     def test_single_slice_matches_encode_image2d(self):
         p = tr.init_group(SMALL, "image", seed=4)
         sl = dm.make_rng(4, "sl").normal(size=(8, 8))
-        stack = enc.encode_image2d(self.vol(sl[None]).voxels.data, p)
+        stack = enc.encode_image2d(sl[None], p)
         direct = enc.encode_image2d(sl, p)
         assert stack.shape == (1, 6)
         assert np.array_equal(stack.data[0], direct.data)
@@ -117,22 +113,23 @@ class TestEncodeSlices:
         p = tr.init_group(SMALL, "image", seed=4)
         r = dm.make_rng(5, "sl")
         vox = r.normal(size=(4, 8, 8))
-        fwd = enc.encode_image2d(self.vol(vox).voxels.data, p)
-        rev = enc.encode_image2d(self.vol(vox[::-1].copy()).voxels.data, p)
+        fwd = enc.encode_image2d(vox, p)
+        rev = enc.encode_image2d(vox[::-1].copy(), p)
         assert np.array_equal(rev.data, fwd.data[::-1])
 
     def test_capacity(self):
         p = tr.init_group(SMALL, "image", seed=4)
         vox = np.zeros((9, 8, 8))
         with pytest.raises(InputError):
-            enc.encode_frozen([self.vol(vox)], p, s_max=8)
+            enc.encode_frozen([vox], p, s_max=8)
 
     def test_frozen_capacity(self):
         p = tr.init_group(SMALL, "image", seed=4)
-        vols = [self.vol(np.zeros((n, 8, 8))) for n in (8, 9)]
+        vols = [np.zeros((n, 8, 8)) for n in (8, 9)]
         with pytest.raises(InputError, match="slice count 9"):
             enc.encode_frozen(vols, p, s_max=8)
 
-    def test_volume_rejects_empty(self):
-        with pytest.raises(InputError):
-            Volume(Tensor(np.zeros((0, 8, 8))))
+    def test_frozen_refuses_empty_volume(self):
+        p = tr.init_group(SMALL, "image", seed=4)
+        with pytest.raises(InputError, match="slice count 0"):
+            enc.encode_frozen([np.zeros((0, 8, 8))], p, s_max=8)

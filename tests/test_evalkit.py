@@ -15,7 +15,7 @@ from volalign import slice_pool as sp
 from volalign import trainer as tr
 from volalign.config import TrainConfig
 from volalign.datapipe import Caption
-from volalign.diffmath import Tensor, make_rng
+from volalign.diffmath import make_rng
 from volalign.errors import (AmbiguityError, CompatibilityError, DependencyError,
                              EvaluationError, InputError, StratificationError)
 
@@ -124,7 +124,7 @@ class TestExtract:
             (root / "samples").mkdir()
             entries = []
             for i, n in enumerate(counts):
-                dp.save_volume(dp.Volume(Tensor(rng.normal(size=(n, 12, 12)))),
+                dp.save_volume(rng.normal(size=(n, 12, 12)),
                                root / "samples" / f"{i}.vol")
                 entries.append(dp.ManifestEntry(id=f"v{i}", path=f"samples/{i}.vol", kind="3d",
                                                 body_region="Brain", modality="MRI",
@@ -134,7 +134,7 @@ class TestExtract:
                 assert [r.id for r in table.rows] == [e.id for e in entries]
                 for e, row in zip(entries, table.rows):
                     vol = dp.preprocess_volume(dp.load_volume(root / e.path), 8, 8)
-                    stack = enc.encode_image2d(vol.voxels.data, ckpt.image)
+                    stack = enc.encode_image2d(vol, ckpt.image)
                     assert row.vec.tobytes() == sp.pool(stack, mode, ckpt.adapter).data.tobytes()
 
 
@@ -464,7 +464,7 @@ class TestAblationPreprocessesOnce:
         counts = self.count_encoded_slices(monkeypatch)
         ek.run_ablation(data, cfg, workdir=workdir)
         test3d = [e for e in data.entries3d if e.split == "test"]
-        slices = sum(dp.load_volume(data.root3d / e.path).n for e in test3d)
+        slices = sum(len(dp.load_volume(data.root3d / e.path)) for e in test3d)
         assert sum(counts) == 2 * slices
         assert max(counts) <= dp.SLICE_BATCH
 
@@ -489,7 +489,7 @@ class TestAblationPreprocessesOnce:
         monkeypatch.undo()
 
         test3d = [e for e in data.entries3d if e.split == "test"]
-        slices = sum(dp.load_volume(data.root3d / e.path).n for e in test3d)
+        slices = sum(len(dp.load_volume(data.root3d / e.path)) for e in test3d)
         assert sum(counts) == 3 * slices
         uncached = ek.extract_embeddings(vanilla, test3d, data.root3d, "attention")
         assert tables[1].matrix().tobytes() == uncached.matrix().tobytes()
@@ -502,7 +502,7 @@ class TestAblationPreprocessesOnce:
             ek.extract_embeddings(ckpt, entries[:2], root, "gap", volumes=volumes)
         assert sorted(volumes) == sorted((root / e.path, size)
                                          for e in entries[:2] for size in (8, 4))
-        assert {v.voxels.shape[-1] for (_, size), v in volumes.items() if size == 4} == {4}
+        assert {v.shape[-1] for (_, size), v in volumes.items() if size == 4} == {4}
 
     @pytest.mark.parametrize("mismatched", ["stage2_vanilla.ckpt", "stage2_finetuned.ckpt"])
     def test_cached_stage2_geometry_is_checked(self, tmp_path, mismatched):

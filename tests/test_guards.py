@@ -23,7 +23,6 @@ from volalign import evalkit as ek
 from volalign import trainer as tr
 from volalign.cli import EXIT_DATA, EXIT_NONFINITE, main
 from volalign.config import TrainConfig
-from volalign.diffmath import Tensor
 from volalign.errors import (CheckpointError, ConfigurationError, FormatError, InputError,
                              LoadError, NonFiniteError, VolalignError)
 
@@ -74,8 +73,8 @@ def test_any_bytes_load_as_volume_or_typed_error(blob):
             vol = dp.load_volume(path)
         except VolalignError:
             return
-    assert vol.voxels.shape == struct.unpack_from("<III", blob, 4)
-    assert np.isfinite(vol.voxels.data).all()
+    assert vol.shape == struct.unpack_from("<III", blob, 4)
+    assert np.isfinite(vol).all()
 
 
 JSON_VALUES = st.recursive(
@@ -120,7 +119,7 @@ MANIFEST_RECORDS = st.builds(
 def sample_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     (root / "samples").mkdir()
-    dp.save_volume(dp.Volume(dm.Tensor(np.zeros((1, 8, 8)))), root / "samples" / "a.vol")
+    dp.save_volume(np.zeros((1, 8, 8)), root / "samples" / "a.vol")
     return root
 
 
@@ -335,7 +334,7 @@ class TestBadSampleInSplit:
     def test_2d_entry_with_two_slices_is_input_error(self, copy2d):
         root, entries = copy2d
         bad = [e for e in entries if e.split == "train"][5]
-        dp.save_volume(dp.Volume(Tensor(np.ones((2, 8, 8)))), root / bad.path)
+        dp.save_volume(np.ones((2, 8, 8)), root / bad.path)
         with pytest.raises(InputError, match=f"entry '{bad.id}' is 2d but its sample has 2"):
             train(small_cfg(), (root, entries))
 

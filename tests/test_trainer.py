@@ -15,7 +15,6 @@ from volalign import encoders as enc
 from volalign import evalkit as ek
 from volalign import trainer as tr
 from volalign.config import TrainConfig
-from volalign.diffmath import Tensor
 from volalign.errors import (CheckpointError, CompatibilityError,
                              ConfigurationError, InputError)
 
@@ -206,6 +205,25 @@ class TestCheckpointIO:
             with pytest.raises(CheckpointError, match="cannot read checkpoint"):
                 tr.load_checkpoint(tmp_path / name)
 
+    @pytest.mark.parametrize("section, value", [
+        ("param:adapter.wo", np.nan), ("param:text.embed_table", np.inf),
+        ("adam.m:image.patch_proj", -np.inf), ("adam.v:image.patch_proj", np.nan),
+    ])
+    def test_non_finite_tensor_rejected(self, tmp_path, section, value):
+        ckpt = tr.make_initial_checkpoint(small_cfg())
+        shape = ckpt.image["patch_proj"].value.shape
+        ckpt.optimizer = tr.OptimizerState(1, {"image.patch_proj": (np.zeros(shape),
+                                                                    np.zeros(shape))})
+        kind, name = section.split(":")
+        if kind == "param":
+            group, short = name.split(".")
+            ckpt.groups()[group][short].value.data.flat[3] = value
+        else:
+            ckpt.optimizer.moments[name][kind == "adam.v"].flat[3] = value
+        tr.save_checkpoint(ckpt, tmp_path / "c.ckpt")
+        with pytest.raises(CheckpointError, match=rf"section {section} has non-finite values"):
+            tr.load_checkpoint(tmp_path / "c.ckpt")
+
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "m.ckpt").write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(CheckpointError, match="magic"):
@@ -331,8 +349,8 @@ class TestCrashSafeWrites:
             return (["manifest.json"], dp.save_manifest, [entry],
                     [entry, dataclasses.replace(entry, id="b", label=1)])
         if kind == "volume":
-            return (["a.vol"], dp.save_volume, dp.Volume(Tensor(np.zeros((1, 2, 2)))),
-                    dp.Volume(Tensor(np.ones((2, 3, 3)))))
+            return (["a.vol"], dp.save_volume, np.zeros((1, 2, 2)),
+                    np.ones((2, 3, 3)))
         if kind == "captions":
             record = {"label": 0, "body_region": "Chest", "modality": "CT",
                       "condition": None, "text": "Chest CT"}
@@ -461,7 +479,7 @@ class TestStage2(object):
         for e, item in zip(entries, items):
             vol = dp.preprocess_volume(dp.load_volume(root / e.path), cfg.image_size,
                                        cfg.image_size)
-            stack = enc.encode_image2d(vol.voxels.data, stage1.image)
+            stack = enc.encode_image2d(vol, stage1.image)
             assert item.inputs.tobytes() == stack.data.tobytes()
 
     def test_geometry_mismatch(self, corpus3d, stage1):
