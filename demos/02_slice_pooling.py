@@ -28,22 +28,22 @@ def main():
     print("\n== attention with a zeroed position table is equivariant too ==")
     adapter = tr.init_group(CFG, "adapter", seed=1)
     adapter["pe_table"].value.data[...] = 0.0
-    a1 = sp.attention_pool(Tensor(mat), adapter).data
-    a2 = sp.attention_pool(Tensor(mat[perm]), adapter).data
+    a1 = sp.attention_pool(Tensor(mat), adapter, CFG.heads).data
+    a2 = sp.attention_pool(Tensor(mat[perm]), adapter, CFG.heads).data
     print(f"max |difference| = {np.abs(a1 - a2).max():.2e}  (pure self-attention"
           " cannot see order)")
 
     print("\n== the random position table injects order information ==")
     adapter = tr.init_group(CFG, "adapter", seed=1)
-    a1 = sp.attention_pool(Tensor(mat), adapter).data
-    a2 = sp.attention_pool(Tensor(mat[perm]), adapter).data
+    a1 = sp.attention_pool(Tensor(mat), adapter, CFG.heads).data
+    a2 = sp.attention_pool(Tensor(mat[perm]), adapter, CFG.heads).data
     print(f"max |difference| = {np.abs(a1 - a2).max():.2e}  (already at"
           " initialization, and it grows with training)")
 
     print("\n== attention weights are a proper distribution per head ==")
     z = mat + adapter["pe_table"].value.data
-    q = z @ adapter["h0.wq"].value.data
-    k = z @ adapter["h0.wk"].value.data
+    q = z @ adapter["wq"].value.data[:, :CFG.d_head]  # head 0
+    k = z @ adapter["wk"].value.data[:, :CFG.d_head]
     scores = q @ k.T / np.sqrt(CFG.d_head)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     attn = e / e.sum(axis=1, keepdims=True)

@@ -17,7 +17,7 @@ from .evalkit import (AblationData, AblationReport, EmbeddingRow, EmbeddingTable
                       MatchReport, ProbeReport, export_embeddings_csv,
                       extract_embeddings, linear_probe_cv, read_embeddings_csv,
                       run_ablation, top1_match)
-from .slice_pool import adapter_shapes, attention_pool, gap_pool, pool
+from .slice_pool import adapter_shapes, attention_pool, gap_pool
 from .trainer import (GROUPS, Adam, Checkpoint, OptimizerState, cosine_lr, init_group,
                       load_checkpoint, make_initial_checkpoint, save_checkpoint,
                       train_stage1, train_stage2)

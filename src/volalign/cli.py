@@ -9,6 +9,7 @@ line "error:<category>: <message>" and exit with a category-specific code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -63,10 +64,8 @@ def _write_report(out_dir: Path, stem: str, report) -> None:
 
 
 def _config_overrides(args) -> dict:
-    keys = ("seed", "epochs", "batch_size", "lr0", "lr_min", "weight_decay",
-            "dropout_rate", "tau", "heads", "d_model", "d_hidden", "patch_size",
-            "image_size", "s_max", "patience")
-    return {k: getattr(args, k, None) for k in keys}
+    """The config flags given on the command line; a field without a flag is None."""
+    return {f.name: getattr(args, f.name, None) for f in dataclasses.fields(TrainConfig)}
 
 
 def _load_config(args) -> TrainConfig:
@@ -105,7 +104,7 @@ def _split_entries(entries, split: str):
 
 
 def _pool_mode(flag: str) -> str:
-    return {"gap": "gap", "attn": "attention", "attention": "attention"}[flag]
+    return {"gap": "gap", "attn": "attention"}[flag]
 
 
 # ---------------------------------------------------------------------------

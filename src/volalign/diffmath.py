@@ -42,7 +42,7 @@ __all__ = [
     "mean_all",
     "take_rows",
     "take_diag",
-    "concat_cols",
+    "concat_rows",
     "dropout",
     "zero_grads",
     "grad_check",
@@ -419,22 +419,21 @@ def take_diag(x, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def concat_cols(parts: Sequence, tape: Tape | None = None, axis: int = 1) -> Tensor:
-    """Concatenate matrices along columns (axis 1), or along rows with axis=0."""
+def concat_rows(parts: Sequence, tape: Tape | None = None) -> Tensor:
+    """Concatenate matrices of equal width along rows."""
     vals = [_val(p) for p in parts]
     if not vals:
-        raise InputError("concat_cols: no inputs")
-    other = 1 - axis
+        raise InputError("concat_rows: no inputs")
     for v in vals:
-        if v.ndim != 2 or v.shape[other] != vals[0].shape[other]:
-            raise DimensionError(f"concat_cols: shapes do not line up along axis {axis}: "
+        if v.ndim != 2 or v.shape[1] != vals[0].shape[1]:
+            raise DimensionError(f"concat_rows: widths do not line up: "
                                  f"{[v.shape for v in vals]}")
-    out = Tensor(np.concatenate(vals, axis=axis))
+    out = Tensor(np.concatenate(vals))
     if tape is not None:
-        bounds = np.cumsum([v.shape[axis] for v in vals])[:-1]
+        bounds = np.cumsum([v.shape[0] for v in vals])[:-1]
         def bwd(g, accum, parts=tuple(parts), bounds=bounds):
-            for p, piece in zip(parts, np.split(g, bounds, axis=axis)):
-                accum(p, np.ascontiguousarray(piece))
+            for p, piece in zip(parts, np.split(g, bounds)):
+                accum(p, piece)
         tape.record(out, tuple(parts), bwd)
     return out
 

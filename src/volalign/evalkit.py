@@ -80,7 +80,7 @@ def extract_embeddings(ckpt: tr.Checkpoint, entries, data_root, pool_mode: str,
 
     Samples are loaded by dp.load_preprocessed, slices are encoded by
     enc.encode_frozen and pooled one slice_batches batch per pool call; each
-    row has the bits of encode_image2d and pool on its volume alone.
+    row has the bits of encode_image2d and its pool function on its volume alone.
     `volumes` caches preprocessed volumes across calls, keyed by (sample
     path, image size); `encoded` caches slice embeddings, keyed by (sample
     path, image size, sha256 of the image group). A miss computes and stores.
@@ -102,7 +102,9 @@ def extract_embeddings(ckpt: tr.Checkpoint, entries, data_root, pool_mode: str,
     vecs = [None] * len(mats)
     for batch in enc.slice_batches([m.shape[0] for m in mats], ckpt.config.s_max):
         stack = Tensor(np.stack([mats[i] for i in batch]))
-        for i, vec in zip(batch, sp.pool(stack, pool_mode, ckpt.adapter).data):
+        pooled = (sp.gap_pool(stack) if pool_mode == "gap"
+                  else sp.attention_pool(stack, ckpt.adapter, ckpt.config.heads))
+        for i, vec in zip(batch, pooled.data):
             vecs[i] = vec
     return EmbeddingTable([EmbeddingRow(id=e.id, label=e.label, vec=v)
                            for e, v in zip(entries, vecs)])

@@ -16,6 +16,7 @@ import math
 import mmap
 import struct
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .diffmath import Param, ParamGroup, Tape, Tensor
 from .errors import (CheckpointError, CompatibilityError, ConfigurationError,
                      InputError, NonFiniteError)
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _MAGIC = b"RCKP"
 
 ADAM_BETA1 = 0.9
@@ -84,8 +85,8 @@ class Adam:
             self.moments = {p.name: (np.zeros_like(p.value.data), np.zeros_like(p.value.data))
                             for p in self.params}
         else:
-            self.step_count = state.step
-            self.moments = {k: (m.copy(), v.copy()) for k, (m, v) in state.moments.items()}
+            state = state.copy()
+            self.step_count, self.moments = state.step, state.moments
             for p in self.params:
                 if p.name not in self.moments:
                     raise CheckpointError(f"optimizer state missing moments for {p.name}")
@@ -108,29 +109,29 @@ class Adam:
             p.value.data -= lr * update
 
     def state(self) -> OptimizerState:
-        return OptimizerState(self.step_count,
-                              {k: (m.copy(), v.copy()) for k, (m, v) in self.moments.items()})
+        return OptimizerState(self.step_count, self.moments).copy()
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 
 
-# The parameter registry: group -> (its shape table, trainable at init). This
-# order, then each table's order, is the init draw order and the order of the
-# param: sections in a checkpoint file.
-GROUPS = {"text": (enc.text_shapes, False),
-          "image": (enc.image_shapes, True),
-          "adapter": (sp.adapter_shapes, True)}
+# The parameter registry: group -> (its shape table, trainable at init, its
+# init draw, or None for one draw per table in table order). This order, then
+# each table's order, is the order of the param: sections in a checkpoint file.
+GROUPS = {"text": (enc.text_shapes, False, None),
+          "image": (enc.image_shapes, True, None),
+          "adapter": (sp.adapter_shapes, True, sp.draw_adapter)}
 
 
 def init_group(cfg: TrainConfig, group: str, seed: int) -> ParamGroup:
-    """Draw every tensor of one group from N(0, INIT_STD^2), in table order."""
-    shapes, trainable = GROUPS[group]
-    rng = dm.make_rng(seed, f"init:{group}")
-    return {name: Param(rng.normal(0.0, INIT_STD, size=shape), trainable=trainable,
-                        name=f"{group}.{name}")
-            for name, shape in shapes(cfg).items()}
+    """Draw every tensor of one group from N(0, INIT_STD^2)."""
+    shapes, trainable, draw_group = GROUPS[group]
+    draw = partial(dm.make_rng(seed, f"init:{group}").normal, 0.0, INIT_STD)
+    values = (draw_group(cfg, draw) if draw_group
+              else {name: draw(shape) for name, shape in shapes(cfg).items()})
+    return {name: Param(value, trainable=trainable, name=f"{group}.{name}")
+            for name, value in values.items()}
 
 
 @dataclass
@@ -357,7 +358,7 @@ def load_checkpoint(path) -> Checkpoint:
         return a
 
     groups: dict[str, ParamGroup] = {}
-    for group, (shapes, trainable) in GROUPS.items():
+    for group, (shapes, trainable, _) in GROUPS.items():
         groups[group] = {}
         for name, shape in shapes(cfg).items():
             full = f"{group}.{name}"
@@ -457,8 +458,8 @@ def _forward(stage: int, inputs: np.ndarray, ckpt: Checkpoint, cfg: TrainConfig,
     [B, n, d_model] (stage 2) -> [B, d_model]."""
     if stage == 1:
         return enc.encode_image2d(inputs, ckpt.image, train_mode, cfg.dropout_rate, rng, tape)
-    return sp.attention_pool(Tensor(inputs), ckpt.adapter, train_mode, cfg.dropout_rate,
-                             rng, tape)
+    return sp.attention_pool(Tensor(inputs), ckpt.adapter, cfg.heads, train_mode,
+                             cfg.dropout_rate, rng, tape)
 
 
 def _batch_loss(items: list[_Item], idxs, stage, ckpt, cfg, loss_cfg, train_mode, rng, tape):
@@ -475,7 +476,7 @@ def _batch_loss(items: list[_Item], idxs, stage, ckpt, cfg, loss_cfg, train_mode
     outs = [_forward(stage, np.stack([items[i].inputs for i in group]), ckpt, cfg,
                      train_mode, rng, tape)
             for group in groups.values()]
-    img = outs[0] if len(outs) == 1 else dm.concat_cols(outs, tape, axis=0)
+    img = outs[0] if len(outs) == 1 else dm.concat_rows(outs, tape)
     txt = Tensor(np.stack([items[i].text_vec for i in order]))
     return ct.batch_loss(img, txt, loss_cfg, tape)
 

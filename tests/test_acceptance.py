@@ -139,7 +139,7 @@ def test_criterion_1_gradient_oracle():
         drop = dm.make_rng(99, "acc1:drop")
         stack = enc.encode_image2d(voxels, image, train_mode=True,
                                    dropout_rate=cfg.dropout_rate, rng=drop, tape=tape)
-        img = sp.attention_pool(stack, adapter, train_mode=True,
+        img = sp.attention_pool(stack, adapter, cfg.heads, train_mode=True,
                                 dropout_rate=cfg.dropout_rate, rng=drop, tape=tape)
         return ct.batch_loss(img, txt, loss_cfg, tape)
 
@@ -246,16 +246,17 @@ def test_criterion_6_permutation_invariances(ord_adapter_tuned):
     cfg = acc_cfg(epochs=1, lr0=1e-3)
     adapter = tr.init_group(cfg, "adapter", seed=62)
     adapter["pe_table"].value.data[...] = 0.0
-    a = sp.attention_pool(Tensor(mat), adapter).data
+    a = sp.attention_pool(Tensor(mat), adapter, cfg.heads).data
     perm = r.permutation(8)
-    b = sp.attention_pool(Tensor(mat[perm]), adapter).data
+    b = sp.attention_pool(Tensor(mat[perm]), adapter, cfg.heads).data
     assert np.abs(a - b).max() < 1e-9
 
     # trained (nonzero) positional table: order-sensitive beyond 1e-6
     trained = ord_adapter_tuned.adapter
     assert np.abs(trained["pe_table"].value.data).max() > 0.0
-    a = sp.attention_pool(Tensor(mat), trained).data
-    b = sp.attention_pool(Tensor(mat[perm]), trained).data
+    heads = ord_adapter_tuned.config.heads
+    a = sp.attention_pool(Tensor(mat), trained, heads).data
+    b = sp.attention_pool(Tensor(mat[perm]), trained, heads).data
     assert np.abs(a - b).max() > 1e-6
 
 

@@ -1,11 +1,14 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
+from volalign import cli
 from volalign import trainer as tr
 from volalign.cli import EXIT_DATA, main
+from volalign.config import TrainConfig
 
 
 def run(argv):
@@ -173,3 +176,20 @@ class TestParser:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "volalign" in proc.stdout
+
+    def test_every_config_flag_reaches_the_config(self):
+        # one valid value per config flag, each other than its default
+        values = dict(seed=7, epochs=3, batch_size=8, lr0=0.002, lr_min=0.0001,
+                      weight_decay=0.01, dropout_rate=0.25, tau=0.5, heads=2,
+                      d_model=16, d_hidden=24, patch_size=4, image_size=16, s_max=12,
+                      patience=2)
+        p = argparse.ArgumentParser()
+        cli._add_config_flags(p)
+        flags = {a.dest: a.option_strings[0] for a in p._actions
+                 if a.dest not in ("help", "config")}
+        assert flags.keys() == values.keys()
+        args = p.parse_args([str(x) for k, v in values.items() for x in (flags[k], v)])
+        cfg = cli._load_config(args)
+        for k, v in values.items():
+            assert v != getattr(TrainConfig(), k), k
+            assert getattr(cfg, k) == v, k

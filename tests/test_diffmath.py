@@ -255,9 +255,9 @@ class TestPrimitiveGradients:
         self.check(lambda p, t: dm.mean_all(dm.reshape(dm.take_diag(p[0], t), (1, 4), t), t),
                    [(4, 4)], "g_diag")
 
-    def test_concat_cols(self):
-        self.check(lambda p, t: dm.mean_all(dm.concat_cols([p[0], p[1]], t), t),
-                   [(3, 2), (3, 4)], "g_concat")
+    def test_concat_rows(self):
+        self.check(lambda p, t: dm.mean_all(dm.concat_rows([p[0], p[1]], t), t),
+                   [(2, 3), (4, 3)], "g_concat")
 
     def test_dropout_fixed_mask(self):
         def build(p, t):

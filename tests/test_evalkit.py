@@ -135,7 +135,9 @@ class TestExtract:
                 for e, row in zip(entries, table.rows):
                     vol = dp.preprocess_volume(dp.load_volume(root / e.path), 8, 8)
                     stack = enc.encode_image2d(vol, ckpt.image)
-                    assert row.vec.tobytes() == sp.pool(stack, mode, ckpt.adapter).data.tobytes()
+                    alone = (sp.gap_pool(stack) if mode == "gap"
+                             else sp.attention_pool(stack, ckpt.adapter, cfg.heads))
+                    assert row.vec.tobytes() == alone.data.tobytes()
 
 
 class TestLinearProbe:

@@ -14,17 +14,12 @@ CFG = TrainConfig(d_model=8, heads=2, s_max=16, dropout_rate=0.0,
                   d_hidden=8, d_text=8, vocab=32, patch_size=4, image_size=8)
 
 
-def identity_adapter(d_model: int, heads: int, s_max: int = 16) -> dict[str, Param]:
-    """Projections restricted to identity blocks; zero position table; wo = I."""
-    d_head = d_model // heads
-    eye = np.eye(d_model)
-    adapter = {"pe_table": Param(np.zeros((s_max, d_model)))}
-    for h in range(heads):
-        block = eye[:, h * d_head:(h + 1) * d_head].copy()
-        for w in ("wq", "wk", "wv"):
-            adapter[f"h{h}.{w}"] = Param(block.copy())
-    adapter["wo"] = Param(eye.copy())
-    return adapter
+def identity_adapter(d_model: int, s_max: int = 16) -> dict[str, Param]:
+    """Identity projections, so each head sees its own block of columns;
+    zero position table."""
+    adapter = {w: Param(np.eye(d_model)) for w in ("wq", "wk", "wv")}
+    return {"pe_table": Param(np.zeros((s_max, d_model))), **adapter,
+            "wo": Param(np.eye(d_model))}
 
 
 class TestInitAdapter:
@@ -32,7 +27,7 @@ class TestInitAdapter:
         a = tr.init_group(CFG, "adapter", seed=3)
         b = tr.init_group(CFG, "adapter", seed=3)
         assert np.array_equal(a["pe_table"].value.data, b["pe_table"].value.data)
-        assert np.array_equal(a["h1.wk"].value.data, b["h1.wk"].value.data)
+        assert np.array_equal(a["wk"].value.data, b["wk"].value.data)
         assert np.array_equal(a["wo"].value.data, b["wo"].value.data)
 
     def test_different_seeds_differ(self):
@@ -57,15 +52,15 @@ class TestInitAdapter:
 
 class TestAttentionPool:
     def test_single_row_identity_config(self):
-        adapter = identity_adapter(8, 2)
+        adapter = identity_adapter(8)
         row = dm.make_rng(0, "row").normal(size=(1, 8))
-        out = sp.attention_pool(Tensor(row), adapter)
+        out = sp.attention_pool(Tensor(row), adapter, 2)
         assert np.allclose(out.data, row[0], atol=1e-15)
 
     def test_identical_rows_identity_config(self):
-        adapter = identity_adapter(8, 2)
+        adapter = identity_adapter(8)
         row = dm.make_rng(1, "row").normal(size=8)
-        out = sp.attention_pool(Tensor(np.stack([row] * 5)), adapter)
+        out = sp.attention_pool(Tensor(np.stack([row] * 5)), adapter, 2)
         assert np.allclose(out.data, row, atol=1e-12)
 
     def test_permutation_invariant_with_zero_pe(self):
@@ -73,10 +68,10 @@ class TestAttentionPool:
         adapter["pe_table"].value.data[...] = 0.0
         r = dm.make_rng(2, "stack")
         mat = r.normal(size=(8, 8))
-        base = sp.attention_pool(Tensor(mat), adapter).data
+        base = sp.attention_pool(Tensor(mat), adapter, CFG.heads).data
         for _ in range(5):
             perm = r.permutation(8)
-            out = sp.attention_pool(Tensor(mat[perm]), adapter).data
+            out = sp.attention_pool(Tensor(mat[perm]), adapter, CFG.heads).data
             assert np.abs(out - base).max() < 1e-9
 
     def test_order_sensitive_with_random_pe(self):
@@ -86,22 +81,23 @@ class TestAttentionPool:
         r = dm.make_rng(3, "stack")
         mat = r.normal(size=(8, 64))
         perm = np.array([3, 1, 4, 0, 2, 7, 5, 6])
-        a = sp.attention_pool(Tensor(mat), adapter).data
-        b = sp.attention_pool(Tensor(mat[perm]), adapter).data
+        a = sp.attention_pool(Tensor(mat), adapter, cfg.heads).data
+        b = sp.attention_pool(Tensor(mat[perm]), adapter, cfg.heads).data
         assert np.abs(a - b).max() > 1e-6
 
     def test_matches_manual_computation_and_attention_rows_sum_to_one(self):
         adapter = tr.init_group(CFG, "adapter", seed=6)
         r = dm.make_rng(4, "stack")
         mat = r.normal(size=(5, 8))
-        out = sp.attention_pool(Tensor(mat), adapter).data
+        out = sp.attention_pool(Tensor(mat), adapter, CFG.heads).data
 
         z = mat + adapter["pe_table"].value.data[:5]
         outs = []
         for h in range(CFG.heads):
-            q = z @ adapter[f"h{h}.wq"].value.data
-            k = z @ adapter[f"h{h}.wk"].value.data
-            v = z @ adapter[f"h{h}.wv"].value.data
+            cols = slice(h * CFG.d_head, (h + 1) * CFG.d_head)
+            q = z @ adapter["wq"].value.data[:, cols]
+            k = z @ adapter["wk"].value.data[:, cols]
+            v = z @ adapter["wv"].value.data[:, cols]
             s = q @ k.T / math.sqrt(CFG.d_head)
             e = np.exp(s - s.max(axis=1, keepdims=True))
             a = e / e.sum(axis=1, keepdims=True)
@@ -114,12 +110,12 @@ class TestAttentionPool:
         adapter = tr.init_group(CFG, "adapter", seed=5)
         mat = np.zeros((17, 8))
         with pytest.raises(CapacityError, match="17.*16"):
-            sp.attention_pool(Tensor(mat), adapter)
+            sp.attention_pool(Tensor(mat), adapter, CFG.heads)
 
     def test_empty_stack(self):
         adapter = tr.init_group(CFG, "adapter", seed=5)
         with pytest.raises(InputError):
-            sp.attention_pool(Tensor(np.zeros((0, 8))), adapter)
+            sp.attention_pool(Tensor(np.zeros((0, 8))), adapter, CFG.heads)
 
     def test_gradients_pass_check(self):
         adapter = tr.init_group(CFG, "adapter", seed=8)
@@ -127,7 +123,7 @@ class TestAttentionPool:
         probe = Param(dm.make_rng(6, "probe").normal(size=(8, 1)), name="probe")
 
         def f(tape):
-            emb = sp.attention_pool(Tensor(mat), adapter, train_mode=True,
+            emb = sp.attention_pool(Tensor(mat), adapter, CFG.heads, train_mode=True,
                                     rng=dm.make_rng(11, "drop"), tape=tape)
             return dm.mean_all(dm.matmul(emb, probe, tape), tape)
 
@@ -163,22 +159,10 @@ class TestGapPool:
 
 
 class TestPoolDispatch:
-    def test_modes(self):
-        adapter = tr.init_group(CFG, "adapter", seed=5)
-        mat = dm.make_rng(10, "d").normal(size=(3, 8))
-        st = Tensor(mat)
-        assert np.array_equal(sp.pool(st, "gap").data, sp.gap_pool(st).data)
-        assert np.array_equal(sp.pool(st, "attention", adapter).data,
-                              sp.attention_pool(st, adapter).data)
-        with pytest.raises(ConfigurationError):
-            sp.pool(st, "max")
-        with pytest.raises(ConfigurationError):
-            sp.pool(st, "attention")
-
     def test_vector_is_not_a_stack(self):
         adapter = tr.init_group(CFG, "adapter", seed=5)
         vec = Tensor(np.zeros(8))
         with pytest.raises(DimensionError):
             sp.gap_pool(vec)
         with pytest.raises(DimensionError):
-            sp.attention_pool(vec, adapter)
+            sp.attention_pool(vec, adapter, CFG.heads)

@@ -36,12 +36,9 @@ GOLDEN_INIT = [
     ("image.mlp_hidden", "ec9c0c90ae3cb49694161255313307f04d310fd78c94b4fce1a0e945dbccecda"),
     ("image.out_proj", "be772a80616466d2366fdcc60cf7eca9dd7ed9b7936826d508b9cc7eb7191947"),
     ("adapter.pe_table", "ec0c1c969f7bfad0cb940f65efc642a28e733f7ba9afbf2a59d36e7acd849c0f"),
-    ("adapter.h0.wq", "6d7a3e34ef2899c801a789215ffda72f0fc29bd5637a8ab4d29dcd93359bcd65"),
-    ("adapter.h0.wk", "3bec926c3d6f00efd2b15f6e9e4ae8ede81e9c8a4e71f5ed8340dcc1502fb3b7"),
-    ("adapter.h0.wv", "0582f594550d2b8adbc464444bb6b901452309699efae9223a2a933288c91f17"),
-    ("adapter.h1.wq", "d93115b219246508bd19ac0760973355680ff6228a54419adde2c3350650658c"),
-    ("adapter.h1.wk", "7c3ab25c0123d08e8bb496dfb9aae911cc0c2c11f5f0508511b78d31637247b5"),
-    ("adapter.h1.wv", "34d5be0154d8a180b273182035fd3e26a1163082934bfbf924345e362672c5ff"),
+    ("adapter.wq", "9b269c3bcf05fbc606dbfcbd1d1c18b6c535edfa0bb147f8e53cc8bcee923583"),
+    ("adapter.wk", "72a40f45b7e6871c4ea9aa628f2ac268db35e91764a4b0f6b875c576f84f6331"),
+    ("adapter.wv", "e2cfcc49c29ff203005c9cd1846e58294d6f402c7a983191a28e1c59dac379dc"),
     ("adapter.wo", "89f7ec5f02c309b01c73440d75af28c83050e0954d436474d21e1fc7560ce89d"),
 ]
 
@@ -189,14 +186,15 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="truncated"):
             tr.load_checkpoint(tmp_path / "t.ckpt")
 
-    def test_unknown_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [2, 99])  # 2: per-head adapter tables
+    def test_unknown_version_rejected(self, tmp_path, version):
         ckpt = tr.make_initial_checkpoint(small_cfg())
         path = tmp_path / "c.ckpt"
         tr.save_checkpoint(ckpt, path)
         blob = bytearray(path.read_bytes())
-        blob[4] = 99
+        blob[4] = version
         (tmp_path / "v.ckpt").write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="version"):
+        with pytest.raises(CheckpointError, match=f"unknown checkpoint version {version}$"):
             tr.load_checkpoint(tmp_path / "v.ckpt")
 
     def test_empty_or_missing_file_rejected(self, tmp_path):
@@ -283,7 +281,7 @@ class TestCheckpointIO:
         (with_tensor(b"param:adapter.pe_table", (3, 5)), "shape"),
         (with_tensor(b"adam.m:image.patch_proj", (3, 5)), "shape"),
         (without(b"param:image.out_proj"), "missing parameter"),
-        (with_tensor(b"param:adapter.h2.wq", (8, 4)), "unexpected"),
+        (with_tensor(b"param:adapter.h0.wq", (8, 4)), "unexpected"),  # a format-2 name
         (with_tensor(b"adam.m:text.proj", (8, 8)), "no trainable"),
     ], ids=["param-shape", "adam-shape", "param-missing", "param-extra", "adam-frozen"])
     def test_layout_mismatch_refused_at_load(self, tmp_path, stage1, edit, message):
