@@ -109,18 +109,29 @@ class Tensor:
 
 
 class Param:
-    """A named tensor with an accumulated gradient and a trainable flag."""
+    """A named tensor with an accumulated gradient and a trainable flag.
 
-    __slots__ = ("value", "grad", "trainable", "name")
+    The gradient buffer is made, as zeros, at its first accumulation or
+    access, so a parameter that never receives a gradient never holds one.
+    """
+
+    __slots__ = ("value", "_grad", "trainable", "name")
 
     def __init__(self, value, trainable: bool = True, name: str = ""):
         self.value = value if isinstance(value, Tensor) else Tensor(value)
-        self.grad = Tensor(np.zeros_like(self.value.data))
+        self._grad: Tensor | None = None
         self.trainable = trainable
         self.name = name
 
+    @property
+    def grad(self) -> Tensor:
+        if self._grad is None:
+            self._grad = Tensor(np.zeros_like(self.value.data))
+        return self._grad
+
     def zero_grad(self) -> None:
-        self.grad.data[...] = 0.0
+        if self._grad is not None:
+            self._grad.data[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Param({self.name or '?'}, shape={self.value.shape}, trainable={self.trainable})"

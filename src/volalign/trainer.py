@@ -166,13 +166,17 @@ def make_initial_checkpoint(cfg: TrainConfig, stage: int = 1) -> Checkpoint:
 
 
 def _copy_param(p: Param) -> Param:
-    out = Param(p.value.data.copy(), trainable=p.trainable, name=p.name)
-    out.grad.data[...] = p.grad.data
-    return out
+    """A trainable value is copied; a frozen one is shared and marked
+    read-only on both sides. No gradient is copied."""
+    if p.trainable:
+        return Param(p.value.data.copy(), trainable=True, name=p.name)
+    p.value.data.flags.writeable = False
+    return Param(p.value.data, trainable=False, name=p.name)
 
 
 def snapshot_checkpoint(ckpt: Checkpoint) -> Checkpoint:
-    """Deep copy so that later training steps do not mutate saved state."""
+    """A copy that later training steps cannot mutate: trainable values and
+    optimizer moments are copied, frozen values shared read-only."""
     groups = {g: {k: _copy_param(p) for k, p in group.items()}
               for g, group in ckpt.groups().items()}
     return replace(ckpt, **groups,
@@ -181,9 +185,12 @@ def snapshot_checkpoint(ckpt: Checkpoint) -> Checkpoint:
                    history=[dict(h) for h in ckpt.history])
 
 
-def _pack_tensor(a: np.ndarray) -> bytes:
-    head = struct.pack("<I", a.ndim) + struct.pack(f"<{a.ndim}I", *a.shape)
-    return head + a.astype("<f8").tobytes(order="C")
+def _tensor_parts(a: np.ndarray) -> list:
+    """A tensor section's payload: its shape header, then its values as
+    little-endian float64 bytes, which view `a` when it is C-contiguous
+    float64 already."""
+    a = np.asarray(a, dtype="<f8", order="C")  # not ascontiguousarray, which makes 0-d 1-d
+    return [struct.pack(f"<I{a.ndim}I", a.ndim, *a.shape), a.reshape(-1).view(np.uint8)]
 
 
 def _unpack_tensor(buf: bytes) -> np.ndarray:
@@ -222,7 +229,8 @@ def _rng_state_from_json(state: dict) -> dict:
     return out
 
 
-def save_checkpoint(ckpt: Checkpoint, path) -> None:
+def _sections(ckpt: Checkpoint):
+    """(name, payload parts) of each checkpoint section, in file order."""
     meta = {
         "stage": ckpt.stage,
         "epoch": ckpt.epoch,
@@ -233,22 +241,27 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "history": ckpt.history,
         "optimizer_step": ckpt.optimizer.step if ckpt.optimizer else None,
     }
-    sections: list[tuple[str, bytes]] = [
-        ("meta", json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8"))
-    ]
+    yield "meta", [json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")]
     for p in ckpt.model_params():
-        sections.append((f"param:{p.name}", _pack_tensor(p.value.data)))
+        yield f"param:{p.name}", _tensor_parts(p.value.data)
     if ckpt.optimizer is not None:
         for name in sorted(ckpt.optimizer.moments):
             m, v = ckpt.optimizer.moments[name]
-            sections.append((f"adam.m:{name}", _pack_tensor(m)))
-            sections.append((f"adam.v:{name}", _pack_tensor(v)))
+            yield f"adam.m:{name}", _tensor_parts(m)
+            yield f"adam.v:{name}", _tensor_parts(v)
 
-    chunks = [_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
-    for name, payload in sections:
+
+def _file_chunks(ckpt: Checkpoint):
+    yield _MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
+    for name, parts in _sections(ckpt):
         nb = name.encode("utf-8")
-        chunks += [struct.pack("<I", len(nb)), nb, struct.pack("<Q", len(payload)), payload]
-    dp._write_atomic(path, chunks)
+        yield struct.pack("<I", len(nb)) + nb + struct.pack("<Q", sum(map(len, parts)))
+        yield from parts
+
+
+def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write ckpt section by section; tensors go to the file without a copy."""
+    dp._write_atomic(path, _file_chunks(ckpt))
 
 
 def _read_sections(blob: bytes, path) -> dict[str, bytes]:
@@ -568,7 +581,7 @@ def _run_stage(cfg: TrainConfig, stage: int, ckpt: Checkpoint, items, val_items,
             best_epoch = epoch
 
         ckpt.epoch = epoch + 1
-        ckpt.optimizer = adam.state()
+        ckpt.optimizer = OptimizerState(adam.step_count, adam.moments)  # the snapshot copies it
         ckpt.best_val_loss = best_val
         ckpt.best_epoch = best_epoch
         ckpt.rng_state = _rng_state_to_json(rng.bit_generator.state)

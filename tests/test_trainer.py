@@ -74,7 +74,7 @@ def without(key: bytes):
 
 
 def with_tensor(key: bytes, shape):
-    return lambda sections: {**sections, key: tr._pack_tensor(np.zeros(shape))}
+    return lambda sections: {**sections, key: b"".join(tr._tensor_parts(np.zeros(shape)))}
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +168,24 @@ class TestCheckpointIO:
         tr.save_checkpoint(tr.load_checkpoint(a), b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("a", [np.array(2.5), np.arange(6.0).reshape(2, 3).T,
+                                   np.arange(4.0).astype(">f8"), np.arange(3, dtype=np.int32)],
+                             ids=["0-d", "transposed", "big-endian", "int32"])
+    def test_tensor_parts_bytes(self, a):
+        head = struct.pack("<I", a.ndim) + struct.pack(f"<{a.ndim}I", *a.shape)
+        assert b"".join(tr._tensor_parts(a)) == head + a.astype("<f8").tobytes(order="C")
+
+    def test_save_copies_no_tensor(self, tmp_path):
+        import tracemalloc
+        ckpt = tr.make_initial_checkpoint(small_cfg(d_text=64, vocab=4096))  # 2 MiB text table
+        tracemalloc.start()
+        try:
+            tr.save_checkpoint(ckpt, tmp_path / "c.ckpt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (tmp_path / "c.ckpt").stat().st_size / 10
+
     def test_params_survive_round_trip(self, tmp_path):
         ckpt = tr.make_initial_checkpoint(small_cfg())
         tr.save_checkpoint(ckpt, tmp_path / "c.ckpt")
@@ -249,7 +267,7 @@ class TestCheckpointIO:
     def test_duplicate_section_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"
         tr.save_checkpoint(tr.make_initial_checkpoint(small_cfg()), path)
-        name, payload = b"param:image.patch_proj", tr._pack_tensor(np.ones((16, 8)))
+        name, payload = b"param:image.patch_proj", b"".join(tr._tensor_parts(np.ones((16, 8))))
         with open(path, "ab") as fh:  # a second, well-formed section of the same name
             fh.write(struct.pack("<I", len(name)) + name + struct.pack("<Q", len(payload))
                      + payload)
@@ -493,6 +511,88 @@ class TestStage2(object):
         with pytest.raises(InputError, match="kind"):
             tr.train_stage2(cfg, split(entries, "train"), split(entries, "val"),
                             root, stage1)
+
+
+def stage2_state(cfg):
+    """A checkpoint as stage 2 holds it: image frozen, adapter moments, and a
+    gradient buffer on every parameter."""
+    ckpt = tr.make_initial_checkpoint(cfg, stage=2)
+    for p in ckpt.image.values():
+        p.trainable = False
+    adam = tr.Adam(list(ckpt.adapter.values()))
+    for p in ckpt.model_params():
+        p.grad.data[...] = 1.0
+    adam.step(1e-3)
+    ckpt.optimizer = adam.state()
+    return ckpt
+
+
+class TestSnapshot:
+    def test_frozen_tensors_shared_read_only(self):
+        ckpt = stage2_state(small_cfg())
+        snap = tr.snapshot_checkpoint(ckpt)
+        frozen = [(p, q) for p, q in zip(ckpt.model_params(), snap.model_params())
+                  if not p.trainable]
+        assert {p.name.split(".")[0] for p, _ in frozen} == {"text", "image"}
+        for p, q in frozen:
+            assert not q.trainable
+            assert np.shares_memory(p.value.data, q.value.data), p.name
+            for a in (p.value.data, q.value.data):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = 1.0
+
+    def test_trainables_and_moments_are_copies_without_gradients(self):
+        ckpt = stage2_state(small_cfg())
+        snap = tr.snapshot_checkpoint(ckpt)
+        for p, q in zip(ckpt.model_params(), snap.model_params()):
+            assert q._grad is None, p.name
+            if p.trainable:
+                assert q.trainable and q.value.data.flags.writeable
+                assert not np.shares_memory(p.value.data, q.value.data), p.name
+                assert np.array_equal(p.value.data, q.value.data)
+        assert snap.optimizer.step == ckpt.optimizer.step == 1
+        assert snap.optimizer.moments.keys() == ckpt.optimizer.moments.keys()
+        for name, moments in ckpt.optimizer.moments.items():
+            for a, b in zip(moments, snap.optimizer.moments[name]):
+                assert not np.shares_memory(a, b), name
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_frozen_groups_get_no_gradient_in_training(self, stage, corpus2d, corpus3d,
+                                                       stage1, monkeypatch):
+        live = []
+        snapshot = tr.snapshot_checkpoint
+        monkeypatch.setattr(tr, "snapshot_checkpoint",
+                            lambda ckpt: live.append(ckpt) or snapshot(ckpt))
+        cfg = small_cfg(epochs=1)
+        if stage == 1:
+            root, entries = corpus2d
+            tr.train_stage1(cfg, split(entries, "train"), split(entries, "val"), root)
+        else:
+            root, entries = corpus3d
+            tr.train_stage2(cfg, split(entries, "train"), split(entries, "val"), root, stage1)
+        epoch_end = live[-1]  # the training state, snapshotted after its epoch
+        assert epoch_end.epoch == 1
+        trained = "image" if stage == 1 else "adapter"
+        for group, params in epoch_end.groups().items():
+            for p in params.values():
+                assert (p._grad is not None) == (group == trained), p.name
+
+    def test_snapshot_allocates_less_than_twice_its_trainable_state(self):
+        import tracemalloc
+        # the acceptance geometry: the frozen text table alone is 4096 x 64 (2 MiB)
+        ckpt = stage2_state(small_cfg(d_model=64, heads=4, d_hidden=128, d_text=64,
+                                      vocab=4096, patch_size=8, image_size=16))
+        trainable = sum(3 * p.value.data.nbytes for p in ckpt.model_params() if p.trainable)
+        assert ckpt.text["embed_table"].value.data.nbytes > 4 * trainable
+        tracemalloc.start()
+        try:
+            snap = tr.snapshot_checkpoint(ckpt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert snap.epoch == ckpt.epoch
+        assert peak < 2 * trainable
 
 
 class TestResume(object):
