@@ -8,11 +8,11 @@ from .config import TrainConfig
 from .contrastive import LossConfig, batch_loss, info_nce, similarity_matrix
 from .datapipe import (Caption, ManifestEntry, SynthSpec, build_caption, load_captions,
                        load_manifest, load_preprocessed, load_volume, preprocess_volume,
-                       resize_bilinear, save_manifest, save_volume, synth_dataset,
-                       tokenize, zscore)
+                       preprocessed_batches, resize_bilinear, save_manifest, save_volume,
+                       synth_dataset, tokenize, zscore)
 from .diffmath import Param, ParamGroup, Tape, Tensor, grad_check, make_rng
-from .encoders import (encode_frozen, encode_image2d, encode_text, image_shapes,
-                       text_shapes)
+from .encoders import (encode_frozen, encode_image2d, encode_samples, encode_text,
+                       image_shapes, text_shapes)
 from .evalkit import (AblationData, AblationReport, EmbeddingRow, EmbeddingTable,
                       MatchReport, ProbeReport, export_embeddings_csv,
                       extract_embeddings, linear_probe_cv, read_embeddings_csv,

@@ -3,7 +3,8 @@
 Every command resolves its configuration up front (JSON config file plus flag
 overrides), persists it with the tool version into the output directory, and
 derives all randomness from the seed. Failures print one machine-parsable
-line "error:<category>: <message>" and exit with a category-specific code.
+line "error:<category>: <message>" and exit with the code that their error
+class carries (errors.py).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -19,32 +21,10 @@ from . import datapipe as dp
 from . import evalkit as ek
 from . import trainer as tr
 from .config import TrainConfig
-from .errors import (CompatibilityError, ConfigurationError, DependencyError,
-                     EvaluationError, InputError, LoadError, NonFiniteError,
-                     VolalignError)
+from .errors import DependencyError, InputError, VolalignError
 
 EXIT_OK = 0
-EXIT_UNEXPECTED = 1
-EXIT_USAGE = 2
-EXIT_CONFIG = 3
-EXIT_DEPENDENCY = 4
-EXIT_DATA = 5
-EXIT_EVALUATION = 6
-EXIT_NONFINITE = 7
-
-
-def _exit_code(exc: VolalignError) -> int:
-    if isinstance(exc, ConfigurationError):
-        return EXIT_CONFIG
-    if isinstance(exc, DependencyError):
-        return EXIT_DEPENDENCY
-    if isinstance(exc, (CompatibilityError, EvaluationError)):
-        return EXIT_EVALUATION
-    if isinstance(exc, (LoadError, InputError)):
-        return EXIT_DATA
-    if isinstance(exc, NonFiniteError):
-        return EXIT_NONFINITE
-    return EXIT_UNEXPECTED
+EXIT_UNEXPECTED = 1  # an untyped exception; a VolalignError exits with its exit_code
 
 
 def _write_run_config(out_dir: Path, command: str, cfg: TrainConfig | None,
@@ -156,14 +136,6 @@ def _run_training(args, stage: int) -> int:
     return EXIT_OK
 
 
-def cmd_train2d(args) -> int:
-    return _run_training(args, stage=1)
-
-
-def cmd_train3d(args) -> int:
-    return _run_training(args, stage=2)
-
-
 def _load_eval_inputs(args):
     ckpt = tr.load_checkpoint(args.ckpt)
     data_root = Path(args.data)
@@ -266,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="corpus directory (manifest.json)")
     p.add_argument("--out", required=True)
     p.add_argument("--resume", help="epoch checkpoint to resume from")
-    p.set_defaults(func=cmd_train2d)
+    p.set_defaults(func=partial(_run_training, stage=1))
 
     p = sub.add_parser("train3d", help="stage 2: train the slice pooling adapter")
     _add_config_flags(p)
@@ -275,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stage-1 checkpoint to start from")
     p.add_argument("--out", required=True)
     p.add_argument("--resume")
-    p.set_defaults(func=cmd_train3d)
+    p.set_defaults(func=partial(_run_training, stage=2))
 
     p = sub.add_parser("probe", help="linear probe with k-fold cross-validation")
     p.add_argument("--ckpt", required=True)
@@ -323,7 +295,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except VolalignError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
     except Exception as exc:  # pragma: no cover - defensive
         print(f"error:internal: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED

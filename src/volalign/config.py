@@ -112,6 +112,3 @@ class TrainConfig:
     # a config (optimization settings are free to differ)
     GEOMETRY = ("d_model", "d_hidden", "d_text", "vocab", "patch_size",
                 "image_size", "s_max", "heads")
-
-    def geometry(self) -> dict:
-        return {k: getattr(self, k) for k in self.GEOMETRY}

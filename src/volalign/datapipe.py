@@ -8,10 +8,12 @@ load_volume to the encoder as plain float64 `[n, H, W]` arrays (n = 1 in
 what load_volume would refuse. Preprocessing is always resize first,
 z-score second. Both act on `[..., H, W]` arrays, so a volume is one call
 of each; the statistics are per image (slice), taken by one reduction over
-the image axes of a C-contiguous array. Splits are loaded by
-load_preprocessed: samples of one image size share each preprocess_volume
-call, a batch closing at the sample that brings it to SLICE_BATCH slices,
-and each sample keeps the bits it gets alone.
+the image axes of a C-contiguous array. Splits are preprocessed by
+preprocessed_batches: samples of one image size share each
+preprocess_volume call, a batch closing at the sample that brings it to
+SLICE_BATCH slices, and each sample keeps the bits it gets alone. It yields
+each batch as it is flushed; load_preprocessed collects them, and
+encoders.encode_samples encodes each one at once.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from .diffmath import fnv1a64, make_rng
 from .errors import ConfigurationError, FormatError, InputError, LoadError
 
 DEFAULT_VOCAB = 4096
-# Slices per preprocess_volume call of load_preprocessed and per encode_image2d
-# call of encoders.encode_frozen: big enough to amortise numpy call overhead,
-# small enough that a batch's gathers and activations stay in cache.
+# Slices per preprocess_volume call of preprocessed_batches and per
+# encode_image2d call of encoders.encode_frozen: big enough to amortise numpy
+# call overhead, small enough that a batch's gathers and activations stay in
+# cache, and the most preprocessed slices that encoders.encode_samples holds.
 SLICE_BATCH = 64
 
 _KINDS = ("2d", "3d")
@@ -249,41 +252,46 @@ def preprocess_volume(volume: np.ndarray, out_h: int, out_w: int,
     return zscore(resize_bilinear(volume, out_h, out_w), eps)
 
 
-def load_preprocessed(paths, size: int, volumes: dict | None = None) -> list[np.ndarray]:
-    """load_volume then preprocess_volume to size x size for each path, in
-    input order, bit for bit as one sample at a time.
+def preprocessed_batches(paths, size: int):
+    """Yield (paths, pieces) for each batch that load_preprocessed preprocesses:
+    each path's sample through load_volume then preprocess_volume to size x
+    size, bit for bit as one sample at a time. A path listed twice is loaded
+    once.
 
     Samples are read in order and their raw slices held per image size (H, W);
     once a size has SLICE_BATCH slices pending they are joined into one volume,
-    preprocessed by one preprocess_volume call and split back, so at most one
-    batch of raw slices per size is alive. `volumes` caches the results across
-    calls, keyed by (path, size); a path listed twice is loaded once.
+    preprocessed by one preprocess_volume call and split back into the yielded
+    pieces, so at most one batch of raw slices per size is alive. The rest is
+    flushed at the end.
     """
-    memo = {} if volumes is None else volumes
-    keys = [(p, size) for p in paths]
-    pending: dict[tuple, list] = {}  # (H, W) -> [(key, raw [n, H, W])]
+    pending: dict[tuple, list] = {}  # (H, W) -> [(path, raw [n, H, W])]
     slices: dict[tuple, int] = {}    # (H, W) -> slices pending
 
     def flush(hw):
         batch = pending.pop(hw)
         del slices[hw]
         out = preprocess_volume(np.concatenate([a for _, a in batch]), size, size)
-        start = 0
-        for key, a in batch:
-            memo[key] = out[start:start + len(a)]
-            start += len(a)
+        ends = np.cumsum([len(a) for _, a in batch])
+        return [p for p, _ in batch], [out[e - len(a):e] for e, (_, a) in zip(ends, batch)]
 
-    for key in dict.fromkeys(keys):
-        if key in memo:
-            continue
-        raw = load_volume(key[0])
+    for path in dict.fromkeys(paths):
+        raw = load_volume(path)
         hw = raw.shape[1:]
-        pending.setdefault(hw, []).append((key, raw))
+        pending.setdefault(hw, []).append((path, raw))
         slices[hw] = slices.get(hw, 0) + len(raw)
         if slices[hw] >= SLICE_BATCH:
-            flush(hw)
+            yield flush(hw)
     for hw in list(pending):
-        flush(hw)
+        yield flush(hw)
+
+
+def load_preprocessed(paths, size: int, volumes: dict | None = None) -> list[np.ndarray]:
+    """The preprocessed_batches pieces of each path, in input order. `volumes`
+    caches them across calls, keyed by (path, size)."""
+    memo = {} if volumes is None else volumes
+    keys = [(p, size) for p in paths]
+    for done, pieces in preprocessed_batches([p for p, _ in keys if (p, size) not in memo], size):
+        memo.update(((p, size), v) for p, v in zip(done, pieces))
     return [memo[k] for k in keys]
 
 

@@ -92,17 +92,10 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
@@ -179,7 +172,7 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         if self._spent:
             raise ContractError("tape already consumed; run a new forward pass")
-        if not isinstance(loss, Tensor) or loss.size != 1:
+        if not isinstance(loss, Tensor) or loss.data.size != 1:
             raise ContractError("backward requires a scalar loss tensor")
         self._spent = True
 

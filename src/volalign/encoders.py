@@ -10,6 +10,9 @@ encode_frozen is the frozen (eval-mode) path over many voxel arrays: those
 of one slice count share each encode_image2d call, at most
 datapipe.SLICE_BATCH slices at a time. numpy multiplies a stack one matrix
 at a time, so every slice keeps the bits it gets when encoded alone.
+encode_samples streams sample files through it: each batch that
+datapipe.preprocessed_batches flushes is encoded at once, and only the
+[n, d_model] rows are kept.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ import math
 
 import numpy as np
 
+from . import datapipe as dp
 from . import diffmath as dm
 from .config import TrainConfig
-from .datapipe import SLICE_BATCH
 from .diffmath import ParamGroup, Tape, Tensor
 from .errors import InputError
 
@@ -101,7 +104,7 @@ def slice_batches(counts: list[int], s_max: int) -> list[list[int]]:
         by_count.setdefault(n, []).append(i)
     batches = []
     for n, idxs in by_count.items():
-        size = max(1, SLICE_BATCH // n)
+        size = max(1, dp.SLICE_BATCH // n)
         batches += [idxs[s:s + size] for s in range(0, len(idxs), size)]
     return batches
 
@@ -117,3 +120,20 @@ def encode_frozen(volumes: list[np.ndarray], params: ParamGroup, s_max: int) -> 
         for i, rows in zip(batch, emb.data):
             out[i] = rows
     return out
+
+
+def encode_samples(paths, size: int, params: ParamGroup, s_max: int,
+                   volumes: dict | None = None) -> list[np.ndarray]:
+    """encode_frozen of each path's sample, preprocessed to size x size, in
+    input order. Each datapipe.preprocessed_batches batch is encoded as soon
+    as it is flushed, and only its [n, d_model] rows are kept. `volumes`
+    caches preprocessed volumes as in datapipe.load_preprocessed: a hit is
+    encoded from it, a miss is stored in it."""
+    hits = [p for p in dict.fromkeys(paths) if volumes is not None and (p, size) in volumes]
+    out = dict(zip(hits, encode_frozen([volumes[p, size] for p in hits], params, s_max)))
+    for done, pieces in dp.preprocessed_batches([p for p in paths if p not in out], size):
+        if volumes is not None:
+            volumes.update(((p, size), v) for p, v in zip(done, pieces))
+        out.update(zip(done, encode_frozen(pieces, params, s_max)))
+        del pieces  # before the next batch is preprocessed
+    return [out[p] for p in paths]

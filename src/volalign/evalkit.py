@@ -2,14 +2,15 @@
 stratified cross-validation, cross-modal top-1 matching, and the
 four-configuration ablation runner.
 
-Extraction loads and preprocesses its volumes in 64-slice batches
-(datapipe.load_preprocessed), encodes the slices of many volumes per encoder
-call and pools them in the same batches (encoders.encode_frozen,
-encoders.slice_batches), each batch one [B, n, d_model] Tensor; every row
-keeps the bits it gets alone. The ablation runner shares one memo of
-preprocessed volumes between its two stage-2 trainings and its rows, so each
-3D sample is loaded once, and one memo of slice embeddings across its rows,
-so each test volume is encoded once per distinct image group.
+Extraction streams its volumes from file to slice embeddings
+(encoders.encode_samples): each 64-slice preprocessing batch is encoded as
+soon as it is ready, so only one batch of preprocessed slices is alive. It
+then pools the embeddings in batches of many volumes (encoders.slice_batches),
+each batch one [B, n, d_model] Tensor; every row keeps the bits it gets
+alone. The ablation runner shares one memo of preprocessed volumes between
+its two stage-2 trainings and its rows, so each 3D sample is loaded once,
+and one memo of slice embeddings across its rows, so each test volume is
+encoded once per distinct image group.
 
 The probe recipe is fixed (full-batch gradient descent, 500 iterations, step
 0.1, no regularization) so reports are reproducible; F1 is macro-averaged.
@@ -78,9 +79,9 @@ def extract_embeddings(ckpt: tr.Checkpoint, entries, data_root, pool_mode: str,
                        encoded: dict | None = None) -> EmbeddingTable:
     """One embedding per manifest entry, in manifest order, eval mode throughout.
 
-    Samples are loaded by dp.load_preprocessed, slices are encoded by
-    enc.encode_frozen and pooled one slice_batches batch per pool call; each
-    row has the bits of encode_image2d and its pool function on its volume alone.
+    Slices are encoded by enc.encode_samples and pooled one slice_batches
+    batch per pool call; each row has the bits of encode_image2d and its pool
+    function on its volume alone.
     `volumes` caches preprocessed volumes across calls, keyed by (sample
     path, image size); `encoded` caches slice embeddings, keyed by (sample
     path, image size, sha256 of the image group). A miss computes and stores.
@@ -95,8 +96,8 @@ def extract_embeddings(ckpt: tr.Checkpoint, entries, data_root, pool_mode: str,
     keys = [(root / e.path, size, image) for e in entries]
     encoded = {} if encoded is None else encoded
     missing = [k for k in dict.fromkeys(keys) if k not in encoded]
-    vols = dp.load_preprocessed([path for path, _, _ in missing], size, volumes)
-    encoded.update(zip(missing, enc.encode_frozen(vols, ckpt.image, s_max=ckpt.config.s_max)))
+    encoded.update(zip(missing, enc.encode_samples([path for path, _, _ in missing], size,
+                                                   ckpt.image, ckpt.config.s_max, volumes)))
 
     mats = [encoded[k] for k in keys]
     vecs = [None] * len(mats)

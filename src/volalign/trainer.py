@@ -181,7 +181,7 @@ def snapshot_checkpoint(ckpt: Checkpoint) -> Checkpoint:
               for g, group in ckpt.groups().items()}
     return replace(ckpt, **groups,
                    optimizer=ckpt.optimizer.copy() if ckpt.optimizer else None,
-                   rng_state=json.loads(json.dumps(ckpt.rng_state)) if ckpt.rng_state else None,
+                   rng_state=json.loads(json.dumps(ckpt.rng_state)),  # None stays None
                    history=[dict(h) for h in ckpt.history])
 
 
@@ -438,26 +438,22 @@ def _text_vectors(entries, text_params, vocab) -> list[np.ndarray]:
     return out
 
 
-def _load_slices(entries, data_root, cfg, volumes=None) -> list[np.ndarray]:
-    root = Path(data_root)
-    vols = dp.load_preprocessed([root / e.path for e in entries], cfg.image_size, volumes)
-    for e, vol in zip(entries, vols):
-        if e.kind == "2d" and len(vol) != 1:
-            raise InputError(f"entry {e.id!r} is 2d but its sample has {len(vol)} slices")
-    return vols
-
-
 def _stage1_items(entries, data_root, cfg, text_params) -> list[_Item]:
-    vols = _load_slices(entries, data_root, cfg)
+    root = Path(data_root)
+    vols = dp.load_preprocessed([root / e.path for e in entries], cfg.image_size)
+    for e, vol in zip(entries, vols):
+        if len(vol) != 1:
+            raise InputError(f"entry {e.id!r} is 2d but its sample has {len(vol)} slices")
     texts = _text_vectors(entries, text_params, cfg.vocab)
     return [_Item(inputs=v[0], text_vec=t) for v, t in zip(vols, texts)]
 
 
 def _stage2_items(entries, data_root, cfg, text_params, image_params,
                   volumes=None) -> list[_Item]:
-    vols = _load_slices(entries, data_root, cfg, volumes)
+    root = Path(data_root)
+    mats = enc.encode_samples([root / e.path for e in entries], cfg.image_size, image_params,
+                              cfg.s_max, volumes)  # frozen, eval mode
     texts = _text_vectors(entries, text_params, cfg.vocab)
-    mats = enc.encode_frozen(vols, image_params, s_max=cfg.s_max)  # frozen, eval mode
     return [_Item(inputs=m, text_vec=t) for m, t in zip(mats, texts)]
 
 
@@ -521,8 +517,8 @@ def _check_finite(values: np.ndarray, epoch: int, batch: int, what: str) -> None
 
 
 def _run_stage(cfg: TrainConfig, stage: int, ckpt: Checkpoint, items, val_items,
-               trainables: list[Param], out_dir, resume: Checkpoint | None,
-               label: str) -> Checkpoint:
+               trainables: list[Param], out_dir, label: str) -> Checkpoint:
+    """Train on from ckpt's epoch, history, best, optimizer and rng state."""
     if len(items) < cfg.batch_size:
         raise ConfigurationError(
             f"{len(items)} training samples is fewer than batch size {cfg.batch_size}")
@@ -532,29 +528,25 @@ def _run_stage(cfg: TrainConfig, stage: int, ckpt: Checkpoint, items, val_items,
 
     loss_cfg = ct.LossConfig(tau=cfg.tau, symmetric=cfg.symmetric)
     rng = dm.make_rng(cfg.seed, f"train:stage{stage}")
-    if resume is not None:
-        start_epoch = resume.epoch
-        history = [dict(h) for h in resume.history]
-        best_val = resume.best_val_loss
-        best_epoch = resume.best_epoch
-        adam = Adam(trainables, weight_decay=cfg.weight_decay, state=resume.optimizer)
-        if resume.rng_state is not None:
-            try:
-                rng.bit_generator.state = _rng_state_from_json(resume.rng_state)
-            except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
-                raise CheckpointError(f"resume checkpoint has a malformed rng_state: "
-                                      f"{exc!r}") from exc
-    else:
-        start_epoch = 0
-        history = []
-        best_val = None
-        best_epoch = None
-        adam = Adam(trainables, weight_decay=cfg.weight_decay)
+    start_epoch = ckpt.epoch
+    history = [dict(h) for h in ckpt.history]
+    best_val = ckpt.best_val_loss
+    best_epoch = ckpt.best_epoch
+    adam = Adam(trainables, weight_decay=cfg.weight_decay, state=ckpt.optimizer)
+    if ckpt.rng_state is not None:
+        try:
+            rng.bit_generator.state = _rng_state_from_json(ckpt.rng_state)
+        except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+            raise CheckpointError(f"resume checkpoint has a malformed rng_state: "
+                                  f"{exc!r}") from exc
 
     ckpt.stage = stage
     best_ckpt = None
+    end_epoch = cfg.epochs
+    if best_epoch is not None and start_epoch - 1 - best_epoch >= cfg.patience:
+        end_epoch = start_epoch  # the resumed run had already stopped early
 
-    for epoch in range(start_epoch, cfg.epochs):
+    for epoch in range(start_epoch, end_epoch):
         lr = cosine_lr(epoch, cfg)
         order = rng.permutation(len(items))
         batch_losses = []
@@ -595,6 +587,9 @@ def _run_stage(cfg: TrainConfig, stage: int, ckpt: Checkpoint, items, val_items,
         if epoch - best_epoch >= cfg.patience:
             break
 
+    if history and start_epoch >= end_epoch and out_dir is not None:
+        # a finished run resumed: loss.csv again, in case a kill cut its last write
+        _write_loss_csv(history, out_dir / "loss.csv")
     if best_ckpt is None:
         # either zero epochs (return the starting state) or a resumed run in
         # which no new epoch improved; recover the best epoch from disk if we can
@@ -631,7 +626,7 @@ def train_stage1(cfg: TrainConfig, train_entries, val_entries, data_root,
     items = _stage1_items(train_entries, data_root, cfg, ckpt.text)
     val_items = _stage1_items(val_entries, data_root, cfg, ckpt.text)
     return _run_stage(cfg, 1, ckpt, items, val_items, list(ckpt.image.values()),
-                      out_dir, resume, "stage1")
+                      out_dir, "stage1")
 
 
 def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
@@ -639,10 +634,12 @@ def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
                  volumes: dict | None = None) -> Checkpoint:
     """Train the slice-pooling adapter on volumes; both encoders are frozen.
 
-    Slice stacks are embedded once up front by encoders.encode_frozen (the
-    encoder is frozen), so each epoch touches only the adapter parameters.
-    `volumes` caches preprocessed volumes across calls, as in
-    datapipe.load_preprocessed.
+    Slice stacks are embedded once up front by encoders.encode_samples (the
+    encoder is frozen), which encodes each preprocessing batch as it is
+    flushed, so set-up holds the [n, d_model] rows and never the preprocessed
+    split, and each epoch touches only the adapter parameters. `volumes`
+    caches preprocessed volumes across calls, as in datapipe.load_preprocessed;
+    given one, set-up stores every volume in it.
     """
     cfg.validate()
     _require_kind(train_entries, "3d")
@@ -668,4 +665,4 @@ def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
     items = _stage2_items(train_entries, data_root, cfg, ckpt.text, ckpt.image, volumes)
     val_items = _stage2_items(val_entries, data_root, cfg, ckpt.text, ckpt.image, volumes)
     return _run_stage(cfg, 2, ckpt, items, val_items, list(ckpt.adapter.values()),
-                      out_dir, resume, "stage2")
+                      out_dir, "stage2")

@@ -1,14 +1,19 @@
 import argparse
+import inspect
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from volalign import cli
+from volalign import errors
 from volalign import trainer as tr
-from volalign.cli import EXIT_DATA, main
+from volalign.cli import main
 from volalign.config import TrainConfig
+from volalign.errors import CheckpointError
 
 
 def run(argv):
@@ -130,7 +135,7 @@ class TestEvalCommands:
         tr.save_checkpoint(ckpt, tmp_path / "nan.ckpt")
         code = run(["probe", "--ckpt", tmp_path / "nan.ckpt", "--data", trained / "data" / "3d",
                     "--out", tmp_path / "probe"])
-        assert code == EXIT_DATA == 5
+        assert code == CheckpointError.exit_code == 5
         assert "section param:adapter.wo has non-finite values" in capsys.readouterr().err
         assert not (tmp_path / "probe").exists()
 
@@ -193,3 +198,48 @@ class TestParser:
         for k, v in values.items():
             assert v != getattr(TrainConfig(), k), k
             assert getattr(cfg, k) == v, k
+
+
+def readme_exit_codes() -> dict[str, int]:
+    """Error class name -> exit code, from README's exit-code sentence."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"Exit codes: (.*?)\.\n", readme, re.S).group(1)
+    codes = {}
+    for code, names in re.findall(r"`(\d+)` [^`(]*\(([^)]*)\)", sentence):
+        for name in re.findall(r"`(\w+)`", names):
+            codes[name] = int(code)
+    return codes
+
+
+class TestExitCodes:
+    ERRORS = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+              if issubclass(c, errors.VolalignError)]
+
+    def test_every_error_class_is_in_the_readme(self):
+        codes = readme_exit_codes()
+        assert "VolalignError" in codes
+        for cls in self.ERRORS:
+            # a subclass without a code of its own exits with its base's code
+            listed = next(c for c in cls.__mro__ if c.__name__ in codes)
+            assert cls.exit_code == codes[listed.__name__], cls.__name__
+            if "exit_code" in vars(cls):
+                assert cls.__name__ in codes, cls.__name__
+        # 0 (success) and 2 (usage, from argparse) belong to no error class
+        assert {c.exit_code for c in self.ERRORS} == set(codes.values()) == {1, *range(3, 10)}
+
+    @pytest.mark.parametrize("cls", ERRORS, ids=lambda c: c.__name__)
+    def test_main_exits_with_the_class_code(self, cls, monkeypatch, capsys):
+        def fail(args):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_synth", fail)
+        assert main(["synth", "--family", "pattern", "--out", "unused"]) == cls.exit_code
+        assert capsys.readouterr().err == f"error:{cls.category}: boom\n"
+
+    def test_untyped_exception_exits_1(self, monkeypatch, capsys):
+        def fail(args):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cli, "cmd_synth", fail)
+        assert main(["synth", "--family", "pattern", "--out", "unused"]) == cli.EXIT_UNEXPECTED == 1
+        assert capsys.readouterr().err.startswith("error:internal:")

@@ -1,8 +1,15 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from volalign import datapipe as dp
 from volalign import diffmath as dm
 from volalign import encoders as enc
+from volalign import evalkit as ek
 from volalign import trainer as tr
 from volalign.config import TrainConfig
 from volalign.diffmath import Param
@@ -133,3 +140,87 @@ class TestEncodeSlices:
         p = tr.init_group(SMALL, "image", seed=4)
         with pytest.raises(InputError, match="slice count 0"):
             enc.encode_frozen([np.zeros((0, 8, 8))], p, s_max=8)
+
+
+def write_samples(root, samples) -> list:
+    """Save each [n, H, W] array as a VOL1 file under root; the sample paths."""
+    paths = []
+    for i, vox in enumerate(samples):
+        paths.append(root / f"s{i}.vol")
+        dp.save_volume(vox, paths[-1])
+    return paths
+
+
+class TestEncodeSamples:
+    """encode_samples streams files to slice embeddings: bit for bit
+    encode_frozen of load_preprocessed, with one batch of samples in flight."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(sizes=st.lists(st.tuples(st.integers(4, 12), st.integers(4, 12)),
+                          min_size=2, max_size=2, unique=True),
+           samples=st.lists(st.tuples(st.booleans(), st.integers(1, 8),
+                                      st.integers(0, 2**32 - 1)), min_size=1, max_size=30),
+           repeats=st.lists(st.integers(0, 29), max_size=4),
+           cached=st.lists(st.integers(0, 29), max_size=10),
+           size=st.sampled_from([4, 8]))
+    def test_equals_encode_frozen_of_load_preprocessed(self, sizes, samples, repeats,
+                                                       cached, size):
+        params = tr.init_group(SMALL, "image", seed=4)
+        arrays = [np.random.default_rng(seed).normal(1.0, 2.0, size=(n, *sizes[second]))
+                  for second, n, seed in samples]
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = write_samples(Path(tmp), arrays)
+            paths += [paths[i % len(paths)] for i in repeats]  # duplicates
+            volumes: dict = {}
+            dp.load_preprocessed([paths[i % len(paths)] for i in cached], size, volumes)
+            hits = dict(volumes)
+            got = enc.encode_samples(paths, size, params, 8, volumes)
+            want = enc.encode_frozen(dp.load_preprocessed(paths, size), params, 8)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            # every sample is in the memo now; a hit was used, not replaced
+            assert sorted(volumes) == sorted(set((p, size) for p in paths))
+            assert all(volumes[k] is v for k, v in hits.items())
+            for p, vol in zip(paths, dp.load_preprocessed(paths, size)):
+                assert volumes[p, size].tobytes() == vol.tobytes()
+
+    @staticmethod
+    def count_slices_in_flight(monkeypatch) -> list[int]:
+        """Slices loaded since the previous encode_image2d call, per call."""
+        loaded = [0]
+        in_flight = []
+        load, encode = dp.load_volume, enc.encode_image2d
+
+        def counting_load(path):
+            vol = load(path)
+            loaded[0] += len(vol)
+            return vol
+
+        def counting_encode(image, *args, **kwargs):
+            in_flight.append(loaded[0])
+            loaded[0] = 0
+            return encode(image, *args, **kwargs)
+
+        monkeypatch.setattr(dp, "load_volume", counting_load)
+        monkeypatch.setattr(enc, "encode_image2d", counting_encode)
+        return in_flight
+
+    @pytest.mark.parametrize("caller", ["stage2_items", "extract_embeddings"])
+    def test_one_batch_of_samples_is_loaded_before_each_encode(self, tmp_path, monkeypatch,
+                                                               caller):
+        rng = np.random.default_rng(11)
+        counts = [1 + i % 8 for i in range(60)]  # 270 slices, about four batches
+        paths = write_samples(tmp_path, [rng.normal(size=(n, 12, 10)) for n in counts])
+        entries = [dp.ManifestEntry(id=p.stem, path=p.name, kind="3d", body_region="Chest",
+                                    modality="CT", condition=None, label=0, split="train")
+                   for p in paths]
+        ckpt = tr.make_initial_checkpoint(SMALL)
+        in_flight = self.count_slices_in_flight(monkeypatch)
+        if caller == "stage2_items":
+            tr._stage2_items(entries, tmp_path, SMALL, ckpt.text, ckpt.image)
+        else:
+            ek.extract_embeddings(ckpt, entries, tmp_path, "gap")
+        monkeypatch.undo()
+        assert sum(in_flight) == sum(counts)
+        # a batch closes at the sample that brings it to SLICE_BATCH slices
+        assert max(in_flight) < dp.SLICE_BATCH + max(counts)
+        assert len(in_flight) >= sum(counts) // dp.SLICE_BATCH

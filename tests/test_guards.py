@@ -21,7 +21,7 @@ from volalign import datapipe as dp
 from volalign import diffmath as dm
 from volalign import evalkit as ek
 from volalign import trainer as tr
-from volalign.cli import EXIT_DATA, EXIT_NONFINITE, main
+from volalign.cli import main
 from volalign.config import TrainConfig
 from volalign.errors import (CheckpointError, ConfigurationError, FormatError, InputError,
                              LoadError, NonFiniteError, VolalignError)
@@ -308,7 +308,7 @@ class TestResumeGuard:
         code = main(["train2d", "--config", str(tmp_path / "cfg.json"),
                      "--data", str(corpus2d[0]), "--out", str(tmp_path / "run"),
                      "--resume", str(path)])
-        assert code == EXIT_DATA
+        assert code == CheckpointError.exit_code == 5
         assert f"error:checkpoint: {path}: meta epoch must be an integer >= 0, got '1'" \
             in capsys.readouterr().err
 
@@ -382,5 +382,5 @@ class TestNonFiniteGuard:
             warnings.simplefilter("ignore", RuntimeWarning)
             code = main(["train2d", "--config", str(tmp_path / "cfg.json"),
                          "--data", str(corpus2d[0]), "--out", str(tmp_path / "run")])
-        assert code == EXIT_NONFINITE == 7
+        assert code == NonFiniteError.exit_code == 7
         assert "error:nonfinite: epoch 0, batch 1" in capsys.readouterr().err

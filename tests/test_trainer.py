@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import re
+import shutil
 import struct
 
 import numpy as np
@@ -498,6 +499,30 @@ class TestStage2(object):
             stack = enc.encode_image2d(vol, stage1.image)
             assert item.inputs.tobytes() == stack.data.tobytes()
 
+    def test_set_up_holds_embedding_rows_not_the_preprocessed_split(self, tmp_path):
+        import tracemalloc
+        # 16 x 16 slices against 8-wide embeddings: a held split is 32x its rows
+        spec = dp.SynthSpec(family="pattern", classes=2, per_class=100, slices=8,
+                            height=16, width=16)
+        entries = dp.synth_dataset(spec, seed=23, out_dir=tmp_path)
+        cfg = small_cfg(image_size=16)
+        ckpt = tr.make_initial_checkpoint(cfg)
+        tr._stage2_items(entries[:8], tmp_path, cfg, ckpt.text, ckpt.image)  # warm caches
+
+        def peak(subset):
+            tracemalloc.start()
+            try:
+                items = tr._stage2_items(subset, tmp_path, cfg, ckpt.text, ckpt.image)
+                return tracemalloc.get_traced_memory()[1], sum(i.inputs.nbytes for i in items)
+            finally:
+                tracemalloc.stop()
+
+        small, small_rows = peak(entries[:40])
+        large, large_rows = peak(entries)
+        split = 160 * 8 * 16 * 16 * 8  # the extra volumes, preprocessed
+        slack = 64 * 1024 + 1024 * 160  # fixed, and per extra volume (paths, items)
+        assert large - small < (large_rows - small_rows) + slack < split / 4
+
     def test_geometry_mismatch(self, corpus3d, stage1):
         root, entries = corpus3d
         cfg = small_cfg(d_model=4, heads=2)
@@ -631,3 +656,39 @@ class TestResume(object):
                                root, stage1)
         vals = [h["val_loss"] for h in best.history]
         assert best.best_val_loss == min(vals)
+
+
+class TestResumeFinishedRun:
+    """A run resumed from its last epoch checkpoint, stopped early or not,
+    runs no epoch and rewrites its best checkpoint and loss.csv unchanged."""
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    @pytest.mark.parametrize("early", [True, False], ids=["stopped_early", "all_epochs"])
+    @pytest.mark.parametrize("lose_loss_csv", [False, True])
+    def test_same_files(self, corpus2d, corpus3d, stage1, tmp_path, stage, early,
+                        lose_loss_csv):
+        cfg = small_cfg(epochs=30, patience=1, dropout_rate=0.5, seed=0) if early \
+            else small_cfg(epochs=3, patience=10)
+        root, entries = corpus2d if stage == 1 else corpus3d
+
+        def train(out_dir, resume=None):
+            args = (cfg, split(entries, "train"), split(entries, "val"), root)
+            if stage == 1:
+                return tr.train_stage1(*args, out_dir=out_dir, resume=resume)
+            return tr.train_stage2(*args, stage1, out_dir=out_dir, resume=resume)
+
+        train(tmp_path / "run")
+        epochs = sorted((tmp_path / "run").glob("epoch_*.ckpt"))
+        assert (len(epochs) < cfg.epochs) == early
+        shutil.copytree(tmp_path / "run", tmp_path / "resumed")
+        if lose_loss_csv:  # as a kill in its last write would
+            (tmp_path / "resumed" / "loss.csv").unlink()
+        train(tmp_path / "resumed", tr.load_checkpoint(epochs[-1]))
+
+        def sha256(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        for name in (f"stage{stage}.ckpt", "loss.csv"):
+            assert sha256(tmp_path / "resumed" / name) == sha256(tmp_path / "run" / name)
+        assert (sorted(p.name for p in (tmp_path / "resumed").iterdir())
+                == sorted(p.name for p in (tmp_path / "run").iterdir()))
