@@ -10,7 +10,7 @@ import numpy as np
 from volalign import slice_pool as sp
 from volalign import trainer as tr
 from volalign.config import TrainConfig
-from volalign.diffmath import Tensor, make_rng
+from volalign.diffmath import make_rng
 
 CFG = TrainConfig(d_model=64, heads=4, s_max=8, dropout_rate=0.0)
 
@@ -21,29 +21,29 @@ def main():
     perm = rng.permutation(8)
 
     print("== global average pooling is order-blind ==")
-    g1 = sp.gap_pool(Tensor(mat)).data
-    g2 = sp.gap_pool(Tensor(mat[perm])).data
+    g1 = sp.gap_pool(mat)
+    g2 = sp.gap_pool(mat[perm])
     print("bitwise identical under permutation:", np.array_equal(g1, g2))
 
     print("\n== attention with a zeroed position table is equivariant too ==")
     adapter = tr.init_group(CFG, "adapter", seed=1)
-    adapter["pe_table"].value.data[...] = 0.0
-    a1 = sp.attention_pool(Tensor(mat), adapter, CFG.heads).data
-    a2 = sp.attention_pool(Tensor(mat[perm]), adapter, CFG.heads).data
+    adapter["pe_table"].value[...] = 0.0
+    a1 = sp.attention_pool(mat, adapter, CFG.heads)
+    a2 = sp.attention_pool(mat[perm], adapter, CFG.heads)
     print(f"max |difference| = {np.abs(a1 - a2).max():.2e}  (pure self-attention"
           " cannot see order)")
 
     print("\n== the random position table injects order information ==")
     adapter = tr.init_group(CFG, "adapter", seed=1)
-    a1 = sp.attention_pool(Tensor(mat), adapter, CFG.heads).data
-    a2 = sp.attention_pool(Tensor(mat[perm]), adapter, CFG.heads).data
+    a1 = sp.attention_pool(mat, adapter, CFG.heads)
+    a2 = sp.attention_pool(mat[perm], adapter, CFG.heads)
     print(f"max |difference| = {np.abs(a1 - a2).max():.2e}  (already at"
           " initialization, and it grows with training)")
 
     print("\n== attention weights are a proper distribution per head ==")
-    z = mat + adapter["pe_table"].value.data
-    q = z @ adapter["wq"].value.data[:, :CFG.d_head]  # head 0
-    k = z @ adapter["wk"].value.data[:, :CFG.d_head]
+    z = mat + adapter["pe_table"].value
+    q = z @ adapter["wq"].value[:, :CFG.d_head]  # head 0
+    k = z @ adapter["wk"].value[:, :CFG.d_head]
     scores = q @ k.T / np.sqrt(CFG.d_head)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     attn = e / e.sum(axis=1, keepdims=True)

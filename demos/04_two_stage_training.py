@@ -47,10 +47,8 @@ def main(work: Path):
     for h in stage2.history[::5]:
         print(f"  epoch {h['epoch']:>2}: train {h['train_loss']:.4f}  val {h['val_loss']:.4f}")
 
-    frozen = np.array_equal(stage2.image["patch_proj"].value.data,
-                            stage1.image["patch_proj"].value.data)
-    moved = not np.array_equal(stage2.adapter["pe_table"].value.data,
-                               stage1.adapter["pe_table"].value.data)
+    frozen = np.array_equal(stage2.image["patch_proj"].value, stage1.image["patch_proj"].value)
+    moved = not np.array_equal(stage2.adapter["pe_table"].value, stage1.adapter["pe_table"].value)
     print(f"image encoder untouched by stage 2: {frozen}")
     print(f"position table learned something:   {moved}")
 

@@ -10,7 +10,7 @@ from .datapipe import (Caption, ManifestEntry, SynthSpec, build_caption, load_ca
                        load_manifest, load_preprocessed, load_volume, preprocess_volume,
                        preprocessed_batches, resize_bilinear, save_manifest, save_volume,
                        synth_dataset, tokenize, zscore)
-from .diffmath import Param, ParamGroup, Tape, Tensor, grad_check, make_rng
+from .diffmath import Param, ParamGroup, Tape, grad_check, make_rng
 from .encoders import (encode_frozen, encode_image2d, encode_samples, encode_text,
                        image_shapes, text_shapes)
 from .evalkit import (AblationData, AblationReport, EmbeddingRow, EmbeddingTable,

@@ -1,8 +1,8 @@
 """Temperature-scaled cosine similarity logits and the InfoNCE objective.
 
 Both embedding matrices are L2-normalized inside similarity_matrix, so its
-[N x N] logits Tensor holds cosine similarities divided by the temperature;
-matching pairs sit on the diagonal. info_nce takes that Tensor. The loss is
+[N x N] logits array holds cosine similarities divided by the temperature;
+matching pairs sit on the diagonal. info_nce takes that array. The loss is
 batch-mean cross-entropy toward the diagonal, averaged over both directions
 when symmetric.
 """
@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import diffmath as dm
-from .diffmath import Tape, Tensor
+from .diffmath import Tape
 from .errors import BatchError, ConfigurationError, DimensionError, InputError
 
 
@@ -26,7 +28,7 @@ class LossConfig:
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
 
 
-def similarity_matrix(img, txt, cfg: LossConfig, tape: Tape | None = None) -> Tensor:
+def similarity_matrix(img, txt, cfg: LossConfig, tape: Tape | None = None) -> np.ndarray:
     """Cosine similarities of all image/text pairs, scaled by 1/tau: the
     [N x N] logits, entry ij = cos(img_i, txt_j) / tau."""
     iv, tv = dm._val(img), dm._val(txt)
@@ -43,17 +45,17 @@ def similarity_matrix(img, txt, cfg: LossConfig, tape: Tape | None = None) -> Te
     return dm.scale(dm.matmul(img_n, dm.transpose(txt_n, tape), tape), 1.0 / cfg.tau, tape)
 
 
-def _direction_loss(logits, tape: Tape | None) -> Tensor:
+def _direction_loss(logits, tape: Tape | None) -> np.ndarray:
     # mean over rows of (logsumexp(row) - diagonal entry)
     lse = dm.logsumexp_rows(logits, tape)
     diag = dm.take_diag(logits, tape)
     return dm.mean_all(dm.sub(lse, diag, tape), tape)
 
 
-def info_nce(logits: Tensor, cfg: LossConfig, tape: Tape | None = None) -> Tensor:
+def info_nce(logits: np.ndarray, cfg: LossConfig, tape: Tape | None = None) -> np.ndarray:
     """Cross-entropy toward the diagonal of the [N x N] logits; image->text
     plus (optionally) text->image."""
-    if logits.data.ndim != 2 or logits.shape[0] != logits.shape[1]:
+    if logits.ndim != 2 or logits.shape[0] != logits.shape[1]:
         raise InputError(f"info_nce: logits must be square, got shape {logits.shape}")
     i2t = _direction_loss(logits, tape)
     if not cfg.symmetric:
@@ -62,6 +64,6 @@ def info_nce(logits: Tensor, cfg: LossConfig, tape: Tape | None = None) -> Tenso
     return dm.scale(dm.add(i2t, t2i, tape), 0.5, tape)
 
 
-def batch_loss(img, txt, cfg: LossConfig, tape: Tape | None = None) -> Tensor:
+def batch_loss(img, txt, cfg: LossConfig, tape: Tape | None = None) -> np.ndarray:
     """similarity_matrix followed by info_nce; the training-step composite."""
     return info_nce(similarity_matrix(img, txt, cfg, tape), cfg, tape)

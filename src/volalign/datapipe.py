@@ -362,6 +362,8 @@ class SynthSpec:
             raise ConfigurationError("need at least 5 samples per class")
         if self.height < 8 or self.width < 8:
             raise ConfigurationError("images must be at least 8 x 8")
+        if not 0.0 <= self.noise < np.inf:
+            raise ConfigurationError(f"noise must be finite and >= 0, got {self.noise}")
         if self.family == "pattern" and self.classes > len(_PATTERNS):
             raise ConfigurationError(f"pattern family supports at most {len(_PATTERNS)} classes")
         if self.kind == "3d" and self.slices < 2:
@@ -499,6 +501,8 @@ def load_captions(path, vocab: int = DEFAULT_VOCAB) -> list[Caption]:
         if type(label) is not int or not isinstance(text, str):
             raise LoadError(f"captions {path}: label must be an integer and text a "
                             f"string, got {item!r}")
+        if label in by_label:
+            raise LoadError(f"captions {path}: label {label} appears more than once")
         by_label[label] = text
     labels = sorted(by_label)
     if labels != list(range(len(labels))):

@@ -1,8 +1,10 @@
-"""Dense float64 tensors with tape-based reverse-mode gradients.
+"""Reverse-mode gradients over float64 ndarrays, recorded on a tape.
 
 Everything trainable in this package is expressed through the ops in this
-module. Each op computes its value with numpy and, when a Tape is supplied,
-records a backward rule.
+module. Each op takes C-contiguous float64 ndarrays or Params, returns a
+C-contiguous float64 ndarray (reshape returns a view, eval-mode dropout its
+input) and, when a Tape is supplied, records a backward rule; the tape keys
+gradients on the identity of these arrays.
 
 A batch is a leading array axis: matmul, transpose, add, softmax_rows and
 mean_rows act on the trailing axes of [..., m, n] arrays, so one call (and
@@ -12,7 +14,9 @@ numpy runs a batched matmul one matrix at a time, so each matrix of a batch
 gets the same bits it would get alone. mean_rows sorts along the row axis
 before summing (sorted summation), so mean-based pooling is bitwise
 invariant to row order; mean_all and logsumexp_rows use exactly rounded
-(fsum) summation.
+(fsum) summation. Where numpy would return a numpy scalar for a 0-d
+result (mean_all, and add, sub, scale, relu and dropout on 0-d inputs), the
+op returns it as a 0-d array instead.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, DimensionError, InputError
 
 __all__ = [
-    "Tensor",
     "Param",
     "Tape",
     "matmul",
@@ -73,36 +76,13 @@ def derive_seed(seed: int, label: str) -> int:
     return fnv1a64(f"{seed}:{label}")
 
 
-def make_rng(seed: int, label: str = "") -> np.random.Generator:
+def make_rng(seed: int, label: str) -> np.random.Generator:
     """Counter-based (Philox) generator; same (seed, label) gives the same stream."""
-    key = derive_seed(seed, label) if label else seed
-    return np.random.Generator(np.random.Philox(key))
-
-
-class Tensor:
-    """Dense row-major float64 array with a shape; the universal value type."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        # asarray keeps 0-d scalars 0-d; ascontiguousarray would promote them to 1-d
-        self.data = np.asarray(data, dtype=np.float64, order="C")
-
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ContractError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
+    return np.random.Generator(np.random.Philox(derive_seed(seed, label)))
 
 
 class Param:
-    """A named tensor with an accumulated gradient and a trainable flag.
+    """A named float64 array with an accumulated gradient and a trainable flag.
 
     The gradient buffer is made, as zeros, at its first accumulation or
     access, so a parameter that never receives a gradient never holds one.
@@ -111,20 +91,20 @@ class Param:
     __slots__ = ("value", "_grad", "trainable", "name")
 
     def __init__(self, value, trainable: bool = True, name: str = ""):
-        self.value = value if isinstance(value, Tensor) else Tensor(value)
-        self._grad: Tensor | None = None
+        self.value = value
+        self._grad: np.ndarray | None = None
         self.trainable = trainable
         self.name = name
 
     @property
-    def grad(self) -> Tensor:
+    def grad(self) -> np.ndarray:
         if self._grad is None:
-            self._grad = Tensor(np.zeros_like(self.value.data))
+            self._grad = np.zeros_like(self.value)
         return self._grad
 
     def zero_grad(self) -> None:
         if self._grad is not None:
-            self._grad.data[...] = 0.0
+            self._grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Param({self.name or '?'}, shape={self.value.shape}, trainable={self.trainable})"
@@ -140,7 +120,7 @@ def zero_grads(params: Iterable[Param]) -> None:
 
 
 def _val(x) -> np.ndarray:
-    return x.value.data if isinstance(x, Param) else x.data
+    return x.value if isinstance(x, Param) else x
 
 
 class Tape:
@@ -148,16 +128,17 @@ class Tape:
 
     Records are appended in execution order, which is already a topological
     order of the computation. backward() walks them in reverse, accumulating
-    gradients into a per-tensor table and into Param.grad for leaves.
+    gradients into a table keyed on array identity and into Param.grad for
+    leaves.
     """
 
     __slots__ = ("_records", "_spent")
 
     def __init__(self):
-        self._records: list[tuple[Tensor, tuple, Callable]] = []
+        self._records: list[tuple[np.ndarray, tuple, Callable]] = []
         self._spent = False
 
-    def record(self, out: Tensor, inputs: tuple, backward: Callable) -> None:
+    def record(self, out: np.ndarray, inputs: tuple, backward: Callable) -> None:
         """Append one op: its output, its input refs, and its backward rule.
 
         The rule is called as backward(g, accum) where g is the gradient of
@@ -169,20 +150,21 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def backward(self, loss: Tensor) -> None:
+    def backward(self, loss: np.ndarray) -> None:
         if self._spent:
             raise ContractError("tape already consumed; run a new forward pass")
-        if not isinstance(loss, Tensor) or loss.data.size != 1:
-            raise ContractError("backward requires a scalar loss tensor")
+        if not isinstance(loss, np.ndarray) or loss.size != 1:
+            raise ContractError("backward requires a scalar loss array")
         self._spent = True
 
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss)}
 
         def accum(obj, g: np.ndarray) -> None:
             # a rule may hand the same array to several inputs, so stored
             # gradients are never updated in place
             if isinstance(obj, Param):
-                obj.grad.data += g
+                buf = obj.grad
+                buf += g  # in place: the property has no setter
             else:
                 key = id(obj)
                 grads[key] = grads[key] + g if key in grads else g
@@ -198,7 +180,7 @@ class Tape:
 # ops
 
 
-def matmul(a, b, tape: Tape | None = None) -> Tensor:
+def matmul(a, b, tape: Tape | None = None) -> np.ndarray:
     """[..., k] @ [k x n] -> [..., n], or [..., m, k] @ [..., k, n] -> [..., m, n].
 
     In the first form b is shared by every row of every batch entry, so its
@@ -213,7 +195,7 @@ def matmul(a, b, tape: Tape | None = None) -> Tensor:
               and av.shape[-1] == bv.shape[-2])
     if not ok:
         raise DimensionError(f"matmul: incompatible shapes {av.shape} @ {bv.shape}")
-    out = Tensor(av @ bv)
+    out = av @ bv
     if tape is not None:
         if bv.ndim == 2:
             def bwd(g, accum, av=av, bv=bv, a=a, b=b):
@@ -228,12 +210,12 @@ def matmul(a, b, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def transpose(x, tape: Tape | None = None) -> Tensor:
+def transpose(x, tape: Tape | None = None) -> np.ndarray:
     """Swap the last two axes: [..., m, n] -> [..., n, m]."""
     xv = _val(x)
     if xv.ndim < 2:
         raise DimensionError(f"transpose: expected a matrix, got shape {xv.shape}")
-    out = Tensor(np.swapaxes(xv, -1, -2))
+    out = np.ascontiguousarray(np.swapaxes(xv, -1, -2))  # BLAS may round a view differently
     if tape is not None:
         def bwd(g, accum, x=x):
             accum(x, np.ascontiguousarray(np.swapaxes(g, -1, -2)))
@@ -241,12 +223,12 @@ def transpose(x, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def reshape(x, shape: tuple, tape: Tape | None = None) -> Tensor:
+def reshape(x, shape: tuple, tape: Tape | None = None) -> np.ndarray:
     """The same values, in row-major order, under a new shape."""
     xv = _val(x)
     if math.prod(shape) != xv.size:
         raise DimensionError(f"reshape: cannot view shape {xv.shape} as {tuple(shape)}")
-    out = Tensor(xv.reshape(shape))
+    out = xv.reshape(shape)
     if tape is not None:
         def bwd(g, accum, x=x, shape=xv.shape):
             accum(x, g.reshape(shape))
@@ -254,14 +236,14 @@ def reshape(x, shape: tuple, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def add(a, b, tape: Tape | None = None) -> Tensor:
+def add(a, b, tape: Tape | None = None) -> np.ndarray:
     """Elementwise sum of equal shapes, or [..., m, d] + [m x d] with b shared
     by the batch (its gradient is summed over the leading axes)."""
     av, bv = _val(a), _val(b)
     shared = bv.ndim == 2 and av.ndim > 2 and av.shape[-2:] == bv.shape
     if av.shape != bv.shape and not shared:
         raise DimensionError(f"add: shape mismatch {av.shape} vs {bv.shape}")
-    out = Tensor(av + bv)
+    out = np.asarray(av + bv)
     if tape is not None:
         def bwd(g, accum, a=a, b=b, shape=bv.shape):
             accum(a, g)
@@ -270,11 +252,11 @@ def add(a, b, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def sub(a, b, tape: Tape | None = None) -> Tensor:
+def sub(a, b, tape: Tape | None = None) -> np.ndarray:
     av, bv = _val(a), _val(b)
     if av.shape != bv.shape:
         raise DimensionError(f"sub: shape mismatch {av.shape} vs {bv.shape}")
-    out = Tensor(av - bv)
+    out = np.asarray(av - bv)
     if tape is not None:
         def bwd(g, accum, a=a, b=b):
             accum(a, g)
@@ -283,10 +265,10 @@ def sub(a, b, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def scale(x, c: float, tape: Tape | None = None) -> Tensor:
+def scale(x, c: float, tape: Tape | None = None) -> np.ndarray:
     xv = _val(x)
     c = float(c)
-    out = Tensor(xv * c)
+    out = np.asarray(xv * c)
     if tape is not None:
         def bwd(g, accum, x=x, c=c):
             accum(x, g * c)
@@ -294,9 +276,9 @@ def scale(x, c: float, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def relu(x, tape: Tape | None = None) -> Tensor:
+def relu(x, tape: Tape | None = None) -> np.ndarray:
     xv = _val(x)
-    out = Tensor(np.maximum(xv, 0.0))
+    out = np.asarray(np.maximum(xv, 0.0))
     if tape is not None:
         mask = xv > 0.0
         def bwd(g, accum, x=x, mask=mask):
@@ -305,24 +287,23 @@ def relu(x, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def softmax_rows(x, tape: Tape | None = None) -> Tensor:
+def softmax_rows(x, tape: Tape | None = None) -> np.ndarray:
     """Softmax over the last axis with max subtraction; rows sum to 1."""
     xv = _val(x)
     if xv.ndim < 2:
         raise DimensionError(f"softmax_rows: expected a matrix, got shape {xv.shape}")
     shifted = xv - xv.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(s)
+    out = e / e.sum(axis=-1, keepdims=True)
     if tape is not None:
-        def bwd(g, accum, x=x, s=s):
+        def bwd(g, accum, x=x, s=out):
             dot = (g * s).sum(axis=-1, keepdims=True)
             accum(x, (g - dot) * s)
         tape.record(out, (x,), bwd)
     return out
 
 
-def logsumexp_rows(x, tape: Tape | None = None) -> Tensor:
+def logsumexp_rows(x, tape: Tape | None = None) -> np.ndarray:
     """Stable log(sum(exp(row))) per row -> [m]; exact inner summation."""
     xv = _val(x)
     if xv.ndim != 2:
@@ -330,7 +311,7 @@ def logsumexp_rows(x, tape: Tape | None = None) -> Tensor:
     m = xv.max(axis=1, keepdims=True)
     e = np.exp(xv - m)
     sums = np.array([math.fsum(row) for row in e.tolist()], dtype=np.float64)
-    out = Tensor(m[:, 0] + np.log(sums))
+    out = m[:, 0] + np.log(sums)
     if tape is not None:
         soft = e / sums[:, None]
         def bwd(g, accum, x=x, soft=soft):
@@ -339,7 +320,7 @@ def logsumexp_rows(x, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def l2_normalize_rows(x, eps: float = 1e-12, tape: Tape | None = None) -> Tensor:
+def l2_normalize_rows(x, eps: float = 1e-12, tape: Tape | None = None) -> np.ndarray:
     """Scale each row to unit Euclidean norm; rows with norm < eps pass through."""
     xv = _val(x)
     if xv.ndim != 2:
@@ -347,10 +328,9 @@ def l2_normalize_rows(x, eps: float = 1e-12, tape: Tape | None = None) -> Tensor
     norms = np.sqrt((xv * xv).sum(axis=1))
     safe = norms >= eps
     div = np.where(safe, norms, 1.0)
-    y = xv / div[:, None]
-    out = Tensor(y)
+    out = xv / div[:, None]
     if tape is not None:
-        def bwd(g, accum, x=x, y=y, div=div, safe=safe):
+        def bwd(g, accum, x=x, y=out, div=div, safe=safe):
             dot = (g * y).sum(axis=1, keepdims=True)
             gx = (g - dot * y) / div[:, None]
             gx = np.where(safe[:, None], gx, g)
@@ -359,7 +339,7 @@ def l2_normalize_rows(x, eps: float = 1e-12, tape: Tape | None = None) -> Tensor
     return out
 
 
-def mean_rows(x, tape: Tape | None = None) -> Tensor:
+def mean_rows(x, tape: Tape | None = None) -> np.ndarray:
     """Mean over the row axis, [..., m, d] -> [..., d].
 
     Each column is sorted before it is summed, so the result is bitwise
@@ -369,7 +349,7 @@ def mean_rows(x, tape: Tape | None = None) -> Tensor:
     if xv.ndim < 2 or xv.shape[-2] < 1:
         raise DimensionError(f"mean_rows: expected a non-empty matrix, got shape {xv.shape}")
     m = xv.shape[-2]
-    out = Tensor(np.sort(xv, axis=-2).sum(axis=-2) / m)
+    out = np.sort(xv, axis=-2).sum(axis=-2) / m
     if tape is not None:
         def bwd(g, accum, x=x, m=m):
             accum(x, np.repeat(np.expand_dims(g / m, -2), m, axis=-2))
@@ -377,13 +357,13 @@ def mean_rows(x, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def mean_all(x, tape: Tape | None = None) -> Tensor:
+def mean_all(x, tape: Tape | None = None) -> np.ndarray:
     """Mean of every element -> scalar, exactly rounded."""
     xv = _val(x)
     n = xv.size
     if n == 0:
-        raise DimensionError("mean_all: empty tensor")
-    out = Tensor(math.fsum(xv.ravel().tolist()) / n)
+        raise DimensionError("mean_all: empty array")
+    out = np.asarray(math.fsum(xv.ravel().tolist()) / n)
     if tape is not None:
         def bwd(g, accum, x=x, n=n, shape=xv.shape):
             accum(x, np.full(shape, g.item() / n))
@@ -391,14 +371,14 @@ def mean_all(x, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def take_rows(x, n: int, tape: Tape | None = None) -> Tensor:
+def take_rows(x, n: int, tape: Tape | None = None) -> np.ndarray:
     """First n rows of a matrix."""
     xv = _val(x)
     if xv.ndim != 2:
         raise DimensionError(f"take_rows: expected a matrix, got shape {xv.shape}")
     if not 1 <= n <= xv.shape[0]:
         raise InputError(f"take_rows: n={n} outside [1, {xv.shape[0]}]")
-    out = Tensor(xv[:n].copy())
+    out = xv[:n].copy()
     if tape is not None:
         def bwd(g, accum, x=x, n=n, shape=xv.shape):
             full = np.zeros(shape)
@@ -408,12 +388,12 @@ def take_rows(x, n: int, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def take_diag(x, tape: Tape | None = None) -> Tensor:
+def take_diag(x, tape: Tape | None = None) -> np.ndarray:
     """Diagonal of a square matrix -> [n]."""
     xv = _val(x)
     if xv.ndim != 2 or xv.shape[0] != xv.shape[1]:
         raise DimensionError(f"take_diag: expected a square matrix, got shape {xv.shape}")
-    out = Tensor(np.diagonal(xv).copy())
+    out = np.diagonal(xv).copy()
     if tape is not None:
         def bwd(g, accum, x=x, n=xv.shape[0]):
             full = np.zeros((n, n))
@@ -423,7 +403,7 @@ def take_diag(x, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def concat_rows(parts: Sequence, tape: Tape | None = None) -> Tensor:
+def concat_rows(parts: Sequence, tape: Tape | None = None) -> np.ndarray:
     """Concatenate matrices of equal width along rows."""
     vals = [_val(p) for p in parts]
     if not vals:
@@ -432,7 +412,7 @@ def concat_rows(parts: Sequence, tape: Tape | None = None) -> Tensor:
         if v.ndim != 2 or v.shape[1] != vals[0].shape[1]:
             raise DimensionError(f"concat_rows: widths do not line up: "
                                  f"{[v.shape for v in vals]}")
-    out = Tensor(np.concatenate(vals))
+    out = np.concatenate(vals)
     if tape is not None:
         bounds = np.cumsum([v.shape[0] for v in vals])[:-1]
         def bwd(g, accum, parts=tuple(parts), bounds=bounds):
@@ -443,7 +423,7 @@ def concat_rows(parts: Sequence, tape: Tape | None = None) -> Tensor:
 
 
 def dropout(x, rate: float, train_mode: bool, rng: np.random.Generator | None = None,
-            tape: Tape | None = None) -> Tensor:
+            tape: Tape | None = None) -> np.ndarray:
     """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
 
     Identity in eval mode and at rate 0; the mask comes from the supplied
@@ -452,13 +432,13 @@ def dropout(x, rate: float, train_mode: bool, rng: np.random.Generator | None = 
     if not 0.0 <= rate < 1.0:
         raise ConfigurationError(f"dropout rate must be in [0, 1), got {rate}")
     if not train_mode or rate == 0.0:
-        return x if isinstance(x, Tensor) else Tensor(_val(x))
+        return _val(x)
     if rng is None:
         raise ConfigurationError("dropout in train mode requires a random generator")
     xv = _val(x)
     keep = rng.random(xv.shape) >= rate
     factor = 1.0 / (1.0 - rate)
-    out = Tensor(xv * keep * factor)
+    out = np.asarray(xv * keep * factor)
     if tape is not None:
         def bwd(g, accum, x=x, keep=keep, factor=factor):
             accum(x, g * keep * factor)
@@ -493,7 +473,7 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def grad_check(f: Callable[[Tape | None], Tensor], params: Sequence[Param],
+def grad_check(f: Callable[[Tape | None], np.ndarray], params: Sequence[Param],
                h: float = 1e-5, tol: float = 1e-6) -> GradCheckReport:
     """Compare tape gradients of a scalar function against central differences.
 
@@ -506,11 +486,11 @@ def grad_check(f: Callable[[Tape | None], Tensor], params: Sequence[Param],
     tape = Tape()
     loss = f(tape)
     tape.backward(loss)
-    analytic = [p.grad.data.copy() for p in params]
+    analytic = [p.grad.copy() for p in params]
 
     per_param: list[tuple[str, float]] = []
     for i, (p, a) in enumerate(zip(params, analytic)):
-        flat = p.value.data.reshape(-1)
+        flat = p.value.reshape(-1)
         aflat = a.reshape(-1)
         worst = 0.0
         for j in range(flat.size):

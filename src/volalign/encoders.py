@@ -5,7 +5,7 @@ text encoder (word identity is all the short templated captions need) and a
 trainable patch + MLP image encoder for single slices. A batch of images is
 a leading axis of the image array, so encode_image2d of a volume's
 [n, H, W] voxel array is its [n, d_model] slice embeddings, the stack the
-slice-pooling adapter takes; patchify turns the array into a Tensor.
+slice-pooling adapter takes; patchify cuts the array into patch rows.
 encode_frozen is the frozen (eval-mode) path over many voxel arrays: those
 of one slice count share each encode_image2d call, at most
 datapipe.SLICE_BATCH slices at a time. numpy multiplies a stack one matrix
@@ -24,7 +24,7 @@ import numpy as np
 from . import datapipe as dp
 from . import diffmath as dm
 from .config import TrainConfig
-from .diffmath import ParamGroup, Tape, Tensor
+from .diffmath import ParamGroup, Tape
 from .errors import InputError
 
 
@@ -41,7 +41,7 @@ def image_shapes(cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
             "out_proj": (cfg.d_hidden, cfg.d_model)}
 
 
-def encode_text(token_ids: list[int], params: ParamGroup) -> Tensor:
+def encode_text(token_ids: list[int], params: ParamGroup) -> np.ndarray:
     """Mean of the looked-up embedding rows, projected into the shared space.
 
     Frozen path: never records on a tape. The mean is exactly rounded, so any
@@ -49,17 +49,17 @@ def encode_text(token_ids: list[int], params: ParamGroup) -> Tensor:
     """
     if not token_ids:
         raise InputError("encode_text: empty token list")
-    table = params["embed_table"].value.data
+    table = params["embed_table"].value
     vocab = table.shape[0]
     for t in token_ids:
         if not 0 <= t < vocab:
             raise InputError(f"encode_text: token id {t} outside [0, {vocab})")
     rows = table[np.asarray(token_ids, dtype=np.intp)]
-    bag = dm.mean_rows(Tensor(rows))
+    bag = dm.mean_rows(rows)
     return dm.matmul(bag, params["proj"])
 
 
-def patchify(image, patch_size: int) -> Tensor:
+def patchify(image, patch_size: int) -> np.ndarray:
     """Split [..., H, W] images into non-overlapping flattened patches,
     row-major: [..., (H/p)*(W/p), p*p]."""
     a = np.asarray(image, dtype=np.float64)
@@ -69,14 +69,13 @@ def patchify(image, patch_size: int) -> Tensor:
     p = patch_size
     if h % p != 0 or w % p != 0:
         raise InputError(f"patch size {p} does not divide image shape {(h, w)}")
-    patches = (a.reshape(*lead, h // p, p, w // p, p)
-                .swapaxes(-3, -2)
-                .reshape(*lead, (h // p) * (w // p), p * p))
-    return Tensor(patches)
+    return (a.reshape(*lead, h // p, p, w // p, p)
+             .swapaxes(-3, -2)
+             .reshape(*lead, (h // p) * (w // p), p * p))
 
 
 def encode_image2d(image, params: ParamGroup, train_mode: bool = False,
-                   dropout_rate: float = 0.0, rng=None, tape: Tape | None = None) -> Tensor:
+                   dropout_rate: float = 0.0, rng=None, tape: Tape | None = None) -> np.ndarray:
     """Patch projection -> relu -> hidden layer -> relu -> output projection
     -> mean over patches; [..., H, W] -> [..., d_model].
 
@@ -117,7 +116,7 @@ def encode_frozen(volumes: list[np.ndarray], params: ParamGroup, s_max: int) -> 
     out: list[np.ndarray] = [None] * len(volumes)
     for batch in slice_batches([len(v) for v in volumes], s_max):
         emb = encode_image2d(np.stack([volumes[i] for i in batch]), params)
-        for i, rows in zip(batch, emb.data):
+        for i, rows in zip(batch, emb):
             out[i] = rows
     return out
 

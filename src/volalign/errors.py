@@ -11,7 +11,7 @@ class VolalignError(Exception):
 
 
 class DimensionError(VolalignError):
-    """Tensor shapes do not satisfy an operation's contract."""
+    """Array shapes do not satisfy an operation's contract."""
 
     category = "dimension"
     exit_code = 8

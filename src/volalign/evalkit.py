@@ -6,7 +6,7 @@ Extraction streams its volumes from file to slice embeddings
 (encoders.encode_samples): each 64-slice preprocessing batch is encoded as
 soon as it is ready, so only one batch of preprocessed slices is alive. It
 then pools the embeddings in batches of many volumes (encoders.slice_batches),
-each batch one [B, n, d_model] Tensor; every row keeps the bits it gets
+each batch one [B, n, d_model] array; every row keeps the bits it gets
 alone. The ablation runner shares one memo of preprocessed volumes between
 its two stage-2 trainings and its rows, so each 3D sample is loaded once,
 and one memo of slice embeddings across its rows, so each test volume is
@@ -33,7 +33,7 @@ from . import encoders as enc
 from . import slice_pool as sp
 from . import trainer as tr
 from .config import TrainConfig
-from .diffmath import ParamGroup, Tensor, make_rng
+from .diffmath import ParamGroup, make_rng
 from .errors import (AmbiguityError, DependencyError, EvaluationError,
                      InputError, LoadError, StratificationError)
 
@@ -102,10 +102,10 @@ def extract_embeddings(ckpt: tr.Checkpoint, entries, data_root, pool_mode: str,
     mats = [encoded[k] for k in keys]
     vecs = [None] * len(mats)
     for batch in enc.slice_batches([m.shape[0] for m in mats], ckpt.config.s_max):
-        stack = Tensor(np.stack([mats[i] for i in batch]))
+        stack = np.stack([mats[i] for i in batch])
         pooled = (sp.gap_pool(stack) if pool_mode == "gap"
                   else sp.attention_pool(stack, ckpt.adapter, ckpt.config.heads))
-        for i, vec in zip(batch, pooled.data):
+        for i, vec in zip(batch, pooled):
             vecs[i] = vec
     return EmbeddingTable([EmbeddingRow(id=e.id, label=e.label, vec=v)
                            for e, v in zip(entries, vecs)])
@@ -116,7 +116,7 @@ def _group_sha256(group: ParamGroup) -> str:
     h = hashlib.sha256()
     for name, p in group.items():
         h.update(f"{name}{p.value.shape}".encode("utf-8"))
-        h.update(np.ascontiguousarray(p.value.data))
+        h.update(np.ascontiguousarray(p.value))
     return h.hexdigest()
 
 
@@ -324,10 +324,8 @@ def top1_match(images: EmbeddingTable, class_captions: list[dp.Caption],
         raise InputError(f"image labels must lie in [0, {n_classes}), got "
                          f"[{labels.min()}, {labels.max()}]")
 
-    cap_mat = np.stack([enc.encode_text(c.token_ids, text_params).data
-                        for c in class_captions])
-    scores = (dm.l2_normalize_rows(Tensor(images.matrix())).data
-              @ dm.l2_normalize_rows(Tensor(cap_mat)).data.T)
+    cap_mat = np.stack([enc.encode_text(c.token_ids, text_params) for c in class_captions])
+    scores = dm.l2_normalize_rows(images.matrix()) @ dm.l2_normalize_rows(cap_mat).T
     pred = scores.argmax(axis=1)  # argmax returns the first (lowest) index on ties
 
     confusion = np.zeros((n_classes, n_classes), dtype=int)

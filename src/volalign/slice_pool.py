@@ -1,6 +1,6 @@
 """Pool a stack of per-slice embeddings into one volume embedding.
 
-A stack is a [..., n, d_model] Tensor: row i holds slice i, and leading axes
+A stack is a [..., n, d_model] array: row i holds slice i, and leading axes
 index the volumes of a batch with the same slice count n. attention_pool adds
 a learnable per-position encoding to the stack, runs one multi-head
 self-attention layer over the slices (no residual, no layer norm), and
@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import diffmath as dm
 from .config import TrainConfig
-from .diffmath import ParamGroup, Tape, Tensor
+from .diffmath import ParamGroup, Tape
 from .errors import CapacityError, DimensionError, InputError
 
 POOL_MODES = ("attention", "gap")
@@ -46,17 +48,17 @@ def draw_adapter(cfg: TrainConfig, draw) -> dict:
     return {"pe_table": pe_table, "wq": wq, "wk": wk, "wv": wv, "wo": wo}
 
 
-def _slice_count(stack: Tensor, who: str) -> int:
+def _slice_count(stack: np.ndarray, who: str) -> int:
     """n of a [..., n, d] stack; an empty stack is an InputError."""
-    if stack.data.ndim < 2:
+    if stack.ndim < 2:
         raise DimensionError(f"{who}: expected a [..., n, d] stack, got shape {stack.shape}")
     if stack.shape[-2] < 1:
         raise InputError(f"{who}: empty slice stack")
     return stack.shape[-2]
 
 
-def attention_pool(stack: Tensor, params: ParamGroup, heads: int, train_mode: bool = False,
-                   dropout_rate: float = 0.0, rng=None, tape: Tape | None = None) -> Tensor:
+def attention_pool(stack: np.ndarray, params: ParamGroup, heads: int, train_mode: bool = False,
+                   dropout_rate: float = 0.0, rng=None, tape: Tape | None = None) -> np.ndarray:
     """Position-aware attention over slices, then mean over the output rows;
     [..., n, d_model] -> [..., d_model].
 
@@ -76,7 +78,7 @@ def attention_pool(stack: Tensor, params: ParamGroup, heads: int, train_mode: bo
     lead = z.shape[:-2]
     d_head = params["wq"].value.shape[1] // heads
 
-    def per_head_t(w: str) -> Tensor:
+    def per_head_t(w: str) -> np.ndarray:
         # z @ w, transposed and split: [..., heads, d_head, n]
         x = dm.matmul(z, params[w], tape)
         return dm.reshape(dm.transpose(x, tape), (*lead, heads, d_head, n), tape)
@@ -93,7 +95,7 @@ def attention_pool(stack: Tensor, params: ParamGroup, heads: int, train_mode: bo
     return dm.mean_rows(merged, tape)
 
 
-def gap_pool(stack: Tensor, tape: Tape | None = None) -> Tensor:
+def gap_pool(stack: np.ndarray, tape: Tape | None = None) -> np.ndarray:
     """Order-invariant mean over slice embeddings, [..., n, d] -> [..., d];
     bitwise identical for any permutation of the slices."""
     _slice_count(stack, "gap_pool")

@@ -27,7 +27,7 @@ from . import diffmath as dm
 from . import encoders as enc
 from . import slice_pool as sp
 from .config import TrainConfig
-from .diffmath import Param, ParamGroup, Tape, Tensor
+from .diffmath import Param, ParamGroup, Tape
 from .errors import (CheckpointError, CompatibilityError, ConfigurationError,
                      InputError, NonFiniteError)
 
@@ -82,7 +82,7 @@ class Adam:
         self.weight_decay = weight_decay
         if state is None:
             self.step_count = 0
-            self.moments = {p.name: (np.zeros_like(p.value.data), np.zeros_like(p.value.data))
+            self.moments = {p.name: (np.zeros_like(p.value), np.zeros_like(p.value))
                             for p in self.params}
         else:
             state = state.copy()
@@ -97,7 +97,7 @@ class Adam:
         bc1 = 1.0 - ADAM_BETA1 ** t
         bc2 = 1.0 - ADAM_BETA2 ** t
         for p in self.params:
-            g = p.grad.data
+            g = p.grad
             m, v = self.moments[p.name]
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
@@ -105,8 +105,8 @@ class Adam:
             v += (1.0 - ADAM_BETA2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             if self.weight_decay:
-                update = update + self.weight_decay * p.value.data
-            p.value.data -= lr * update
+                update = update + self.weight_decay * p.value
+            p.value -= lr * update
 
     def state(self) -> OptimizerState:
         return OptimizerState(self.step_count, self.moments).copy()
@@ -169,9 +169,9 @@ def _copy_param(p: Param) -> Param:
     """A trainable value is copied; a frozen one is shared and marked
     read-only on both sides. No gradient is copied."""
     if p.trainable:
-        return Param(p.value.data.copy(), trainable=True, name=p.name)
-    p.value.data.flags.writeable = False
-    return Param(p.value.data, trainable=False, name=p.name)
+        return Param(p.value.copy(), trainable=True, name=p.name)
+    p.value.flags.writeable = False
+    return Param(p.value, trainable=False, name=p.name)
 
 
 def snapshot_checkpoint(ckpt: Checkpoint) -> Checkpoint:
@@ -243,7 +243,7 @@ def _sections(ckpt: Checkpoint):
     }
     yield "meta", [json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")]
     for p in ckpt.model_params():
-        yield f"param:{p.name}", _tensor_parts(p.value.data)
+        yield f"param:{p.name}", _tensor_parts(p.value)
     if ckpt.optimizer is not None:
         for name in sorted(ckpt.optimizer.moments):
             m, v = ckpt.optimizer.moments[name]
@@ -433,7 +433,7 @@ def _text_vectors(entries, text_params, vocab) -> list[np.ndarray]:
         caption = dp.build_caption(e)
         if caption not in cache:
             ids = dp.tokenize(caption, vocab)
-            cache[caption] = enc.encode_text(ids, text_params).data
+            cache[caption] = enc.encode_text(ids, text_params)
         out.append(cache[caption])
     return out
 
@@ -462,12 +462,12 @@ def _stage2_items(entries, data_root, cfg, text_params, image_params,
 
 
 def _forward(stage: int, inputs: np.ndarray, ckpt: Checkpoint, cfg: TrainConfig,
-             train_mode: bool, rng, tape) -> Tensor:
+             train_mode: bool, rng, tape) -> np.ndarray:
     """Embeddings of a batch: images [B, H, W] (stage 1) or slice embeddings
     [B, n, d_model] (stage 2) -> [B, d_model]."""
     if stage == 1:
         return enc.encode_image2d(inputs, ckpt.image, train_mode, cfg.dropout_rate, rng, tape)
-    return sp.attention_pool(Tensor(inputs), ckpt.adapter, cfg.heads, train_mode,
+    return sp.attention_pool(inputs, ckpt.adapter, cfg.heads, train_mode,
                              cfg.dropout_rate, rng, tape)
 
 
@@ -486,7 +486,7 @@ def _batch_loss(items: list[_Item], idxs, stage, ckpt, cfg, loss_cfg, train_mode
                      train_mode, rng, tape)
             for group in groups.values()]
     img = outs[0] if len(outs) == 1 else dm.concat_rows(outs, tape)
-    txt = Tensor(np.stack([items[i].text_vec for i in order]))
+    txt = np.stack([items[i].text_vec for i in order])
     return ct.batch_loss(img, txt, loss_cfg, tape)
 
 
@@ -555,12 +555,12 @@ def _run_stage(cfg: TrainConfig, stage: int, ckpt: Checkpoint, items, val_items,
             idxs = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             tape = Tape()
             loss = _batch_loss(items, idxs, stage, ckpt, cfg, loss_cfg, True, rng, tape)
-            _check_finite(loss.data, epoch, b, "training loss")
+            _check_finite(loss, epoch, b, "training loss")
             batch_losses.append(loss.item())
             dm.zero_grads(trainables)
             tape.backward(loss)
             for p in trainables:
-                _check_finite(p.grad.data, epoch, b, f"gradient of {p.name}")
+                _check_finite(p.grad, epoch, b, f"gradient of {p.name}")
             adam.step(lr)
         train_loss = math.fsum(batch_losses) / len(batch_losses)
         val_loss = _mean_val_loss(val_items, stage, ckpt, cfg, loss_cfg)

@@ -21,7 +21,6 @@ from volalign import trainer as tr
 from volalign.cli import main as cli_main
 from volalign.config import TrainConfig
 from volalign.datapipe import SynthSpec
-from volalign.diffmath import Tensor
 
 DURATIONS: dict[str, float] = {}
 
@@ -132,7 +131,7 @@ def test_criterion_1_gradient_oracle():
     adapter = tr.init_group(cfg, "adapter", seed=11)
     data_rng = dm.make_rng(12, "acc1:data")
     voxels = np.stack([data_rng.normal(size=(6, 16, 16)) for _ in range(4)])  # [4, 6, 16, 16]
-    txt = Tensor(data_rng.normal(size=(4, 16)))
+    txt = data_rng.normal(size=(4, 16))
     loss_cfg = ct.LossConfig(tau=0.07)
 
     def composite(tape):
@@ -153,10 +152,10 @@ def test_criterion_1_gradient_oracle():
 
 def test_criterion_2_analytic_loss_values():
     for n in (2, 4, 8):
-        loss = ct.info_nce(Tensor(np.full((n, n), 1.23)), ct.LossConfig()).item()
+        loss = ct.info_nce(np.full((n, n), 1.23), ct.LossConfig()).item()
         assert abs(loss - math.log(n)) < 1e-9
     logits = np.array([[10.0, 0.0], [0.0, 10.0]])
-    loss = ct.info_nce(Tensor(logits), ct.LossConfig()).item()
+    loss = ct.info_nce(logits, ct.LossConfig()).item()
     assert abs(loss - math.log(1.0 + math.exp(-10.0))) < 1e-9
 
 
@@ -236,27 +235,27 @@ def test_criterion_6_permutation_invariances(ord_adapter_tuned):
     r = dm.make_rng(61, "perms")
     # GAP: bitwise invariant under any row permutation
     mat = r.normal(size=(8, 64))
-    base = sp.gap_pool(Tensor(mat)).data
+    base = sp.gap_pool(mat)
     for _ in range(10):
         perm = r.permutation(8)
-        out = sp.gap_pool(Tensor(mat[perm])).data
+        out = sp.gap_pool(mat[perm])
         assert np.array_equal(out, base)
 
     # attention with zero positional table: invariant within 1e-9
     cfg = acc_cfg(epochs=1, lr0=1e-3)
     adapter = tr.init_group(cfg, "adapter", seed=62)
-    adapter["pe_table"].value.data[...] = 0.0
-    a = sp.attention_pool(Tensor(mat), adapter, cfg.heads).data
+    adapter["pe_table"].value[...] = 0.0
+    a = sp.attention_pool(mat, adapter, cfg.heads)
     perm = r.permutation(8)
-    b = sp.attention_pool(Tensor(mat[perm]), adapter, cfg.heads).data
+    b = sp.attention_pool(mat[perm], adapter, cfg.heads)
     assert np.abs(a - b).max() < 1e-9
 
     # trained (nonzero) positional table: order-sensitive beyond 1e-6
     trained = ord_adapter_tuned.adapter
-    assert np.abs(trained["pe_table"].value.data).max() > 0.0
+    assert np.abs(trained["pe_table"].value).max() > 0.0
     heads = ord_adapter_tuned.config.heads
-    a = sp.attention_pool(Tensor(mat), trained, heads).data
-    b = sp.attention_pool(Tensor(mat[perm]), trained, heads).data
+    a = sp.attention_pool(mat, trained, heads)
+    b = sp.attention_pool(mat[perm], trained, heads)
     assert np.abs(a - b).max() > 1e-6
 
 

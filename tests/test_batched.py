@@ -10,7 +10,7 @@ from volalign import encoders as enc
 from volalign import slice_pool as sp
 from volalign import trainer as tr
 from volalign.config import TrainConfig
-from volalign.diffmath import Param, Tape, Tensor
+from volalign.diffmath import Param, Tape
 from volalign.errors import DimensionError
 
 CFG = TrainConfig(d_model=8, heads=2, d_hidden=8, d_text=8, vocab=64, patch_size=4,
@@ -69,30 +69,30 @@ class TestBatchedOpGradients:
 class TestBatchedOpShapes:
     def test_matmul_rejects_mismatched_batches(self):
         with pytest.raises(DimensionError):
-            dm.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+            dm.matmul(np.zeros((2, 3, 4)), np.zeros((3, 4, 5)))
         with pytest.raises(DimensionError):
-            dm.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 4))))
+            dm.matmul(np.zeros((2, 3, 4)), np.zeros((5, 4)))
 
     def test_add_shares_only_a_trailing_matrix(self):
         with pytest.raises(DimensionError):
-            dm.add(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 4))))
+            dm.add(np.zeros((2, 3, 4)), np.zeros((2, 4)))
         with pytest.raises(DimensionError):
-            dm.add(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros(4)))
+            dm.add(np.zeros((2, 3, 4)), np.zeros(4))
 
     def test_reshape_size_mismatch(self):
         with pytest.raises(DimensionError):
-            dm.reshape(Tensor(np.zeros((2, 3))), (4, 2))
+            dm.reshape(np.zeros((2, 3)), (4, 2))
 
     def test_concat_rows_needs_equal_widths(self):
         with pytest.raises(DimensionError):
-            dm.concat_rows([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))])
+            dm.concat_rows([np.zeros((2, 3)), np.zeros((2, 4))])
 
     def test_batched_matmul_equals_each_matrix_alone_bitwise(self):
         r = dm.make_rng(1, "bmm")
         a, w = r.normal(size=(5, 7, 16)), r.normal(size=(16, 9))
-        out = dm.matmul(Tensor(a), Tensor(w)).data
+        out = dm.matmul(a, w)
         for i in range(5):
-            assert np.array_equal(out[i], dm.matmul(Tensor(a[i]), Tensor(w)).data)
+            assert np.array_equal(out[i], dm.matmul(a[i], w))
 
 
 class TestMeanRowsOrderInvariance:
@@ -102,19 +102,19 @@ class TestMeanRowsOrderInvariance:
         x[:, 3] = x[:, 7]  # ties
         x[0, :, 0] = 0.0
         x[0, ::2, 0] = -0.0  # signed zeros
-        base = dm.mean_rows(Tensor(x)).data
+        base = dm.mean_rows(x)
         for _ in range(20):
             perm = r.permutation(9)
-            assert np.array_equal(dm.mean_rows(Tensor(x[:, perm])).data, base)
+            assert np.array_equal(dm.mean_rows(x[:, perm]), base)
             # a different permutation per batch entry
             each = np.stack([x[b, r.permutation(9)] for b in range(6)])
-            assert np.array_equal(dm.mean_rows(Tensor(each)).data, base)
+            assert np.array_equal(dm.mean_rows(each), base)
 
     def test_batched_equals_each_matrix_alone_bitwise(self):
         x = dm.make_rng(3, "meaneach").normal(size=(4, 7, 3))
-        out = dm.mean_rows(Tensor(x)).data
+        out = dm.mean_rows(x)
         for b in range(4):
-            assert np.array_equal(out[b], dm.mean_rows(Tensor(x[b])).data)
+            assert np.array_equal(out[b], dm.mean_rows(x[b]))
 
 
 def model(seed=5):
@@ -130,7 +130,7 @@ class TestBatchedEqualsPerVolume:
         params = list(image.values()) + list(adapter.values())
         data = dm.make_rng(4, "vols")
         vox = data.normal(size=(4, 5, 8, 8))
-        txt = Tensor(data.normal(size=(4, 8)))
+        txt = data.normal(size=(4, 8))
         loss_cfg = ct.LossConfig(tau=0.07)
 
         def run(batched):
@@ -149,7 +149,7 @@ class TestBatchedEqualsPerVolume:
                 img = dm.concat_rows([dm.reshape(r, (1, CFG.d_model), tape) for r in rows], tape)
             loss = ct.batch_loss(img, txt, loss_cfg, tape)
             tape.backward(loss)
-            return loss.item(), [p.grad.data.copy() for p in params]
+            return loss.item(), [p.grad.copy() for p in params]
 
         (l_b, g_b), (l_s, g_s) = run(True), run(False)
         assert abs(l_b - l_s) <= 1e-10
@@ -162,7 +162,7 @@ class TestBatchedEqualsPerVolume:
         vox = dm.make_rng(7, "sl").normal(size=(6, 8, 8))
         stack = enc.encode_image2d(vox, image)
         for i in range(6):
-            assert np.array_equal(stack.data[i], enc.encode_image2d(vox[i], image).data)
+            assert np.array_equal(stack[i], enc.encode_image2d(vox[i], image))
 
 
 def items_2d(n, seed):
@@ -203,9 +203,9 @@ class TestTrainerBatchLoss:
         ckpt = tr.make_initial_checkpoint(CFG)
         items = items_3d([3, 5, 3, 4, 5], 11)
         batched = self.loss_fn(items, 2, ckpt, train_mode=False)(None).item()
-        rows = [sp.attention_pool(Tensor(it.inputs), ckpt.adapter, CFG.heads).data for it in items]
-        txt = Tensor(np.stack([it.text_vec for it in items]))
-        per_volume = ct.batch_loss(Tensor(np.stack(rows)), txt, self.loss_cfg).item()
+        rows = [sp.attention_pool(it.inputs, ckpt.adapter, CFG.heads) for it in items]
+        txt = np.stack([it.text_vec for it in items])
+        per_volume = ct.batch_loss(np.stack(rows), txt, self.loss_cfg).item()
         assert abs(batched - per_volume) <= 1e-10
 
     def test_one_record_per_layer_per_batch(self):

@@ -64,6 +64,12 @@ class TestSynth:
         after = {p: p.read_bytes() for p in (tmp_path / "s").rglob("*") if p.is_file()}
         assert before == after
 
+    @pytest.mark.parametrize("noise", ["-0.5", "nan"])
+    def test_bad_noise_is_config_error(self, tmp_path, noise):
+        assert run(["synth", "--family", "pattern", "--noise", noise,
+                    "--out", tmp_path / "s"]) == 3
+        assert not (tmp_path / "s").exists()
+
 
 class TestTraining:
     def test_train2d_outputs(self, trained):
@@ -131,7 +137,7 @@ class TestEvalCommands:
 
     def test_probe_refuses_non_finite_checkpoint(self, trained, tmp_path, capsys):
         ckpt = tr.load_checkpoint(trained / "run2" / "stage2.ckpt")
-        ckpt.adapter["wo"].value.data[0, 0] = float("nan")
+        ckpt.adapter["wo"].value[0, 0] = float("nan")
         tr.save_checkpoint(ckpt, tmp_path / "nan.ckpt")
         code = run(["probe", "--ckpt", tmp_path / "nan.ckpt", "--data", trained / "data" / "3d",
                     "--out", tmp_path / "probe"])

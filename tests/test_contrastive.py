@@ -6,7 +6,7 @@ import pytest
 from volalign import contrastive as ct
 from volalign import diffmath as dm
 from volalign.contrastive import LossConfig
-from volalign.diffmath import Param, Tensor
+from volalign.diffmath import Param
 from volalign.errors import BatchError, ConfigurationError, DimensionError, InputError
 
 
@@ -17,14 +17,14 @@ def rng(label):
 class TestSimilarityMatrix:
     def test_matching_pairs_give_unit_diagonal(self):
         x = rng("pairs").normal(size=(4, 6))
-        sim = ct.similarity_matrix(Tensor(x), Tensor(x.copy()), LossConfig(tau=1.0))
-        assert np.abs(np.diagonal(sim.data) - 1.0).max() < 1e-12
+        sim = ct.similarity_matrix(x, x.copy(), LossConfig(tau=1.0))
+        assert np.abs(np.diagonal(sim) - 1.0).max() < 1e-12
 
     def test_orthogonal_rows_at_default_tau(self):
         img = np.eye(2, 6)
         txt = np.eye(2, 6)
-        sim = ct.similarity_matrix(Tensor(img), Tensor(txt), LossConfig(tau=0.07))
-        lg = sim.data
+        sim = ct.similarity_matrix(img, txt, LossConfig(tau=0.07))
+        lg = sim
         assert lg[0, 1] == 0.0 and lg[1, 0] == 0.0
         assert abs(lg[0, 0] - 1.0 / 0.07) < 1e-12
         assert abs(lg[0, 0] - 14.2857) < 1e-3
@@ -32,65 +32,64 @@ class TestSimilarityMatrix:
     def test_cosine_scale_invariance(self):
         x = rng("scale").normal(size=(3, 5))
         y = rng("scale2").normal(size=(3, 5))
-        base = ct.similarity_matrix(Tensor(x), Tensor(y), LossConfig()).data
+        base = ct.similarity_matrix(x, y, LossConfig())
         x2 = x.copy()
         x2[1] *= 2.0  # power of two: bitwise identical normalization
-        doubled = ct.similarity_matrix(Tensor(x2), Tensor(y), LossConfig()).data
+        doubled = ct.similarity_matrix(x2, y, LossConfig())
         assert np.array_equal(doubled, base)
         x3 = x.copy()
         x3[0] *= 3.7
-        scaled = ct.similarity_matrix(Tensor(x3), Tensor(y), LossConfig()).data
+        scaled = ct.similarity_matrix(x3, y, LossConfig())
         assert np.abs(scaled - base).max() < 1e-12
 
     def test_bound_invariant(self):
         x = rng("bound").normal(size=(5, 4)) * 100
         y = rng("bound2").normal(size=(5, 4)) * 0.01
         cfg = LossConfig(tau=0.07)
-        lg = ct.similarity_matrix(Tensor(x), Tensor(y), cfg).data
+        lg = ct.similarity_matrix(x, y, cfg)
         assert np.abs(lg).max() <= 1.0 / cfg.tau + 1e-12
 
     def test_batch_and_shape_errors(self):
         with pytest.raises(BatchError):
-            ct.similarity_matrix(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 4))), LossConfig())
+            ct.similarity_matrix(np.ones((1, 4)), np.ones((1, 4)), LossConfig())
         with pytest.raises(DimensionError):
-            ct.similarity_matrix(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 5))), LossConfig())
+            ct.similarity_matrix(np.ones((2, 4)), np.ones((2, 5)), LossConfig())
         with pytest.raises(DimensionError):
-            ct.similarity_matrix(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))), LossConfig())
+            ct.similarity_matrix(np.ones((2, 4)), np.ones((3, 4)), LossConfig())
 
     def test_tau_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            ct.similarity_matrix(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))),
-                                 LossConfig(tau=0.0))
+            ct.similarity_matrix(np.ones((2, 2)), np.ones((2, 2)), LossConfig(tau=0.0))
 
 
 class TestInfoNce:
     def test_uniform_logits_give_log_n(self):
         for n in (2, 4, 8):
-            loss = ct.info_nce(Tensor(np.full((n, n), 0.37)), LossConfig())
+            loss = ct.info_nce(np.full((n, n), 0.37), LossConfig())
             assert abs(loss.item() - math.log(n)) < 1e-12
 
     def test_strong_diagonal_two_by_two(self):
         logits = np.array([[10.0, 0.0], [0.0, 10.0]])
-        loss = ct.info_nce(Tensor(logits), LossConfig(tau=1.0))
+        loss = ct.info_nce(logits, LossConfig(tau=1.0))
         expected = math.log(1.0 + math.exp(-10.0))
         assert abs(loss.item() - expected) < 1e-9
 
     def test_batch_permutation_symmetry_exact(self):
         r = rng("perm")
         logits = r.normal(size=(6, 6))
-        base = ct.info_nce(Tensor(logits), LossConfig()).item()
+        base = ct.info_nce(logits, LossConfig()).item()
         for _ in range(5):
             p = r.permutation(6)
             permuted = logits[np.ix_(p, p)]
-            assert ct.info_nce(Tensor(permuted), LossConfig()).item() == base
+            assert ct.info_nce(permuted, LossConfig()).item() == base
 
     def test_non_square_rejected(self):
         with pytest.raises(InputError):
-            ct.info_nce(Tensor(np.ones((2, 3))), LossConfig())
+            ct.info_nce(np.ones((2, 3)), LossConfig())
 
     def test_asymmetric_flag_single_direction(self):
         logits = np.array([[2.0, -1.0], [0.5, 1.0]])
-        one_way = ct.info_nce(Tensor(logits), LossConfig(symmetric=False)).item()
+        one_way = ct.info_nce(logits, LossConfig(symmetric=False)).item()
         lse = [math.log(math.exp(r[0]) + math.exp(r[1])) for r in logits]
         expected = ((lse[0] - 2.0) + (lse[1] - 1.0)) / 2
         assert abs(one_way - expected) < 1e-12
@@ -99,16 +98,16 @@ class TestInfoNce:
         r = rng("nonneg")
         for _ in range(20):
             logits = r.normal(scale=3.0, size=(5, 5))
-            assert ct.info_nce(Tensor(logits), LossConfig()).item() >= 0.0
+            assert ct.info_nce(logits, LossConfig()).item() >= 0.0
 
     def test_raising_diagonal_strictly_lowers_loss(self):
         r = rng("mono")
         logits = r.normal(size=(4, 4))
-        base = ct.info_nce(Tensor(logits), LossConfig()).item()
+        base = ct.info_nce(logits, LossConfig()).item()
         for i in range(4):
             bumped = logits.copy()
             bumped[i, i] += 0.5
-            assert ct.info_nce(Tensor(bumped), LossConfig()).item() < base
+            assert ct.info_nce(bumped, LossConfig()).item() < base
 
 
 class TestEndToEnd:
@@ -117,10 +116,10 @@ class TestEndToEnd:
         img = r.normal(size=(4, 6))
         txt = r.normal(size=(4, 6))
         cfg = LossConfig()
-        base = ct.batch_loss(Tensor(img), Tensor(txt), cfg).item()
+        base = ct.batch_loss(img, txt, cfg).item()
         img2 = img.copy()
         img2[2] *= 5.0
-        assert abs(ct.batch_loss(Tensor(img2), Tensor(txt), cfg).item() - base) < 1e-12
+        assert abs(ct.batch_loss(img2, txt, cfg).item() - base) < 1e-12
 
     def test_gradient_wrt_raw_embeddings(self):
         r = rng("grad")
@@ -140,6 +139,6 @@ class TestEndToEnd:
         x = r.normal(size=(6, 8))
         y = r.normal(size=(6, 8))
         cfg = LossConfig()
-        aligned = ct.batch_loss(Tensor(x), Tensor(x.copy()), cfg).item()
-        random = ct.batch_loss(Tensor(x), Tensor(y), cfg).item()
+        aligned = ct.batch_loss(x, x.copy(), cfg).item()
+        random = ct.batch_loss(x, y, cfg).item()
         assert aligned < random

@@ -549,6 +549,9 @@ class TestSynth:
             SynthSpec(family="order-coded", classes=5, slices=4).validate()
         with pytest.raises(ConfigurationError):
             SynthSpec(family="order-coded", kind="2d").validate()
+        for noise in (-0.5, float("nan")):
+            with pytest.raises(ConfigurationError):
+                SynthSpec(family="pattern", noise=noise).validate()
 
     def test_pattern_classes_linearly_separable_in_pixel_space(self, tmp_path):
         # probe oracle on raw flattened voxels; evalkit has the probe itself,

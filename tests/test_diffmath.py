@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from volalign import diffmath as dm
-from volalign.diffmath import Param, Tape, Tensor
+from volalign.diffmath import Param, Tape
 from volalign.errors import ConfigurationError, ContractError, DimensionError
 
 
@@ -12,35 +12,75 @@ def rng(label="test", seed=0):
     return dm.make_rng(seed, label)
 
 
-class TestTensorBasics:
-    def test_row_major_float64(self):
-        t = Tensor([[1, 2], [3, 4]])
-        assert t.shape == (2, 2)
-        assert t.data.dtype == np.float64
-        assert t.data.flags["C_CONTIGUOUS"]
+def _x(*shape):
+    return rng("contract").normal(size=shape)
 
-    def test_scalar_item(self):
-        assert Tensor(3.5).item() == 3.5
 
-    def test_item_rejects_nonscalar(self):
-        with pytest.raises(ContractError):
-            Tensor([1.0, 2.0]).item()
+# (op, its inputs). The 0-d cases are there because numpy arithmetic on 0-d
+# arrays returns numpy scalars, which are not ndarrays.
+CONTRACT_CASES = [
+    pytest.param("matmul", lambda: (_x(3, 4), Param(_x(4, 2))), id="matmul"),
+    pytest.param("matmul", lambda: (_x(4), _x(4, 2)), id="matmul-vector"),
+    pytest.param("matmul", lambda: (_x(2, 3, 4), _x(4, 5)), id="matmul-shared"),
+    pytest.param("matmul", lambda: (_x(2, 3, 4), _x(2, 4, 5)), id="matmul-batched"),
+    pytest.param("transpose", lambda: (_x(3, 4),), id="transpose"),
+    pytest.param("transpose", lambda: (_x(2, 3, 4),), id="transpose-batched"),
+    pytest.param("reshape", lambda: (_x(2, 6), (3, 4)), id="reshape"),
+    pytest.param("add", lambda: (_x(2, 3), _x(2, 3)), id="add"),
+    pytest.param("add", lambda: (_x(2, 3, 4), Param(_x(3, 4))), id="add-shared"),
+    pytest.param("add", lambda: (np.array(1.5), np.array(-2.0)), id="add-0d"),
+    pytest.param("sub", lambda: (_x(2, 3), _x(2, 3)), id="sub"),
+    pytest.param("sub", lambda: (np.array(1.5), np.array(-2.0)), id="sub-0d"),
+    pytest.param("scale", lambda: (_x(2, 3), 0.5), id="scale"),
+    pytest.param("scale", lambda: (np.array(1.5), 0.5), id="scale-0d"),
+    pytest.param("relu", lambda: (_x(2, 3),), id="relu"),
+    pytest.param("relu", lambda: (np.array(1.5),), id="relu-0d"),
+    pytest.param("softmax_rows", lambda: (_x(2, 3, 4),), id="softmax_rows"),
+    pytest.param("logsumexp_rows", lambda: (_x(3, 4),), id="logsumexp_rows"),
+    pytest.param("l2_normalize_rows", lambda: (_x(3, 4),), id="l2_normalize_rows"),
+    pytest.param("mean_rows", lambda: (_x(2, 3, 4),), id="mean_rows"),
+    pytest.param("mean_all", lambda: (_x(3, 4),), id="mean_all"),
+    pytest.param("take_rows", lambda: (_x(3, 4), 2), id="take_rows"),
+    pytest.param("take_diag", lambda: (_x(3, 3),), id="take_diag"),
+    pytest.param("concat_rows", lambda: ([_x(2, 4), Param(_x(3, 4))],), id="concat_rows"),
+    pytest.param("dropout", lambda: (_x(3, 4), 0.5, True, rng("mask")), id="dropout"),
+    pytest.param("dropout", lambda: (np.array(1.5), 0.5, True, rng("mask")), id="dropout-0d"),
+    pytest.param("dropout", lambda: (_x(3, 4), 0.5, False, None), id="dropout-eval"),
+]
+
+
+class TestOpOutputContract:
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    @pytest.mark.parametrize("op, inputs", CONTRACT_CASES)
+    def test_c_contiguous_float64_ndarray(self, op, inputs, taped):
+        args = inputs()
+        out = getattr(dm, op)(*args, tape=Tape() if taped else None)
+        assert isinstance(out, np.ndarray), type(out)
+        assert out.dtype == np.float64
+        assert out.flags["C_CONTIGUOUS"]
+        if op == "dropout" and not args[2]:
+            assert out is args[0]  # eval mode is the identity
+
+    def test_every_public_op_has_a_case(self):
+        not_ops = {"Param", "Tape", "zero_grads", "grad_check", "GradCheckReport",
+                   "fnv1a64", "derive_seed", "make_rng"}
+        assert {c.values[0] for c in CONTRACT_CASES} == set(dm.__all__) - not_ops
 
 
 class TestMatmul:
     def test_identity(self):
-        x = Tensor([[2.0, -1.0], [0.5, 3.0]])
-        eye = Tensor(np.eye(2))
+        x = np.array([[2.0, -1.0], [0.5, 3.0]])
+        eye = np.eye(2)
         out = dm.matmul(eye, x)
-        assert np.array_equal(out.data, x.data)
+        assert np.array_equal(out, x)
 
     def test_hand_sum(self):
-        out = dm.matmul(Tensor([[1, 2], [3, 4]]), Tensor([[1], [1]]))
-        assert out.data.tolist() == [[3.0], [7.0]]
+        out = dm.matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
+        assert out.tolist() == [[3.0], [7.0]]
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            dm.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+            dm.matmul(np.zeros((2, 3)), np.zeros((2, 2)))
 
     def test_gradient_vs_central_differences(self):
         r = rng("matmul")
@@ -56,101 +96,101 @@ class TestMatmul:
 
 class TestSoftmaxRows:
     def test_equal_values_uniform(self):
-        out = dm.softmax_rows(Tensor([[7.0, 7.0, 7.0, 7.0]]))
-        assert np.allclose(out.data, 0.25, atol=1e-15)
+        out = dm.softmax_rows(np.array([[7.0, 7.0, 7.0, 7.0]]))
+        assert np.allclose(out, 0.25, atol=1e-15)
 
     def test_analytic_quarter_three_quarters(self):
-        out = dm.softmax_rows(Tensor([[0.0, math.log(3.0)]]))
-        assert np.allclose(out.data, [[0.25, 0.75]], atol=1e-15)
+        out = dm.softmax_rows(np.array([[0.0, math.log(3.0)]]))
+        assert np.allclose(out, [[0.25, 0.75]], atol=1e-15)
 
     def test_no_overflow_on_huge_logits(self):
-        out = dm.softmax_rows(Tensor([[1000.0, 1000.0]]))
-        assert np.allclose(out.data, [[0.5, 0.5]])
-        assert np.isfinite(out.data).all()
+        out = dm.softmax_rows(np.array([[1000.0, 1000.0]]))
+        assert np.allclose(out, [[0.5, 0.5]])
+        assert np.isfinite(out).all()
 
     def test_rows_sum_to_one_property(self):
         r = rng("softmax")
         for _ in range(20):
-            x = Tensor(r.normal(scale=5.0, size=(6, 9)))
-            s = dm.softmax_rows(x).data.sum(axis=1)
+            x = r.normal(scale=5.0, size=(6, 9))
+            s = dm.softmax_rows(x).sum(axis=1)
             assert np.abs(s - 1.0).max() < 1e-12
 
 
 class TestL2NormalizeRows:
     def test_three_four_five(self):
-        out = dm.l2_normalize_rows(Tensor([[3.0, 4.0]]))
-        assert np.allclose(out.data, [[0.6, 0.8]], atol=1e-15)
+        out = dm.l2_normalize_rows(np.array([[3.0, 4.0]]))
+        assert np.allclose(out, [[0.6, 0.8]], atol=1e-15)
 
     def test_unit_vector_unchanged(self):
-        out = dm.l2_normalize_rows(Tensor([[1.0, 0.0, 0.0]]))
-        assert np.array_equal(out.data, [[1.0, 0.0, 0.0]])
+        out = dm.l2_normalize_rows(np.array([[1.0, 0.0, 0.0]]))
+        assert np.array_equal(out, [[1.0, 0.0, 0.0]])
 
     def test_zero_row_guarded(self):
-        out = dm.l2_normalize_rows(Tensor([[0.0, 0.0]]), eps=1e-12)
-        assert np.array_equal(out.data, [[0.0, 0.0]])
+        out = dm.l2_normalize_rows(np.array([[0.0, 0.0]]), eps=1e-12)
+        assert np.array_equal(out, [[0.0, 0.0]])
 
     def test_norms_property(self):
         r = rng("l2norm")
         for _ in range(20):
-            x = Tensor(r.normal(size=(5, 7)))
-            norms = np.linalg.norm(dm.l2_normalize_rows(x).data, axis=1)
+            x = r.normal(size=(5, 7))
+            norms = np.linalg.norm(dm.l2_normalize_rows(x), axis=1)
             assert np.abs(norms - 1.0).max() < 1e-12
 
 
 class TestElementwiseSuite:
     def test_mean_rows(self):
-        out = dm.mean_rows(Tensor([[1.0, 1.0], [3.0, 3.0]]))
-        assert out.data.tolist() == [2.0, 2.0]
+        out = dm.mean_rows(np.array([[1.0, 1.0], [3.0, 3.0]]))
+        assert out.tolist() == [2.0, 2.0]
 
     def test_relu(self):
-        out = dm.relu(Tensor([-2.0, 2.0]))
-        assert out.data.tolist() == [0.0, 2.0]
+        out = dm.relu(np.array([-2.0, 2.0]))
+        assert out.tolist() == [0.0, 2.0]
 
     def test_scale_by_zero(self):
-        out = dm.scale(Tensor([[1.0, -5.0]]), 0.0)
-        assert np.array_equal(out.data, [[0.0, 0.0]])
+        out = dm.scale(np.array([[1.0, -5.0]]), 0.0)
+        assert np.array_equal(out, [[0.0, 0.0]])
 
     def test_add_sub_shape_errors(self):
         with pytest.raises(DimensionError):
-            dm.add(Tensor([1.0]), Tensor([1.0, 2.0]))
+            dm.add(np.array([1.0]), np.array([1.0, 2.0]))
         with pytest.raises(DimensionError):
-            dm.sub(Tensor([[1.0]]), Tensor([1.0]))
+            dm.sub(np.array([[1.0]]), np.array([1.0]))
 
     def test_mean_rows_is_row_order_invariant_bitwise(self):
         r = rng("meaninv")
         x = r.normal(size=(11, 5))
-        base = dm.mean_rows(Tensor(x)).data
+        base = dm.mean_rows(x)
         for _ in range(10):
             perm = r.permutation(11)
-            out = dm.mean_rows(Tensor(x[perm])).data
+            out = dm.mean_rows(x[perm])
             assert np.array_equal(out, base)
 
 
 class TestDropout:
     def test_eval_mode_identity(self):
-        x = Tensor([[1.0, 2.0]])
+        x = np.array([[1.0, 2.0]])
         out = dm.dropout(x, 0.9, train_mode=False)
         assert out is x
 
     def test_rate_zero_identity(self):
-        x = Tensor([[1.0, 2.0]])
+        x = np.array([[1.0, 2.0]])
         out = dm.dropout(x, 0.0, train_mode=True, rng=rng())
         assert out is x
 
     def test_rate_out_of_range(self):
         with pytest.raises(ConfigurationError):
-            dm.dropout(Tensor([1.0]), 1.0, train_mode=True, rng=rng())
+            dm.dropout(np.array([1.0]), 1.0, train_mode=True, rng=rng())
         with pytest.raises(ConfigurationError):
-            dm.dropout(Tensor([1.0]), -0.1, train_mode=True, rng=rng())
+            dm.dropout(np.array([1.0]), -0.1, train_mode=True, rng=rng())
 
     def test_inverted_scaling_preserves_mean(self):
-        x = Tensor(np.ones(100_000))
+        x = np.ones(100_000)
         out = dm.dropout(x, 0.5, train_mode=True, rng=rng("dropmean"))
-        assert abs(out.data.mean() - 1.0) < 0.02
+        assert abs(out.mean() - 1.0) < 0.02
 
     def test_survivors_scaled(self):
-        out = dm.dropout(Tensor(np.ones(1000)), 0.5, train_mode=True, rng=rng("scaled"))
-        vals = set(np.unique(out.data).tolist())
+        out = dm.dropout(np.ones(1000), 0.5, train_mode=True, rng=rng("scaled"))
+        vals = set(np.unique(out).tolist())
         assert vals <= {0.0, 2.0}
 
 
@@ -172,18 +212,20 @@ class TestTapeBackward:
 
     def test_grads_accumulate_across_backwards(self):
         x = Param(np.ones((2, 2)))
+        buf = x.grad
         for _ in range(2):
             tape = Tape()
             loss = dm.mean_all(x, tape)
             tape.backward(loss)
-        assert np.allclose(x.grad.data, 2 * 0.25)
+        assert x.grad is buf  # accumulated in place
+        assert np.allclose(x.grad, 2 * 0.25)
 
     def test_zero_grads(self):
         x = Param(np.ones((2, 2)))
         tape = Tape()
         tape.backward(dm.mean_all(x, tape))
         dm.zero_grads([x])
-        assert np.array_equal(x.grad.data, np.zeros((2, 2)))
+        assert np.array_equal(x.grad, np.zeros((2, 2)))
 
     def test_backward_is_bitwise_deterministic(self):
         def run():
@@ -194,7 +236,7 @@ class TestTapeBackward:
             h = dm.relu(dm.matmul(x, w, tape), tape)
             loss = dm.mean_all(dm.softmax_rows(h, tape), tape)
             tape.backward(loss)
-            return x.grad.data.copy(), w.grad.data.copy()
+            return x.grad.copy(), w.grad.copy()
 
         g1, g2 = run(), run()
         assert np.array_equal(g1[0], g2[0])
@@ -206,7 +248,7 @@ class TestTapeBackward:
         tape = Tape()
         loss = dm.mean_all(dm.add(x, x, tape), tape)
         tape.backward(loss)
-        assert np.allclose(x.grad.data, 1.0)
+        assert np.allclose(x.grad, 1.0)
 
 
 class TestPrimitiveGradients:
@@ -283,7 +325,7 @@ class TestGradCheck:
         theta = Param(np.array([[0.5, -0.2], [0.1, 0.9]]), name="theta")
 
         def bad_double(x, tape):
-            out = Tensor(dm._val(x) * 2.0)
+            out = dm._val(x) * 2.0
             if tape is not None:
                 def bwd(g, accum, x=x):
                     accum(x, g * 4.0)  # wrong: should be g * 2
@@ -299,15 +341,15 @@ class TestGradCheck:
     def test_leaves_grads_zeroed(self):
         theta = Param(np.array([1.0, 2.0]), name="theta")
         dm.grad_check(lambda t: dm.mean_all(dm.reshape(theta, (1, 2), t), t), [theta])
-        assert np.array_equal(theta.grad.data, np.zeros(2))
+        assert np.array_equal(theta.grad, np.zeros(2))
 
 
 class TestFinitenessProperty:
     def test_public_ops_stay_finite_on_finite_inputs(self):
         r = rng("finite")
         for _ in range(10):
-            x = Tensor(r.normal(scale=50.0, size=(4, 6)))
-            w = Tensor(r.normal(scale=50.0, size=(6, 4)))
+            x = r.normal(scale=50.0, size=(4, 6))
+            w = r.normal(scale=50.0, size=(6, 4))
             outs = [
                 dm.matmul(x, w),
                 dm.softmax_rows(x),
@@ -317,7 +359,7 @@ class TestFinitenessProperty:
                 dm.relu(x),
             ]
             for o in outs:
-                assert np.isfinite(o.data).all()
+                assert np.isfinite(o).all()
 
 
 class TestRng:

@@ -23,8 +23,8 @@ class TestTextEncoder:
     def test_seed_determinism_bitwise(self):
         a = tr.init_group(SMALL, "text", seed=5)
         b = tr.init_group(SMALL, "text", seed=5)
-        assert np.array_equal(a["embed_table"].value.data, b["embed_table"].value.data)
-        assert np.array_equal(a["proj"].value.data, b["proj"].value.data)
+        assert np.array_equal(a["embed_table"].value, b["embed_table"].value)
+        assert np.array_equal(a["proj"].value, b["proj"].value)
 
     def test_never_trainable(self):
         p = tr.init_group(SMALL, "text", seed=5)
@@ -35,19 +35,19 @@ class TestTextEncoder:
         p = tr.init_group(SMALL, "text", seed=1)
         e1 = enc.encode_text([3, 9, 40], p)
         e2 = enc.encode_text([3, 9, 40], p)
-        assert np.array_equal(e1.data, e2.data)
+        assert np.array_equal(e1, e2)
 
     def test_single_token_is_projected_row(self):
         p = tr.init_group(SMALL, "text", seed=1)
         out = enc.encode_text([7], p)
-        expected = p["embed_table"].value.data[7] @ p["proj"].value.data
-        assert np.allclose(out.data, expected, atol=1e-15)
+        expected = p["embed_table"].value[7] @ p["proj"].value
+        assert np.allclose(out, expected, atol=1e-15)
 
     def test_permuted_ids_identical_bitwise(self):
         p = tr.init_group(SMALL, "text", seed=1)
         a = enc.encode_text([3, 9, 40, 9], p)
         b = enc.encode_text([9, 40, 3, 9], p)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_empty_and_out_of_range(self):
         p = tr.init_group(SMALL, "text", seed=1)
@@ -64,8 +64,8 @@ class TestPatchify:
         img = np.arange(16.0).reshape(4, 4)
         patches = enc.patchify(img, 2)
         assert patches.shape == (4, 4)
-        assert patches.data[0].tolist() == [0.0, 1.0, 4.0, 5.0]
-        assert patches.data[3].tolist() == [10.0, 11.0, 14.0, 15.0]
+        assert patches[0].tolist() == [0.0, 1.0, 4.0, 5.0]
+        assert patches[3].tolist() == [10.0, 11.0, 14.0, 15.0]
 
     def test_indivisible(self):
         with pytest.raises(InputError):
@@ -76,14 +76,14 @@ class TestImageEncoder:
     def test_zero_image_zero_embedding(self):
         p = tr.init_group(SMALL, "image", seed=2)
         out = enc.encode_image2d(np.zeros((8, 8)), p)
-        assert np.array_equal(out.data, np.zeros(6))
+        assert np.array_equal(out, np.zeros(6))
 
     def test_eval_mode_pure_function(self):
         p = tr.init_group(SMALL, "image", seed=2)
         img = dm.make_rng(0, "img").normal(size=(8, 8))
         a = enc.encode_image2d(img, p)
         b = enc.encode_image2d(img, p)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_gradient_passes_check(self):
         p = tr.init_group(SMALL, "image", seed=3)
@@ -105,8 +105,8 @@ class TestEncodeSlices:
         sl = dm.make_rng(3, "sl").normal(size=(8, 8))
         stack = enc.encode_image2d(np.stack([sl] * 3), p)
         assert stack.shape == (3, 6)
-        assert np.array_equal(stack.data[0], stack.data[1])
-        assert np.array_equal(stack.data[0], stack.data[2])
+        assert np.array_equal(stack[0], stack[1])
+        assert np.array_equal(stack[0], stack[2])
 
     def test_single_slice_matches_encode_image2d(self):
         p = tr.init_group(SMALL, "image", seed=4)
@@ -114,7 +114,7 @@ class TestEncodeSlices:
         stack = enc.encode_image2d(sl[None], p)
         direct = enc.encode_image2d(sl, p)
         assert stack.shape == (1, 6)
-        assert np.array_equal(stack.data[0], direct.data)
+        assert np.array_equal(stack[0], direct)
 
     def test_reversed_order_reverses_rows(self):
         p = tr.init_group(SMALL, "image", seed=4)
@@ -122,7 +122,7 @@ class TestEncodeSlices:
         vox = r.normal(size=(4, 8, 8))
         fwd = enc.encode_image2d(vox, p)
         rev = enc.encode_image2d(vox[::-1].copy(), p)
-        assert np.array_equal(rev.data, fwd.data[::-1])
+        assert np.array_equal(rev, fwd[::-1])
 
     def test_capacity(self):
         p = tr.init_group(SMALL, "image", seed=4)

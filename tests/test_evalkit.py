@@ -137,7 +137,7 @@ class TestExtract:
                     stack = enc.encode_image2d(vol, ckpt.image)
                     alone = (sp.gap_pool(stack) if mode == "gap"
                              else sp.attention_pool(stack, ckpt.adapter, cfg.heads))
-                    assert row.vec.tobytes() == alone.data.tobytes()
+                    assert row.vec.tobytes() == alone.tobytes()
 
 
 class TestLinearProbe:
@@ -286,7 +286,7 @@ class TestTop1Match:
     def test_perfect_when_images_equal_captions(self):
         tp = self.text_params()
         caps = self.captions(["Brain MRI with Sequence A", "Brain MRI with Sequence B"])
-        vecs = [enc.encode_text(c.token_ids, tp).data for c in caps]
+        vecs = [enc.encode_text(c.token_ids, tp) for c in caps]
         table = table_from(vecs * 3, [0, 1] * 3)
         report = ek.top1_match(table, caps, tp)
         assert report.precision == 1.0
@@ -476,7 +476,7 @@ class TestAblationPreprocessesOnce:
         for name in ("stage1.ckpt", "stage2_finetuned.ckpt"):
             (tmp_path / name).write_bytes((workdir / name).read_bytes())
         vanilla = tr.load_checkpoint(workdir / "stage2_vanilla.ckpt")
-        vanilla.image["out_proj"].value.data[0, 0] += 1e-9
+        vanilla.image["out_proj"].value[0, 0] += 1e-9
         tr.save_checkpoint(vanilla, tmp_path / "stage2_vanilla.ckpt")
         tables = []
         extract = ek.extract_embeddings

@@ -34,6 +34,9 @@ CSV_HEADER = "id,label,e0,e1\n"
     ("captions", ["label text"]),
     ("captions", [{"label": "x", "text": "a"}]),
     ("captions", [{"label": 0, "text": 5}]),
+    ("captions", [{"label": 0, "text": "chest ct"},  # a duplicate label
+                  {"label": 1, "text": "chest ct with disk marker"},
+                  {"label": 0, "text": "brain mri"}]),
     ("embeddings", CSV_HEADER + "a,0,1.0,zero\n"),
     ("embeddings", CSV_HEADER + "a,first,1.0,2.0\n"),
     ("embeddings", CSV_HEADER + "a\n"),
@@ -369,7 +372,7 @@ class TestNonFiniteGuard:
             for _out, inputs, _rule in tape._records:
                 for x in inputs:
                     if isinstance(x, dm.Param) and x.name == "image.mlp_hidden":
-                        x.grad.data[0, 0] = np.inf
+                        x.grad[0, 0] = np.inf
 
         monkeypatch.setattr(dm.Tape, "backward", poisoned)
         with pytest.raises(NonFiniteError,

@@ -138,9 +138,9 @@ class TestAdam:
         opt = tr.Adam([p])
         for _ in range(2000):
             p.zero_grad()
-            p.grad.data[...] = 2.0 * p.value.data  # d/dw of w^2
+            p.grad[...] = 2.0 * p.value  # d/dw of w^2
             opt.step(0.01)
-        assert np.abs(p.value.data).max() < 1e-3
+        assert np.abs(p.value).max() < 1e-3
 
     def test_skips_frozen(self):
         from volalign.diffmath import Param
@@ -152,7 +152,7 @@ class TestAdam:
         from volalign.diffmath import Param
         p = Param(np.array([1.0]), name="w")
         opt = tr.Adam([p])
-        p.grad.data[...] = 0.5
+        p.grad[...] = 0.5
         opt.step(0.1)
         st = opt.state()
         opt2 = tr.Adam([p], state=st)
@@ -193,7 +193,7 @@ class TestCheckpointIO:
         back = tr.load_checkpoint(tmp_path / "c.ckpt")
         for p, q in zip(ckpt.model_params(), back.model_params()):
             assert p.name == q.name
-            assert np.array_equal(p.value.data, q.value.data)
+            assert np.array_equal(p.value, q.value)
         assert not back.text["embed_table"].trainable
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -234,7 +234,7 @@ class TestCheckpointIO:
         kind, name = section.split(":")
         if kind == "param":
             group, short = name.split(".")
-            ckpt.groups()[group][short].value.data.flat[3] = value
+            ckpt.groups()[group][short].value.flat[3] = value
         else:
             ckpt.optimizer.moments[name][kind == "adam.v"].flat[3] = value
         tr.save_checkpoint(ckpt, tmp_path / "c.ckpt")
@@ -418,7 +418,7 @@ class TestStage1(object):
         assert ckpt.epoch == 0
         assert ckpt.history == []
         for p, q in zip(ckpt.model_params(), init.model_params()):
-            assert np.array_equal(p.value.data, q.value.data)
+            assert np.array_equal(p.value, q.value)
 
     def test_same_seed_bitwise_identical_checkpoints(self, corpus2d, tmp_path):
         root, entries = corpus2d
@@ -436,20 +436,17 @@ class TestStage1(object):
         cfg = small_cfg(epochs=2)
         init = tr.make_initial_checkpoint(cfg)
         ckpt = tr.train_stage1(cfg, split(entries, "train"), split(entries, "val"), root)
-        assert np.array_equal(ckpt.text["embed_table"].value.data,
-                              init.text["embed_table"].value.data)
-        assert np.array_equal(ckpt.text["proj"].value.data, init.text["proj"].value.data)
+        assert np.array_equal(ckpt.text["embed_table"].value, init.text["embed_table"].value)
+        assert np.array_equal(ckpt.text["proj"].value, init.text["proj"].value)
 
     def test_image_params_do_change(self, corpus2d):
         root, entries = corpus2d
         cfg = small_cfg(epochs=2)
         init = tr.make_initial_checkpoint(cfg)
         ckpt = tr.train_stage1(cfg, split(entries, "train"), split(entries, "val"), root)
-        assert not np.array_equal(ckpt.image["patch_proj"].value.data,
-                                  init.image["patch_proj"].value.data)
+        assert not np.array_equal(ckpt.image["patch_proj"].value, init.image["patch_proj"].value)
         # and the adapter is untouched in stage 1
-        assert np.array_equal(ckpt.adapter["pe_table"].value.data,
-                              init.adapter["pe_table"].value.data)
+        assert np.array_equal(ckpt.adapter["pe_table"].value, init.adapter["pe_table"].value)
 
     def test_rejects_3d_entries(self, corpus3d):
         root, entries = corpus3d
@@ -471,12 +468,9 @@ class TestStage2(object):
         ckpt = tr.train_stage2(cfg, split(entries, "train"), split(entries, "val"),
                                root, stage1)
         for name in ("patch_proj", "mlp_hidden", "out_proj"):
-            assert np.array_equal(ckpt.image[name].value.data,
-                                  stage1.image[name].value.data)
-        assert np.array_equal(ckpt.text["embed_table"].value.data,
-                              stage1.text["embed_table"].value.data)
-        assert not np.array_equal(ckpt.adapter["pe_table"].value.data,
-                                  stage1.adapter["pe_table"].value.data)
+            assert np.array_equal(ckpt.image[name].value, stage1.image[name].value)
+        assert np.array_equal(ckpt.text["embed_table"].value, stage1.text["embed_table"].value)
+        assert not np.array_equal(ckpt.adapter["pe_table"].value, stage1.adapter["pe_table"].value)
 
     def test_patience_stops_constant_model_after_two_epochs(self, corpus3d, stage1):
         root, entries = corpus3d
@@ -497,7 +491,7 @@ class TestStage2(object):
             vol = dp.preprocess_volume(dp.load_volume(root / e.path), cfg.image_size,
                                        cfg.image_size)
             stack = enc.encode_image2d(vol, stage1.image)
-            assert item.inputs.tobytes() == stack.data.tobytes()
+            assert item.inputs.tobytes() == stack.tobytes()
 
     def test_set_up_holds_embedding_rows_not_the_preprocessed_split(self, tmp_path):
         import tracemalloc
@@ -546,7 +540,7 @@ def stage2_state(cfg):
         p.trainable = False
     adam = tr.Adam(list(ckpt.adapter.values()))
     for p in ckpt.model_params():
-        p.grad.data[...] = 1.0
+        p.grad[...] = 1.0
     adam.step(1e-3)
     ckpt.optimizer = adam.state()
     return ckpt
@@ -561,8 +555,8 @@ class TestSnapshot:
         assert {p.name.split(".")[0] for p, _ in frozen} == {"text", "image"}
         for p, q in frozen:
             assert not q.trainable
-            assert np.shares_memory(p.value.data, q.value.data), p.name
-            for a in (p.value.data, q.value.data):
+            assert np.shares_memory(p.value, q.value), p.name
+            for a in (p.value, q.value):
                 with pytest.raises(ValueError, match="read-only"):
                     a[(0,) * a.ndim] = 1.0
 
@@ -572,9 +566,9 @@ class TestSnapshot:
         for p, q in zip(ckpt.model_params(), snap.model_params()):
             assert q._grad is None, p.name
             if p.trainable:
-                assert q.trainable and q.value.data.flags.writeable
-                assert not np.shares_memory(p.value.data, q.value.data), p.name
-                assert np.array_equal(p.value.data, q.value.data)
+                assert q.trainable and q.value.flags.writeable
+                assert not np.shares_memory(p.value, q.value), p.name
+                assert np.array_equal(p.value, q.value)
         assert snap.optimizer.step == ckpt.optimizer.step == 1
         assert snap.optimizer.moments.keys() == ckpt.optimizer.moments.keys()
         for name, moments in ckpt.optimizer.moments.items():
@@ -608,8 +602,8 @@ class TestSnapshot:
         # the acceptance geometry: the frozen text table alone is 4096 x 64 (2 MiB)
         ckpt = stage2_state(small_cfg(d_model=64, heads=4, d_hidden=128, d_text=64,
                                       vocab=4096, patch_size=8, image_size=16))
-        trainable = sum(3 * p.value.data.nbytes for p in ckpt.model_params() if p.trainable)
-        assert ckpt.text["embed_table"].value.data.nbytes > 4 * trainable
+        trainable = sum(3 * p.value.nbytes for p in ckpt.model_params() if p.trainable)
+        assert ckpt.text["embed_table"].value.nbytes > 4 * trainable
         tracemalloc.start()
         try:
             snap = tr.snapshot_checkpoint(ckpt)
