@@ -398,12 +398,16 @@ def _splits(entries):
 
 
 def _cached_stage2(cfg, data, base_ckpt, workdir, name, volumes):
+    """The adapter trained on base_ckpt's encoder: the cached file in workdir
+    when its image group equals base_ckpt's bit for bit, else a fresh one."""
     if workdir is not None:
         path = Path(workdir) / name
         if path.is_file():
             ckpt = tr.load_checkpoint(path)
             tr.check_geometry(ckpt, cfg)
-            return ckpt
+            if all(np.array_equal(p.value, base_ckpt.image[k].value)
+                   for k, p in ckpt.image.items()):
+                return ckpt
     train3d, val3d, _ = _splits(data.entries3d)
     out = Path(workdir) / name.removesuffix(".ckpt") if workdir is not None else None
     ckpt = tr.train_stage2(cfg, train3d, val3d, data.root3d, base_ckpt, out_dir=out,

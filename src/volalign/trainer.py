@@ -31,7 +31,7 @@ from .diffmath import Param, ParamGroup, Tape
 from .errors import (CheckpointError, CompatibilityError, ConfigurationError,
                      InputError, NonFiniteError)
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 _MAGIC = b"RCKP"
 
 ADAM_BETA1 = 0.9
@@ -137,19 +137,34 @@ def init_group(cfg: TrainConfig, group: str, seed: int) -> ParamGroup:
 @dataclass
 class Checkpoint:
     """Everything needed to evaluate or to resume training: all parameter
-    groups, optimizer moments, progress counters, and the training RNG state."""
+    groups, optimizer moments and the per-epoch history, from which the
+    progress counters follow."""
 
     stage: int
-    epoch: int  # completed epochs
     config: TrainConfig
     text: ParamGroup
     image: ParamGroup
     adapter: ParamGroup
     optimizer: OptimizerState | None = None
-    best_val_loss: float | None = None
-    best_epoch: int | None = None
-    rng_state: dict | None = None
-    history: list[dict] = field(default_factory=list)
+    history: list[dict] = field(default_factory=list)  # one record per completed epoch
+
+    @property
+    def epoch(self) -> int:
+        """Completed epochs."""
+        return len(self.history)
+
+    @property
+    def best_epoch(self) -> int | None:
+        """The first epoch with the lowest validation loss (min keeps the
+        first of equal values), or None before any epoch."""
+        if not self.history:
+            return None
+        return min(range(len(self.history)), key=lambda e: self.history[e]["val_loss"])
+
+    @property
+    def best_val_loss(self) -> float | None:
+        best = self.best_epoch
+        return None if best is None else self.history[best]["val_loss"]
 
     def groups(self) -> dict[str, ParamGroup]:
         return {g: getattr(self, g) for g in GROUPS}
@@ -161,7 +176,7 @@ class Checkpoint:
 def make_initial_checkpoint(cfg: TrainConfig, stage: int = 1) -> Checkpoint:
     """A fresh, untrained checkpoint determined entirely by cfg.seed."""
     cfg.validate()
-    return Checkpoint(stage=stage, epoch=0, config=cfg,
+    return Checkpoint(stage=stage, config=cfg,
                       **{g: init_group(cfg, g, cfg.seed) for g in GROUPS})
 
 
@@ -181,7 +196,6 @@ def snapshot_checkpoint(ckpt: Checkpoint) -> Checkpoint:
               for g, group in ckpt.groups().items()}
     return replace(ckpt, **groups,
                    optimizer=ckpt.optimizer.copy() if ckpt.optimizer else None,
-                   rng_state=json.loads(json.dumps(ckpt.rng_state)),  # None stays None
                    history=[dict(h) for h in ckpt.history])
 
 
@@ -207,37 +221,11 @@ def _unpack_tensor(buf: bytes) -> np.ndarray:
     return np.frombuffer(buf, dtype="<f8", offset=ofs).astype(np.float64).reshape(shape)
 
 
-def _rng_state_to_json(state: dict) -> dict:
-    def conv(x):
-        if isinstance(x, np.ndarray):
-            return [int(v) for v in x.tolist()]
-        if isinstance(x, (np.integer,)):
-            return int(x)
-        if isinstance(x, dict):
-            return {k: conv(v) for k, v in x.items()}
-        return x
-    return conv(state)
-
-
-def _rng_state_from_json(state: dict) -> dict:
-    out = dict(state)
-    inner = dict(out["state"])
-    inner["counter"] = np.array(inner["counter"], dtype=np.uint64)
-    inner["key"] = np.array(inner["key"], dtype=np.uint64)
-    out["state"] = inner
-    out["buffer"] = np.array(out["buffer"], dtype=np.uint64)
-    return out
-
-
 def _sections(ckpt: Checkpoint):
     """(name, payload parts) of each checkpoint section, in file order."""
     meta = {
         "stage": ckpt.stage,
-        "epoch": ckpt.epoch,
         "config": ckpt.config.to_dict(),
-        "best_val_loss": ckpt.best_val_loss,
-        "best_epoch": ckpt.best_epoch,
-        "rng_state": ckpt.rng_state,
         "history": ckpt.history,
         "optimizer_step": ckpt.optimizer.step if ckpt.optimizer else None,
     }
@@ -309,18 +297,17 @@ _HISTORY_KEYS = ("epoch", "lr", "train_loss", "val_loss")  # of a history record
 
 
 def _history(v) -> bool:
+    """Records numbered by epoch 0, 1, ..., n - 1, which makes n the epoch count."""
     return isinstance(v, list) and all(
-        isinstance(h, dict) and all(_number(h.get(k)) for k in _HISTORY_KEYS) for h in v)
+        isinstance(h, dict) and _count(h.get("epoch")) and h["epoch"] == e
+        and all(_number(h.get(k)) for k in _HISTORY_KEYS) for e, h in enumerate(v))
 
 
 # what each meta field beside config accepts
 _META_FIELDS = {
     "stage": ("1 or 2", lambda v: _count(v) and v in (1, 2)),
-    "epoch": ("an integer >= 0", _count),
-    "best_val_loss": ("a number or null", lambda v: v is None or _number(v)),
-    "best_epoch": ("an integer >= 0 or null", lambda v: v is None or _count(v)),
-    "rng_state": ("an object or null", lambda v: v is None or isinstance(v, dict)),
-    "history": ("a list of objects with numbers at " + ", ".join(_HISTORY_KEYS), _history),
+    "history": ("a list of objects numbered by epoch 0, 1, ... with numbers at "
+                + ", ".join(_HISTORY_KEYS), _history),
     "optimizer_step": ("an integer >= 0 or null", lambda v: v is None or _count(v)),
 }
 
@@ -337,6 +324,9 @@ def _read_meta(payload: bytes | None, path) -> dict:
     missing = [k for k in _META_FIELDS if k not in meta]
     if missing:
         raise CheckpointError(f"{path}: meta section lacks {missing}")
+    extra = sorted(meta.keys() - {"config", *_META_FIELDS})
+    if extra:
+        raise CheckpointError(f"{path}: meta section has unexpected keys {extra}")
     for key, (what, accepts) in _META_FIELDS.items():
         if not accepts(meta[key]):
             raise CheckpointError(f"{path}: meta {key} must be {what}, got {meta[key]!r:.80}")
@@ -396,9 +386,7 @@ def load_checkpoint(path) -> Checkpoint:
     if sections:
         raise CheckpointError(f"{path}: unexpected sections {sorted(sections)}")
 
-    return Checkpoint(stage=meta["stage"], epoch=meta["epoch"], config=cfg, **groups,
-                      optimizer=optimizer, best_val_loss=meta["best_val_loss"],
-                      best_epoch=meta["best_epoch"], rng_state=meta["rng_state"],
+    return Checkpoint(stage=meta["stage"], config=cfg, **groups, optimizer=optimizer,
                       history=meta["history"])
 
 
@@ -499,8 +487,6 @@ def _mean_val_loss(items: list[_Item], stage, ckpt, cfg, loss_cfg) -> float:
             break
         losses.append(_batch_loss(items, idxs, stage, ckpt, cfg, loss_cfg,
                                   False, None, None).item())
-    if not losses:
-        raise ConfigurationError("validation set needs at least 2 samples")
     return math.fsum(losses) / len(losses)
 
 
@@ -518,35 +504,33 @@ def _check_finite(values: np.ndarray, epoch: int, batch: int, what: str) -> None
 
 def _run_stage(cfg: TrainConfig, stage: int, ckpt: Checkpoint, items, val_items,
                trainables: list[Param], out_dir, label: str) -> Checkpoint:
-    """Train on from ckpt's epoch, history, best, optimizer and rng state."""
+    """Train on from ckpt's history and optimizer state.
+
+    Each epoch draws its shuffle and dropout masks from a Philox stream keyed
+    by the seed of ckpt's config, the stage and the epoch, so a resumed run
+    needs no saved generator state.
+    """
     if len(items) < cfg.batch_size:
         raise ConfigurationError(
             f"{len(items)} training samples is fewer than batch size {cfg.batch_size}")
+    if len(val_items) < 2:
+        raise ConfigurationError(f"validation set needs at least 2 samples, got {len(val_items)}")
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     loss_cfg = ct.LossConfig(tau=cfg.tau, symmetric=cfg.symmetric)
-    rng = dm.make_rng(cfg.seed, f"train:stage{stage}")
     start_epoch = ckpt.epoch
-    history = [dict(h) for h in ckpt.history]
-    best_val = ckpt.best_val_loss
-    best_epoch = ckpt.best_epoch
     adam = Adam(trainables, weight_decay=cfg.weight_decay, state=ckpt.optimizer)
-    if ckpt.rng_state is not None:
-        try:
-            rng.bit_generator.state = _rng_state_from_json(ckpt.rng_state)
-        except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
-            raise CheckpointError(f"resume checkpoint has a malformed rng_state: "
-                                  f"{exc!r}") from exc
 
     ckpt.stage = stage
     best_ckpt = None
     end_epoch = cfg.epochs
-    if best_epoch is not None and start_epoch - 1 - best_epoch >= cfg.patience:
+    if ckpt.history and start_epoch - 1 - ckpt.best_epoch >= cfg.patience:
         end_epoch = start_epoch  # the resumed run had already stopped early
 
     for epoch in range(start_epoch, end_epoch):
+        rng = dm.make_rng(ckpt.config.seed, f"train:stage{stage}:epoch:{epoch}")
         lr = cosine_lr(epoch, cfg)
         order = rng.permutation(len(items))
         batch_losses = []
@@ -564,37 +548,26 @@ def _run_stage(cfg: TrainConfig, stage: int, ckpt: Checkpoint, items, val_items,
             adam.step(lr)
         train_loss = math.fsum(batch_losses) / len(batch_losses)
         val_loss = _mean_val_loss(val_items, stage, ckpt, cfg, loss_cfg)
-        history.append({"epoch": epoch, "lr": lr,
-                        "train_loss": train_loss, "val_loss": val_loss})
-
-        improved = best_val is None or val_loss < best_val
-        if improved:
-            best_val = val_loss
-            best_epoch = epoch
-
-        ckpt.epoch = epoch + 1
+        ckpt.history.append({"epoch": epoch, "lr": lr,
+                             "train_loss": train_loss, "val_loss": val_loss})
         ckpt.optimizer = OptimizerState(adam.step_count, adam.moments)  # the snapshot copies it
-        ckpt.best_val_loss = best_val
-        ckpt.best_epoch = best_epoch
-        ckpt.rng_state = _rng_state_to_json(rng.bit_generator.state)
-        ckpt.history = history
         snap = snapshot_checkpoint(ckpt)
         if out_dir is not None:
             save_checkpoint(snap, out_dir / f"epoch_{epoch + 1:04d}.ckpt")
-            _write_loss_csv(history, out_dir / "loss.csv")
-        if improved:
+            _write_loss_csv(ckpt.history, out_dir / "loss.csv")
+        if ckpt.best_epoch == epoch:
             best_ckpt = snap
-        if epoch - best_epoch >= cfg.patience:
+        if epoch - ckpt.best_epoch >= cfg.patience:
             break
 
-    if history and start_epoch >= end_epoch and out_dir is not None:
+    if ckpt.history and start_epoch >= end_epoch and out_dir is not None:
         # a finished run resumed: loss.csv again, in case a kill cut its last write
-        _write_loss_csv(history, out_dir / "loss.csv")
+        _write_loss_csv(ckpt.history, out_dir / "loss.csv")
     if best_ckpt is None:
         # either zero epochs (return the starting state) or a resumed run in
         # which no new epoch improved; recover the best epoch from disk if we can
-        if best_epoch is not None and out_dir is not None:
-            best_path = out_dir / f"epoch_{best_epoch + 1:04d}.ckpt"
+        if ckpt.history and out_dir is not None:
+            best_path = out_dir / f"epoch_{ckpt.best_epoch + 1:04d}.ckpt"
             if best_path.is_file():
                 best_ckpt = load_checkpoint(best_path)
         if best_ckpt is None:
@@ -652,13 +625,8 @@ def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
             raise CompatibilityError(f"cannot resume stage 2 from a stage-{resume.stage} checkpoint")
         ckpt = snapshot_checkpoint(resume)
     else:
-        ckpt = snapshot_checkpoint(stage1_ckpt)
-        ckpt.optimizer = None
-        ckpt.best_val_loss = None
-        ckpt.best_epoch = None
-        ckpt.rng_state = None
-        ckpt.history = []
-        ckpt.epoch = 0
+        ckpt = replace(snapshot_checkpoint(stage1_ckpt), config=cfg, optimizer=None,
+                       history=[])
     for p in ckpt.image.values():  # stage-2 freeze contract
         p.trainable = False
 

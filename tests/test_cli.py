@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +146,16 @@ class TestEvalCommands:
         assert "section param:adapter.wo has non-finite values" in capsys.readouterr().err
         assert not (tmp_path / "probe").exists()
 
+    def test_probe_refuses_format_3_checkpoint(self, trained, tmp_path, capsys):
+        blob = bytearray((trained / "run2" / "stage2.ckpt").read_bytes())
+        blob[4:8] = struct.pack("<I", 3)
+        (tmp_path / "v3.ckpt").write_bytes(bytes(blob))
+        code = run(["probe", "--ckpt", tmp_path / "v3.ckpt", "--data", trained / "data" / "3d",
+                    "--out", tmp_path / "probe"])
+        assert code == CheckpointError.exit_code == 5
+        assert "unknown checkpoint version 3" in capsys.readouterr().err
+        assert not (tmp_path / "probe").exists()
+
     def test_match(self, trained, tmp_path):
         out = tmp_path / "match"
         assert run(["match", "--ckpt", trained / "run2" / "stage2.ckpt",
@@ -215,6 +226,21 @@ def readme_exit_codes() -> dict[str, int]:
         for name in re.findall(r"`(\w+)`", names):
             codes[name] = int(code)
     return codes
+
+
+def readme_meta_keys() -> list[str]:
+    """The meta keys that README's Checkpoint bullet lists, in its order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listing = re.search(r"with exactly the keys (.*?)\. ", readme, re.S).group(1)
+    return re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", listing))
+
+
+def test_readme_lists_the_meta_keys_the_writer_writes(tmp_path):
+    path = tmp_path / "c.ckpt"
+    cfg = TrainConfig(d_model=8, d_hidden=8, d_text=8, vocab=64, heads=2)
+    tr.save_checkpoint(tr.make_initial_checkpoint(cfg), path)
+    meta = json.loads(tr._read_sections(path.read_bytes(), path)["meta"])
+    assert sorted(readme_meta_keys()) == sorted(meta)
 
 
 class TestExitCodes:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -470,31 +471,55 @@ class TestAblationPreprocessesOnce:
         assert sum(counts) == 2 * slices
         assert max(counts) <= dp.SLICE_BATCH
 
-    def test_changed_image_group_gets_its_own_encoding(self, trained, tmp_path, monkeypatch):
+    def test_changed_image_group_gets_its_own_encoding(self, trained, monkeypatch):
         data, workdir = trained
-        cfg = small_cfg(epochs=2)
-        for name in ("stage1.ckpt", "stage2_finetuned.ckpt"):
-            (tmp_path / name).write_bytes((workdir / name).read_bytes())
         vanilla = tr.load_checkpoint(workdir / "stage2_vanilla.ckpt")
-        vanilla.image["out_proj"].value[0, 0] += 1e-9
-        tr.save_checkpoint(vanilla, tmp_path / "stage2_vanilla.ckpt")
-        tables = []
-        extract = ek.extract_embeddings
-
-        def keeping_extract(*args, **kwargs):
-            tables.append(extract(*args, **kwargs))
-            return tables[-1]
-
+        changed = tr.load_checkpoint(workdir / "stage2_vanilla.ckpt")
+        changed.image["out_proj"].value[0, 0] += 1e-9
+        test3d = [e for e in data.entries3d if e.split == "test"]
         counts = self.count_encoded_slices(monkeypatch)
-        monkeypatch.setattr(ek, "extract_embeddings", keeping_extract)
-        ek.run_ablation(data, cfg, workdir=tmp_path)
+        encoded: dict = {}  # the memo that run_ablation shares across its rows
+        tables = [ek.extract_embeddings(ckpt, test3d, data.root3d, "attention", encoded=encoded)
+                  for ckpt in (vanilla, changed, vanilla)]
         monkeypatch.undo()
 
-        test3d = [e for e in data.entries3d if e.split == "test"]
         slices = sum(len(dp.load_volume(data.root3d / e.path)) for e in test3d)
-        assert sum(counts) == 3 * slices
-        uncached = ek.extract_embeddings(vanilla, test3d, data.root3d, "attention")
+        assert sum(counts) == 2 * slices
+        uncached = ek.extract_embeddings(changed, test3d, data.root3d, "attention")
         assert tables[1].matrix().tobytes() == uncached.matrix().tobytes()
+        assert tables[2].matrix().tobytes() == tables[0].matrix().tobytes()
+
+    @pytest.mark.parametrize("same_encoder", [True, False], ids=["reused", "retrained"])
+    def test_cached_adapter_reused_only_on_its_own_encoder(self, trained, tmp_path,
+                                                          monkeypatch, same_encoder):
+        data, workdir = trained
+        cfg = small_cfg(epochs=2)
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        cached = (work / "stage2_finetuned.ckpt").read_bytes()
+        base = tr.load_checkpoint(work / "stage1.ckpt")
+        if not same_encoder:  # another stage-1 encoder, as `ablate --from` may pass
+            base.image["out_proj"].value[0, 0] += 1e-9
+        bases = []
+        train = tr.train_stage2
+        monkeypatch.setattr(tr, "train_stage2",
+                            lambda *args, **kwargs: bases.append(args[4]) or train(*args, **kwargs))
+        ek.run_ablation(data, cfg, workdir=work, stage1_ckpt=base)
+        monkeypatch.undo()
+
+        after = tr.load_checkpoint(work / "stage2_finetuned.ckpt")
+        for name, p in after.image.items():
+            assert np.array_equal(p.value, base.image[name].value), name
+        if same_encoder:
+            assert bases == []
+            assert (work / "stage2_finetuned.ckpt").read_bytes() == cached
+        else:
+            assert bases == [base]  # the vanilla adapter's cache still holds
+            train3d, val3d, _ = ek._splits(data.entries3d)
+            tr.save_checkpoint(tr.train_stage2(cfg, train3d, val3d, data.root3d, base),
+                               tmp_path / "alone.ckpt")
+            assert ((tmp_path / "alone.ckpt").read_bytes()
+                    == (work / "stage2_finetuned.ckpt").read_bytes())
 
     def test_cache_is_keyed_by_image_size(self, ordered3d):
         root, entries = ordered3d

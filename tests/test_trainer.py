@@ -44,6 +44,9 @@ GOLDEN_INIT = [
 ]
 
 
+HISTORY_RECORD = {"epoch": 0, "lr": 1e-3, "train_loss": 1.5, "val_loss": 1.25}
+
+
 def write_raw(path, sections: dict[bytes, bytes]) -> None:
     """Write sections in the checkpoint container, names given as raw bytes."""
     out = [b"RCKP", struct.pack("<I", tr.CHECKPOINT_VERSION)]
@@ -205,7 +208,8 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="truncated"):
             tr.load_checkpoint(tmp_path / "t.ckpt")
 
-    @pytest.mark.parametrize("version", [2, 99])  # 2: per-head adapter tables
+    # 2: per-head adapter tables; 3: epoch, best and rng_state stored in meta
+    @pytest.mark.parametrize("version", [2, 3, 99])
     def test_unknown_version_rejected(self, tmp_path, version):
         ckpt = tr.make_initial_checkpoint(small_cfg())
         path = tmp_path / "c.ckpt"
@@ -278,22 +282,33 @@ class TestCheckpointIO:
     @pytest.mark.parametrize("key, value, message", [
         ("stage", 3, "stage must be 1 or 2"),
         ("stage", True, "stage must be 1 or 2"),
-        ("epoch", "1", "epoch must be an integer >= 0"),
-        ("epoch", -1, "epoch must be an integer >= 0"),
-        ("epoch", 1.0, "epoch must be an integer >= 0"),
-        ("best_epoch", "0", "best_epoch must be an integer >= 0 or null"),
+        # a record's epoch must be its index: an integer, numbered from 0
+        ("history", [dict(HISTORY_RECORD, epoch="0")], "history must be a list of objects"),
+        ("history", [dict(HISTORY_RECORD, epoch=-1)], "history must be a list of objects"),
+        ("history", [dict(HISTORY_RECORD, epoch=0.0)], "history must be a list of objects"),
+        ("history", [dict(HISTORY_RECORD, epoch=1)], "history must be a list of objects"),
         ("optimizer_step", 2.5, "optimizer_step must be an integer >= 0 or null"),
-        ("best_val_loss", "1.5", "best_val_loss must be a number or null"),
-        ("best_val_loss", False, "best_val_loss must be a number or null"),
+        ("history", [HISTORY_RECORD, HISTORY_RECORD], "history must be a list of objects"),
+        ("history", [HISTORY_RECORD, dict(HISTORY_RECORD, epoch=2)],
+         "history must be a list of objects"),
         ("history", {}, "history must be a list of objects"),
         ("history", [[1.0]], "history must be a list of objects"),
         ("history", [{"epoch": 0}], "history must be a list of objects"),
-        ("rng_state", [], "rng_state must be an object or null"),
+        ("history", [dict(HISTORY_RECORD, epoch=False)], "history must be a list of objects"),
     ])
     def test_meta_field_of_wrong_type_rejected(self, tmp_path, key, value, message):
         path = craft(tr.make_initial_checkpoint(small_cfg()), tmp_path,
                      edit_meta(lambda m: {**m, key: value}))
         with pytest.raises(CheckpointError, match=re.escape(f"{path}: meta {message}")):
+            tr.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["epoch", "best_epoch", "best_val_loss", "rng_state"])
+    def test_meta_key_of_format_3_rejected(self, tmp_path, key):
+        """A stored copy of what history determines is refused, not ignored."""
+        path = craft(tr.make_initial_checkpoint(small_cfg()), tmp_path,
+                     edit_meta(lambda m: {**m, key: None}))
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"{path}: meta section has unexpected keys ['{key}']")):
             tr.load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, message", [
@@ -399,6 +414,37 @@ class TestCrashSafeWrites:
 
 def _contents(directory) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestDerivedProgress:
+    """Epoch count and best epoch follow from the history alone."""
+
+    @pytest.mark.parametrize("val_losses, best", [
+        ([], None), ([2.0], 0), ([3.0, 2.0, 2.0, 1.5, 1.5, 4.0], 3), ([1.0, 1.0], 0),
+    ])
+    def test_epoch_and_best_follow_history(self, val_losses, best):
+        ckpt = tr.make_initial_checkpoint(small_cfg())
+        ckpt.history = [dict(HISTORY_RECORD, epoch=e, val_loss=v)
+                        for e, v in enumerate(val_losses)]
+        assert ckpt.epoch == len(val_losses)
+        assert ckpt.best_epoch == best
+        assert ckpt.best_val_loss == (None if best is None else val_losses[best])
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_one_validation_sample_refused_before_any_step(corpus2d, corpus3d, stage1,
+                                                       monkeypatch, stage):
+    steps = []
+    step = tr.Adam.step
+    monkeypatch.setattr(tr.Adam, "step", lambda self, lr: steps.append(lr) or step(self, lr))
+    root, entries = corpus2d if stage == 1 else corpus3d
+    args = (small_cfg(), split(entries, "train"), split(entries, "val")[:1], root)
+    with pytest.raises(ConfigurationError, match="validation set needs at least 2 samples"):
+        if stage == 1:
+            tr.train_stage1(*args)
+        else:
+            tr.train_stage2(*args, stage1)
+    assert steps == []
 
 
 class TestStage1(object):
@@ -516,6 +562,19 @@ class TestStage2(object):
         split = 160 * 8 * 16 * 16 * 8  # the extra volumes, preprocessed
         slack = 64 * 1024 + 1024 * 160  # fixed, and per extra volume (paths, items)
         assert large - small < (large_rows - small_rows) + slack < split / 4
+
+    def test_checkpoints_record_the_stage2_config(self, corpus3d, stage1, tmp_path):
+        root, entries = corpus3d
+        cfg = small_cfg(epochs=3, lr0=5e-3, seed=9, dropout_rate=0.1)
+        assert (stage1.config.epochs, stage1.config.lr0, stage1.config.seed,
+                stage1.config.dropout_rate) == (2, 1e-3, 3, 0.2)
+        tr.train_stage2(cfg, split(entries, "train"), split(entries, "val"), root, stage1,
+                        out_dir=tmp_path)
+        paths = sorted(tmp_path.glob("*.ckpt"))
+        assert [p.name for p in paths] == ["epoch_0001.ckpt", "epoch_0002.ckpt",
+                                           "epoch_0003.ckpt", "stage2.ckpt"]
+        for path in paths:
+            assert tr.load_checkpoint(path).config == cfg, path.name
 
     def test_geometry_mismatch(self, corpus3d, stage1):
         root, entries = corpus3d
@@ -639,6 +698,38 @@ class TestResume(object):
         assert ((full_dir / "epoch_0006.ckpt").read_bytes()
                 == (resumed_dir / "epoch_0006.ckpt").read_bytes())
         assert full.best_val_loss == resumed.best_val_loss
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    @pytest.mark.parametrize("other_seed", [False, True], ids=["same_seed", "other_seed"])
+    def test_resume_from_each_epoch_writes_the_same_files(self, corpus2d, corpus3d, stage1,
+                                                           tmp_path, stage, other_seed):
+        """The epoch streams key on the checkpoint's seed, not the resuming
+        config's, so a resume under another seed still reproduces the run."""
+        cfg = small_cfg(epochs=3, patience=10)
+        root, entries = corpus2d if stage == 1 else corpus3d
+
+        def train(c, out_dir, resume=None):
+            args = (c, split(entries, "train"), split(entries, "val"), root)
+            if stage == 1:
+                return tr.train_stage1(*args, out_dir=out_dir, resume=resume)
+            return tr.train_stage2(*args, stage1, out_dir=out_dir, resume=resume)
+
+        def digests(directory):
+            return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in directory.iterdir()}
+
+        train(cfg, tmp_path / "run")
+        run = digests(tmp_path / "run")
+        assert sorted(run) == ["epoch_0001.ckpt", "epoch_0002.ckpt", "epoch_0003.ckpt",
+                               "loss.csv", f"stage{stage}.ckpt"]
+        resume_cfg = dataclasses.replace(cfg, seed=cfg.seed + 100) if other_seed else cfg
+        for k in range(1, cfg.epochs):
+            out = tmp_path / f"from_{k}"
+            out.mkdir()
+            for e in range(1, k + 1):  # what an interrupted run leaves behind
+                shutil.copy(tmp_path / "run" / f"epoch_{e:04d}.ckpt", out)
+            train(resume_cfg, out, tr.load_checkpoint(out / f"epoch_{k:04d}.ckpt"))
+            assert digests(out) == run, k
 
     def test_best_checkpoint_dominates_all_epochs(self, corpus3d, corpus2d):
         root2, entries2 = corpus2d
