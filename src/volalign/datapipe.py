@@ -285,14 +285,12 @@ def preprocessed_batches(paths, size: int):
         yield flush(hw)
 
 
-def load_preprocessed(paths, size: int, volumes: dict | None = None) -> list[np.ndarray]:
-    """The preprocessed_batches pieces of each path, in input order. `volumes`
-    caches them across calls, keyed by (path, size)."""
-    memo = {} if volumes is None else volumes
-    keys = [(p, size) for p in paths]
-    for done, pieces in preprocessed_batches([p for p, _ in keys if (p, size) not in memo], size):
-        memo.update(((p, size), v) for p, v in zip(done, pieces))
-    return [memo[k] for k in keys]
+def load_preprocessed(paths, size: int) -> list[np.ndarray]:
+    """The preprocessed_batches pieces of each path, in input order."""
+    out = {}
+    for done, pieces in preprocessed_batches(paths, size):
+        out.update(zip(done, pieces))
+    return [out[p] for p in paths]
 
 
 # ---------------------------------------------------------------------------

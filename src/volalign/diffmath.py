@@ -82,18 +82,18 @@ def make_rng(seed: int, label: str) -> np.random.Generator:
 
 
 class Param:
-    """A named float64 array with an accumulated gradient and a trainable flag.
+    """A named float64 array with an accumulated gradient. Whether it trains
+    is the stage's decision (trainer.TRAINS), not the parameter's.
 
     The gradient buffer is made, as zeros, at its first accumulation or
     access, so a parameter that never receives a gradient never holds one.
     """
 
-    __slots__ = ("value", "_grad", "trainable", "name")
+    __slots__ = ("value", "_grad", "name")
 
-    def __init__(self, value, trainable: bool = True, name: str = ""):
+    def __init__(self, value, name: str = ""):
         self.value = value
         self._grad: np.ndarray | None = None
-        self.trainable = trainable
         self.name = name
 
     @property
@@ -107,7 +107,7 @@ class Param:
             self._grad[...] = 0.0
 
     def __repr__(self) -> str:
-        return f"Param({self.name or '?'}, shape={self.value.shape}, trainable={self.trainable})"
+        return f"Param({self.name or '?'}, shape={self.value.shape})"
 
 
 # One parameter group: short name -> Param, in the group's table order.

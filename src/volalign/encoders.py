@@ -126,8 +126,8 @@ def encode_samples(paths, size: int, params: ParamGroup, s_max: int,
     """encode_frozen of each path's sample, preprocessed to size x size, in
     input order. Each datapipe.preprocessed_batches batch is encoded as soon
     as it is flushed, and only its [n, d_model] rows are kept. `volumes`
-    caches preprocessed volumes as in datapipe.load_preprocessed: a hit is
-    encoded from it, a miss is stored in it."""
+    caches preprocessed volumes across calls, keyed by (path, size): a hit
+    is encoded from it, a miss is stored in it."""
     hits = [p for p in dict.fromkeys(paths) if volumes is not None and (p, size) in volumes]
     out = dict(zip(hits, encode_frozen([volumes[p, size] for p in hits], params, s_max)))
     for done, pieces in dp.preprocessed_batches([p for p in paths if p not in out], size):

@@ -75,8 +75,7 @@ class EmbeddingTable:
 
 
 def extract_embeddings(ckpt: tr.Checkpoint, entries, data_root, pool_mode: str,
-                       cfg: TrainConfig | None = None, volumes: dict | None = None,
-                       encoded: dict | None = None) -> EmbeddingTable:
+                       volumes: dict | None = None, encoded: dict | None = None) -> EmbeddingTable:
     """One embedding per manifest entry, in manifest order, eval mode throughout.
 
     Slices are encoded by enc.encode_samples and pooled one slice_batches
@@ -86,8 +85,6 @@ def extract_embeddings(ckpt: tr.Checkpoint, entries, data_root, pool_mode: str,
     path, image size); `encoded` caches slice embeddings, keyed by (sample
     path, image size, sha256 of the image group). A miss computes and stores.
     """
-    if cfg is not None:
-        tr.check_geometry(ckpt, cfg)
     if pool_mode not in sp.POOL_MODES:
         raise InputError(f"pool mode must be one of {sp.POOL_MODES}, got {pool_mode!r}")
     root = Path(data_root)

@@ -2,11 +2,12 @@
 
 Stage 1 fine-tunes the 2D image encoder against the frozen text encoder on
 2D samples; stage 2 freezes both encoders and trains only the slice-pooling
-adapter on volumes. Both stages share one engine: seeded shuffling, Adam with
-decoupled weight decay, cosine-annealed learning rate, per-epoch checkpoints,
-and early stopping on validation loss. Runs are bitwise reproducible for a
-fixed config and seed, and an interrupted run resumed from any epoch
-checkpoint reproduces the uninterrupted trajectory exactly.
+adapter on volumes (TRAINS). Both stages share one engine, which reads the
+stage and config from its checkpoint: seeded shuffling, Adam with decoupled
+weight decay, cosine-annealed learning rate, per-epoch checkpoints, and
+early stopping on validation loss. Runs are bitwise reproducible for a fixed
+config and seed, and a run resumed from any epoch checkpoint under its own
+config reproduces the uninterrupted trajectory exactly.
 """
 
 from __future__ import annotations
@@ -71,11 +72,11 @@ class OptimizerState:
 
 
 class Adam:
-    """Adam with decoupled weight decay over the trainable params it was given."""
+    """Adam with decoupled weight decay over the params it was given."""
 
     def __init__(self, params: list[Param], weight_decay: float = 0.0,
                  state: OptimizerState | None = None):
-        self.params = [p for p in params if p.trainable]
+        self.params = list(params)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ConfigurationError("optimizer params must have unique names")
@@ -116,21 +117,23 @@ class Adam:
 # checkpoints
 
 
-# The parameter registry: group -> (its shape table, trainable at init, its
-# init draw, or None for one draw per table in table order). This order, then
-# each table's order, is the order of the param: sections in a checkpoint file.
-GROUPS = {"text": (enc.text_shapes, False, None),
-          "image": (enc.image_shapes, True, None),
-          "adapter": (sp.adapter_shapes, True, sp.draw_adapter)}
+# The parameter registry: group -> (its shape table, its init draw, or None
+# for one draw per table in table order). This order, then each table's
+# order, is the order of the param: sections in a checkpoint file.
+GROUPS = {"text": (enc.text_shapes, None),
+          "image": (enc.image_shapes, None),
+          "adapter": (sp.adapter_shapes, sp.draw_adapter)}
+# The one group each stage trains; every other group is frozen in that stage.
+TRAINS = {1: "image", 2: "adapter"}
 
 
 def init_group(cfg: TrainConfig, group: str, seed: int) -> ParamGroup:
     """Draw every tensor of one group from N(0, INIT_STD^2)."""
-    shapes, trainable, draw_group = GROUPS[group]
+    shapes, draw_group = GROUPS[group]
     draw = partial(dm.make_rng(seed, f"init:{group}").normal, 0.0, INIT_STD)
     values = (draw_group(cfg, draw) if draw_group
               else {name: draw(shape) for name, shape in shapes(cfg).items()})
-    return {name: Param(value, trainable=trainable, name=f"{group}.{name}")
+    return {name: Param(value, name=f"{group}.{name}")
             for name, value in values.items()}
 
 
@@ -180,19 +183,20 @@ def make_initial_checkpoint(cfg: TrainConfig, stage: int = 1) -> Checkpoint:
                       **{g: init_group(cfg, g, cfg.seed) for g in GROUPS})
 
 
-def _copy_param(p: Param) -> Param:
-    """A trainable value is copied; a frozen one is shared and marked
+def _copy_param(p: Param, trained: bool) -> Param:
+    """A trained value is copied; a frozen one is shared and marked
     read-only on both sides. No gradient is copied."""
-    if p.trainable:
-        return Param(p.value.copy(), trainable=True, name=p.name)
+    if trained:
+        return Param(p.value.copy(), name=p.name)
     p.value.flags.writeable = False
-    return Param(p.value, trainable=False, name=p.name)
+    return Param(p.value, name=p.name)
 
 
 def snapshot_checkpoint(ckpt: Checkpoint) -> Checkpoint:
-    """A copy that later training steps cannot mutate: trainable values and
-    optimizer moments are copied, frozen values shared read-only."""
-    groups = {g: {k: _copy_param(p) for k, p in group.items()}
+    """A copy that later training steps cannot mutate: the values of the
+    group that ckpt.stage trains and the optimizer moments are copied, the
+    other groups shared read-only."""
+    groups = {g: {k: _copy_param(p, g == TRAINS[ckpt.stage]) for k, p in group.items()}
               for g, group in ckpt.groups().items()}
     return replace(ckpt, **groups,
                    optimizer=ckpt.optimizer.copy() if ckpt.optimizer else None,
@@ -335,8 +339,9 @@ def _read_meta(payload: bytes | None, path) -> dict:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint, refusing any section the registry does not expect
-    for the file's own config and any tensor of the wrong shape or with a
-    non-finite value."""
+    for the file's own config and stage and any tensor of the wrong shape or
+    with a non-finite value. A file with optimizer state holds both Adam
+    moments of exactly the params that its stage trains."""
     path = Path(path)
     try:
         # mapped rather than read into one file-sized heap block, which a
@@ -361,27 +366,24 @@ def load_checkpoint(path) -> Checkpoint:
         return a
 
     groups: dict[str, ParamGroup] = {}
-    for group, (shapes, trainable, _) in GROUPS.items():
+    for group, (shapes, _) in GROUPS.items():
         groups[group] = {}
         for name, shape in shapes(cfg).items():
             full = f"{group}.{name}"
             if f"param:{full}" not in sections:
                 raise CheckpointError(f"{path}: missing parameter section {full}")
-            groups[group][name] = Param(tensor(f"param:{full}", shape), trainable, full)
+            groups[group][name] = Param(tensor(f"param:{full}", shape), full)
 
     optimizer = None
     if meta["optimizer_step"] is not None:
-        trainables = {p.name: p.value.shape for group in groups.values()
-                      for p in group.values() if p.trainable}
         moments = {}
-        for key in [k for k in sections if k.startswith("adam.m:")]:
-            name = key[len("adam.m:"):]
-            if name not in trainables:
-                raise CheckpointError(f"{path}: {key} names no trainable parameter")
-            if f"adam.v:{name}" not in sections:
-                raise CheckpointError(f"{path}: missing second moment for {name}")
-            moments[name] = (tensor(key, trainables[name]),
-                             tensor(f"adam.v:{name}", trainables[name]))
+        for p in groups[TRAINS[meta["stage"]]].values():
+            keys = (f"adam.m:{p.name}", f"adam.v:{p.name}")
+            missing = [k for k in keys if k not in sections]
+            if missing:
+                raise CheckpointError(f"{path}: missing sections {missing} of a "
+                                      f"stage-{meta['stage']} file")
+            moments[p.name] = tuple(tensor(k, p.value.shape) for k in keys)
         optimizer = OptimizerState(step=meta["optimizer_step"], moments=moments)
     if sections:
         raise CheckpointError(f"{path}: unexpected sections {sorted(sections)}")
@@ -396,6 +398,21 @@ def check_geometry(ckpt: Checkpoint, cfg: TrainConfig) -> None:
                   if getattr(ckpt.config, k) != getattr(cfg, k)}
     if mismatches:
         raise CompatibilityError(f"checkpoint geometry differs from config: {mismatches}")
+
+
+def _resumable(resume: Checkpoint, cfg: TrainConfig, stage: int) -> Checkpoint:
+    """A snapshot to go on training from, refused unless resume is a
+    checkpoint of `stage` whose config equals cfg in every field but seed.
+    The run goes on under resume's config, and its epoch streams key on
+    resume's seed, so any seed reproduces the run."""
+    if resume.stage != stage:
+        raise CompatibilityError(
+            f"cannot resume stage {stage} from a stage-{resume.stage} checkpoint")
+    mismatches = {k: (v, getattr(cfg, k)) for k, v in resume.config.to_dict().items()
+                  if k != "seed" and v != getattr(cfg, k)}
+    if mismatches:
+        raise CompatibilityError(f"checkpoint config differs from the resuming one: {mismatches}")
+    return snapshot_checkpoint(resume)
 
 
 # ---------------------------------------------------------------------------
@@ -449,17 +466,17 @@ def _stage2_items(entries, data_root, cfg, text_params, image_params,
 # training engine
 
 
-def _forward(stage: int, inputs: np.ndarray, ckpt: Checkpoint, cfg: TrainConfig,
-             train_mode: bool, rng, tape) -> np.ndarray:
+def _forward(inputs: np.ndarray, ckpt: Checkpoint, train_mode: bool, rng, tape) -> np.ndarray:
     """Embeddings of a batch: images [B, H, W] (stage 1) or slice embeddings
     [B, n, d_model] (stage 2) -> [B, d_model]."""
-    if stage == 1:
+    cfg = ckpt.config
+    if ckpt.stage == 1:
         return enc.encode_image2d(inputs, ckpt.image, train_mode, cfg.dropout_rate, rng, tape)
     return sp.attention_pool(inputs, ckpt.adapter, cfg.heads, train_mode,
                              cfg.dropout_rate, rng, tape)
 
 
-def _batch_loss(items: list[_Item], idxs, stage, ckpt, cfg, loss_cfg, train_mode, rng, tape):
+def _batch_loss(items: list[_Item], idxs, ckpt, loss_cfg, train_mode, rng, tape):
     """InfoNCE of one batch, with one forward call per distinct input shape.
 
     Stage-2 volumes may differ in slice count; their outputs are joined along
@@ -470,23 +487,22 @@ def _batch_loss(items: list[_Item], idxs, stage, ckpt, cfg, loss_cfg, train_mode
     for i in idxs:
         groups.setdefault(items[i].inputs.shape, []).append(i)
     order = [i for group in groups.values() for i in group]
-    outs = [_forward(stage, np.stack([items[i].inputs for i in group]), ckpt, cfg,
-                     train_mode, rng, tape)
+    outs = [_forward(np.stack([items[i].inputs for i in group]), ckpt, train_mode, rng, tape)
             for group in groups.values()]
     img = outs[0] if len(outs) == 1 else dm.concat_rows(outs, tape)
     txt = np.stack([items[i].text_vec for i in order])
     return ct.batch_loss(img, txt, loss_cfg, tape)
 
 
-def _mean_val_loss(items: list[_Item], stage, ckpt, cfg, loss_cfg) -> float:
+def _mean_val_loss(items: list[_Item], ckpt, loss_cfg) -> float:
     losses = []
     n = len(items)
-    for start in range(0, n, cfg.batch_size):
-        idxs = range(start, min(start + cfg.batch_size, n))
+    batch_size = ckpt.config.batch_size
+    for start in range(0, n, batch_size):
+        idxs = range(start, min(start + batch_size, n))
         if len(idxs) < 2:
             break
-        losses.append(_batch_loss(items, idxs, stage, ckpt, cfg, loss_cfg,
-                                  False, None, None).item())
+        losses.append(_batch_loss(items, idxs, ckpt, loss_cfg, False, None, None).item())
     return math.fsum(losses) / len(losses)
 
 
@@ -502,14 +518,16 @@ def _check_finite(values: np.ndarray, epoch: int, batch: int, what: str) -> None
         raise NonFiniteError(f"epoch {epoch}, batch {batch}: non-finite {what}")
 
 
-def _run_stage(cfg: TrainConfig, stage: int, ckpt: Checkpoint, items, val_items,
-               trainables: list[Param], out_dir, label: str) -> Checkpoint:
-    """Train on from ckpt's history and optimizer state.
+def _run_stage(ckpt: Checkpoint, items, val_items, out_dir) -> Checkpoint:
+    """Train the group that ckpt's stage trains under ckpt's config, on from
+    ckpt's history and optimizer state.
 
     Each epoch draws its shuffle and dropout masks from a Philox stream keyed
     by the seed of ckpt's config, the stage and the epoch, so a resumed run
     needs no saved generator state.
     """
+    cfg, stage = ckpt.config, ckpt.stage
+    trained = list(getattr(ckpt, TRAINS[stage]).values())
     if len(items) < cfg.batch_size:
         raise ConfigurationError(
             f"{len(items)} training samples is fewer than batch size {cfg.batch_size}")
@@ -521,16 +539,15 @@ def _run_stage(cfg: TrainConfig, stage: int, ckpt: Checkpoint, items, val_items,
 
     loss_cfg = ct.LossConfig(tau=cfg.tau, symmetric=cfg.symmetric)
     start_epoch = ckpt.epoch
-    adam = Adam(trainables, weight_decay=cfg.weight_decay, state=ckpt.optimizer)
+    adam = Adam(trained, weight_decay=cfg.weight_decay, state=ckpt.optimizer)
 
-    ckpt.stage = stage
     best_ckpt = None
     end_epoch = cfg.epochs
     if ckpt.history and start_epoch - 1 - ckpt.best_epoch >= cfg.patience:
         end_epoch = start_epoch  # the resumed run had already stopped early
 
     for epoch in range(start_epoch, end_epoch):
-        rng = dm.make_rng(ckpt.config.seed, f"train:stage{stage}:epoch:{epoch}")
+        rng = dm.make_rng(cfg.seed, f"train:stage{stage}:epoch:{epoch}")
         lr = cosine_lr(epoch, cfg)
         order = rng.permutation(len(items))
         batch_losses = []
@@ -538,16 +555,16 @@ def _run_stage(cfg: TrainConfig, stage: int, ckpt: Checkpoint, items, val_items,
         for b in range(n_batches):
             idxs = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             tape = Tape()
-            loss = _batch_loss(items, idxs, stage, ckpt, cfg, loss_cfg, True, rng, tape)
+            loss = _batch_loss(items, idxs, ckpt, loss_cfg, True, rng, tape)
             _check_finite(loss, epoch, b, "training loss")
             batch_losses.append(loss.item())
-            dm.zero_grads(trainables)
+            dm.zero_grads(trained)
             tape.backward(loss)
-            for p in trainables:
+            for p in trained:
                 _check_finite(p.grad, epoch, b, f"gradient of {p.name}")
             adam.step(lr)
         train_loss = math.fsum(batch_losses) / len(batch_losses)
-        val_loss = _mean_val_loss(val_items, stage, ckpt, cfg, loss_cfg)
+        val_loss = _mean_val_loss(val_items, ckpt, loss_cfg)
         ckpt.history.append({"epoch": epoch, "lr": lr,
                              "train_loss": train_loss, "val_loss": val_loss})
         ckpt.optimizer = OptimizerState(adam.step_count, adam.moments)  # the snapshot copies it
@@ -573,7 +590,7 @@ def _run_stage(cfg: TrainConfig, stage: int, ckpt: Checkpoint, items, val_items,
         if best_ckpt is None:
             best_ckpt = snapshot_checkpoint(ckpt)
     if out_dir is not None:
-        save_checkpoint(best_ckpt, out_dir / f"{label}.ckpt")
+        save_checkpoint(best_ckpt, out_dir / f"stage{stage}.ckpt")
     return best_ckpt
 
 
@@ -588,18 +605,10 @@ def train_stage1(cfg: TrainConfig, train_entries, val_entries, data_root,
     _require_kind(train_entries, "2d")
     _require_kind(val_entries, "2d")
 
-    if resume is not None:
-        check_geometry(resume, cfg)
-        if resume.stage != 1:
-            raise CompatibilityError(f"cannot resume stage 1 from a stage-{resume.stage} checkpoint")
-        ckpt = snapshot_checkpoint(resume)
-    else:
-        ckpt = make_initial_checkpoint(cfg, stage=1)
-
+    ckpt = _resumable(resume, cfg, 1) if resume is not None else make_initial_checkpoint(cfg)
     items = _stage1_items(train_entries, data_root, cfg, ckpt.text)
     val_items = _stage1_items(val_entries, data_root, cfg, ckpt.text)
-    return _run_stage(cfg, 1, ckpt, items, val_items, list(ckpt.image.values()),
-                      out_dir, "stage1")
+    return _run_stage(ckpt, items, val_items, out_dir)
 
 
 def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
@@ -611,8 +620,8 @@ def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
     encoder is frozen), which encodes each preprocessing batch as it is
     flushed, so set-up holds the [n, d_model] rows and never the preprocessed
     split, and each epoch touches only the adapter parameters. `volumes`
-    caches preprocessed volumes across calls, as in datapipe.load_preprocessed;
-    given one, set-up stores every volume in it.
+    caches preprocessed volumes across calls, keyed by (sample path, image
+    size); given one, set-up stores every volume in it.
     """
     cfg.validate()
     _require_kind(train_entries, "3d")
@@ -620,17 +629,10 @@ def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
     check_geometry(stage1_ckpt, cfg)
 
     if resume is not None:
-        check_geometry(resume, cfg)
-        if resume.stage != 2:
-            raise CompatibilityError(f"cannot resume stage 2 from a stage-{resume.stage} checkpoint")
-        ckpt = snapshot_checkpoint(resume)
+        ckpt = _resumable(resume, cfg, 2)
     else:
-        ckpt = replace(snapshot_checkpoint(stage1_ckpt), config=cfg, optimizer=None,
-                       history=[])
-    for p in ckpt.image.values():  # stage-2 freeze contract
-        p.trainable = False
-
+        ckpt = snapshot_checkpoint(replace(stage1_ckpt, stage=2, config=cfg, optimizer=None,
+                                           history=[]))
     items = _stage2_items(train_entries, data_root, cfg, ckpt.text, ckpt.image, volumes)
     val_items = _stage2_items(val_entries, data_root, cfg, ckpt.text, ckpt.image, volumes)
-    return _run_stage(cfg, 2, ckpt, items, val_items, list(ckpt.adapter.values()),
-                      out_dir, "stage2")
+    return _run_stage(ckpt, items, val_items, out_dir)

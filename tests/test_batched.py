@@ -1,6 +1,8 @@
 """The batched path: ops on a leading batch axis, the batched encoder and
 adapter, and the trainer's one-call-per-batch loss."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -182,8 +184,8 @@ class TestTrainerBatchLoss:
     def loss_fn(self, items, stage, ckpt, train_mode=True):
         def f(tape):
             rng = dm.make_rng(8, "drop") if train_mode else None
-            return tr._batch_loss(items, range(len(items)), stage, ckpt, CFG, self.loss_cfg,
-                                  train_mode, rng, tape)
+            return tr._batch_loss(items, range(len(items)), replace(ckpt, stage=stage),
+                                  self.loss_cfg, train_mode, rng, tape)
         return f
 
     def test_stage1_gradient_check(self):

@@ -14,7 +14,7 @@ from volalign import errors
 from volalign import trainer as tr
 from volalign.cli import main
 from volalign.config import TrainConfig
-from volalign.errors import CheckpointError
+from volalign.errors import CheckpointError, CompatibilityError
 
 
 def run(argv):
@@ -101,6 +101,16 @@ class TestTraining:
         assert code == 3
         assert "error:config:" in capsys.readouterr().err
 
+    def test_resume_under_another_config_is_compatibility_error(self, trained, tmp_path,
+                                                                capsys):
+        code = run(["train2d", "--config", trained / "cfg.json", "--epochs", 5,
+                    "--data", trained / "data" / "2d", "--out", tmp_path / "r",
+                    "--resume", trained / "run1" / "epoch_0001.ckpt"])
+        assert code == CompatibilityError.exit_code == 6
+        assert ("error:compat: checkpoint config differs from the resuming one: "
+                "{'epochs': (2, 5)}") in capsys.readouterr().err
+        assert not list((tmp_path / "r").glob("epoch_*.ckpt"))
+
     def test_bad_manifest_exit_code(self, workspace, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text("{not json")
         code = run(["train2d", "--config", workspace / "cfg.json",
@@ -154,6 +164,17 @@ class TestEvalCommands:
                     "--out", tmp_path / "probe"])
         assert code == CheckpointError.exit_code == 5
         assert "unknown checkpoint version 3" in capsys.readouterr().err
+        assert not (tmp_path / "probe").exists()
+
+    def test_probe_refuses_moments_of_the_group_its_stage_freezes(self, trained, tmp_path,
+                                                                  capsys):
+        ckpt = tr.load_checkpoint(trained / "run1" / "stage1.ckpt")
+        ckpt.stage = 2  # a stage-2 file whose moments are the image group's
+        tr.save_checkpoint(ckpt, tmp_path / "s2.ckpt")
+        code = run(["probe", "--ckpt", tmp_path / "s2.ckpt", "--data", trained / "data" / "3d",
+                    "--out", tmp_path / "probe"])
+        assert code == CheckpointError.exit_code == 5
+        assert "missing sections ['adam.m:adapter.pe_table'" in capsys.readouterr().err
         assert not (tmp_path / "probe").exists()
 
     def test_match(self, trained, tmp_path):

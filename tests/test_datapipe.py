@@ -423,18 +423,6 @@ class TestLoadPreprocessed:
         assert len(batches) < len(paths) // 4
         assert_as_loaded_alone(paths, vols, 4)
 
-    def test_memo_is_keyed_by_path_and_size(self, tmp_path, monkeypatch):
-        paths = write_samples(tmp_path, [np.arange(12.0).reshape(1, 3, 4)] * 2)
-        volumes: dict = {}
-        first = dp.load_preprocessed(paths[:1], 5, volumes)
-        loads = []
-        load = dp.load_volume
-        monkeypatch.setattr(dp, "load_volume", lambda p: loads.append(p) or load(p))
-        again = dp.load_preprocessed(paths + paths[:1], 5, volumes)
-        assert loads == [paths[1]]
-        assert again[0] is first[0] is again[2]
-        assert sorted(volumes) == sorted((p, 5) for p in paths)
-
 
 class TestCaptions:
     def test_brain_mri_with_condition(self):

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script runs to completion, with warnings as errors, against the
+package in src/."""
 
 import os
 import subprocess
@@ -20,7 +21,7 @@ def test_demo_exits_zero(demo, tmp_path):
     src = str(ROOT / "src")
     env = dict(os.environ, TMPDIR=str(tmp_path),  # demos write their work dirs here
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     assert list(tmp_path.iterdir()) == []  # work dirs are removed on exit

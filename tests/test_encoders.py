@@ -27,9 +27,8 @@ class TestTextEncoder:
         assert np.array_equal(a["proj"].value, b["proj"].value)
 
     def test_never_trainable(self):
-        p = tr.init_group(SMALL, "text", seed=5)
-        assert not p["embed_table"].trainable
-        assert not p["proj"].trainable
+        assert "text" in tr.GROUPS
+        assert "text" not in tr.TRAINS.values()
 
     def test_same_ids_twice_identical(self):
         p = tr.init_group(SMALL, "text", seed=1)
@@ -171,8 +170,8 @@ class TestEncodeSamples:
         with tempfile.TemporaryDirectory() as tmp:
             paths = write_samples(Path(tmp), arrays)
             paths += [paths[i % len(paths)] for i in repeats]  # duplicates
-            volumes: dict = {}
-            dp.load_preprocessed([paths[i % len(paths)] for i in cached], size, volumes)
+            seeded = [paths[i % len(paths)] for i in cached]
+            volumes = {(p, size): v for p, v in zip(seeded, dp.load_preprocessed(seeded, size))}
             hits = dict(volumes)
             got = enc.encode_samples(paths, size, params, 8, volumes)
             want = enc.encode_frozen(dp.load_preprocessed(paths, size), params, 8)
@@ -182,6 +181,24 @@ class TestEncodeSamples:
             assert all(volumes[k] is v for k, v in hits.items())
             for p, vol in zip(paths, dp.load_preprocessed(paths, size)):
                 assert volumes[p, size].tobytes() == vol.tobytes()
+
+    def test_memo_is_keyed_by_path_and_size(self, tmp_path, monkeypatch):
+        params = tr.init_group(SMALL, "image", seed=4)
+        paths = write_samples(tmp_path, [np.arange(12.0).reshape(1, 3, 4)] * 2)
+        volumes: dict = {}
+        first = enc.encode_samples(paths[:1], 8, params, 8, volumes)
+        held = volumes[paths[0], 8]
+        loads = []
+        load = dp.load_volume
+        monkeypatch.setattr(dp, "load_volume", lambda p: loads.append(p) or load(p))
+        again = enc.encode_samples(paths + paths[:1], 8, params, 8, volumes)
+        assert loads == [paths[1]]
+        assert volumes[paths[0], 8] is held
+        assert again[0].tobytes() == first[0].tobytes() == again[2].tobytes()
+        assert sorted(volumes) == sorted((p, 8) for p in paths)
+        enc.encode_samples(paths[:1], 4, params, 8, volumes)  # another size misses
+        assert loads == [paths[1], paths[0]]
+        assert sorted(volumes) == sorted([(p, 8) for p in paths] + [(paths[0], 4)])
 
     @staticmethod
     def count_slices_in_flight(monkeypatch) -> list[int]:

@@ -98,13 +98,6 @@ class TestExtract:
             ek.export_embeddings_csv(ek.EmbeddingTable(rows), tmp_path / "e.csv")
         assert list(tmp_path.iterdir()) == []  # refused before writing
 
-    def test_geometry_check(self, ordered3d):
-        root, entries = ordered3d
-        ckpt = tr.make_initial_checkpoint(small_cfg())
-        with pytest.raises(CompatibilityError):
-            ek.extract_embeddings(ckpt, entries[:2], root, "gap",
-                                  cfg=small_cfg(d_model=16, heads=2))
-
     def test_bad_pool_mode(self, ordered3d):
         root, entries = ordered3d
         ckpt = tr.make_initial_checkpoint(small_cfg())

@@ -81,6 +81,14 @@ def with_tensor(key: bytes, shape):
     return lambda sections: {**sections, key: b"".join(tr._tensor_parts(np.zeros(shape)))}
 
 
+def chain(*edits):
+    def edit(sections):
+        for e in edits:
+            sections = e(sections)
+        return sections
+    return edit
+
+
 @pytest.fixture(scope="module")
 def corpus2d(tmp_path_factory):
     root = tmp_path_factory.mktemp("c2d")
@@ -145,12 +153,6 @@ class TestAdam:
             opt.step(0.01)
         assert np.abs(p.value).max() < 1e-3
 
-    def test_skips_frozen(self):
-        from volalign.diffmath import Param
-        frozen = Param(np.ones(2), trainable=False, name="f")
-        opt = tr.Adam([frozen])
-        assert opt.params == []
-
     def test_state_round_trip(self):
         from volalign.diffmath import Param
         p = Param(np.array([1.0]), name="w")
@@ -197,7 +199,6 @@ class TestCheckpointIO:
         for p, q in zip(ckpt.model_params(), back.model_params()):
             assert p.name == q.name
             assert np.array_equal(p.value, q.value)
-        assert not back.text["embed_table"].trainable
 
     def test_truncated_file_rejected(self, tmp_path):
         ckpt = tr.make_initial_checkpoint(small_cfg())
@@ -316,8 +317,15 @@ class TestCheckpointIO:
         (with_tensor(b"adam.m:image.patch_proj", (3, 5)), "shape"),
         (without(b"param:image.out_proj"), "missing parameter"),
         (with_tensor(b"param:adapter.h0.wq", (8, 4)), "unexpected"),  # a format-2 name
-        (with_tensor(b"adam.m:text.proj", (8, 8)), "no trainable"),
-    ], ids=["param-shape", "adam-shape", "param-missing", "param-extra", "adam-frozen"])
+        (with_tensor(b"adam.m:text.proj", (8, 8)), "unexpected sections"),
+        # moments of exactly the group the file's stage trains
+        (chain(with_tensor(b"adam.m:adapter.wq", (8, 8)),
+               with_tensor(b"adam.v:adapter.wq", (8, 8))), "unexpected sections"),
+        (chain(without(b"adam.m:image.patch_proj"), without(b"adam.v:image.patch_proj")),
+         "missing sections"),
+        (edit_meta(lambda m: {**m, "stage": 2}), "missing sections"),
+    ], ids=["param-shape", "adam-shape", "param-missing", "param-extra", "adam-frozen",
+            "adam-untrained-group", "adam-trained-param-missing", "adam-of-other-stage"])
     def test_layout_mismatch_refused_at_load(self, tmp_path, stage1, edit, message):
         with pytest.raises(CheckpointError, match=message):
             tr.load_checkpoint(craft(stage1, tmp_path, edit))
@@ -591,13 +599,11 @@ class TestStage2(object):
                             root, stage1)
 
 
-def stage2_state(cfg):
-    """A checkpoint as stage 2 holds it: image frozen, adapter moments, and a
-    gradient buffer on every parameter."""
-    ckpt = tr.make_initial_checkpoint(cfg, stage=2)
-    for p in ckpt.image.values():
-        p.trainable = False
-    adam = tr.Adam(list(ckpt.adapter.values()))
+def training_state(cfg, stage):
+    """A checkpoint as a stage holds it in training: moments for the group the
+    stage trains, and a gradient buffer on every parameter."""
+    ckpt = tr.make_initial_checkpoint(cfg, stage=stage)
+    adam = tr.Adam(list(ckpt.groups()[tr.TRAINS[stage]].values()))
     for p in ckpt.model_params():
         p.grad[...] = 1.0
     adam.step(1e-3)
@@ -605,35 +611,57 @@ def stage2_state(cfg):
     return ckpt
 
 
+def group_pairs(ckpt, snap, groups):
+    """(source, snapshot) param pairs of the named groups."""
+    return [(p, snap.groups()[g][k]) for g in groups for k, p in ckpt.groups()[g].items()]
+
+
+# stage -> (the group it trains, the groups it freezes)
+STAGE_GROUPS = {1: ("image", ("text", "adapter")), 2: ("adapter", ("text", "image"))}
+
+
 class TestSnapshot:
     def test_frozen_tensors_shared_read_only(self):
-        ckpt = stage2_state(small_cfg())
-        snap = tr.snapshot_checkpoint(ckpt)
-        frozen = [(p, q) for p, q in zip(ckpt.model_params(), snap.model_params())
-                  if not p.trainable]
-        assert {p.name.split(".")[0] for p, _ in frozen} == {"text", "image"}
-        for p, q in frozen:
-            assert not q.trainable
-            assert np.shares_memory(p.value, q.value), p.name
-            for a in (p.value, q.value):
-                with pytest.raises(ValueError, match="read-only"):
-                    a[(0,) * a.ndim] = 1.0
+        for stage, (_, frozen) in STAGE_GROUPS.items():
+            ckpt = training_state(small_cfg(), stage)
+            snap = tr.snapshot_checkpoint(ckpt)
+            for p, q in group_pairs(ckpt, snap, frozen):
+                assert np.shares_memory(p.value, q.value), (stage, p.name)
+                for a in (p.value, q.value):
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[(0,) * a.ndim] = 1.0
 
     def test_trainables_and_moments_are_copies_without_gradients(self):
-        ckpt = stage2_state(small_cfg())
-        snap = tr.snapshot_checkpoint(ckpt)
-        for p, q in zip(ckpt.model_params(), snap.model_params()):
-            assert q._grad is None, p.name
-            if p.trainable:
-                assert q.trainable and q.value.flags.writeable
-                assert not np.shares_memory(p.value, q.value), p.name
+        for stage, (trained, _) in STAGE_GROUPS.items():
+            ckpt = training_state(small_cfg(), stage)
+            snap = tr.snapshot_checkpoint(ckpt)
+            assert all(q._grad is None for q in snap.model_params())
+            for p, q in group_pairs(ckpt, snap, [trained]):
+                assert q.value.flags.writeable
+                assert not np.shares_memory(p.value, q.value), (stage, p.name)
                 assert np.array_equal(p.value, q.value)
-        assert snap.optimizer.step == ckpt.optimizer.step == 1
-        assert snap.optimizer.moments.keys() == ckpt.optimizer.moments.keys()
-        for name, moments in ckpt.optimizer.moments.items():
-            for a, b in zip(moments, snap.optimizer.moments[name]):
-                assert not np.shares_memory(a, b), name
-                assert np.array_equal(a, b)
+            assert snap.optimizer.step == ckpt.optimizer.step == 1
+            assert (snap.optimizer.moments.keys() == ckpt.optimizer.moments.keys()
+                    == {p.name for p in ckpt.groups()[trained].values()})
+            for name, moments in ckpt.optimizer.moments.items():
+                for a, b in zip(moments, snap.optimizer.moments[name]):
+                    assert not np.shares_memory(a, b), name
+                    assert np.array_equal(a, b)
+
+    def test_fresh_stage2_copies_only_the_adapter(self, corpus3d, stage1, monkeypatch):
+        copied = []
+        copy = tr.OptimizerState.copy
+        monkeypatch.setattr(tr.OptimizerState, "copy",
+                            lambda self: copied.append(self) or copy(self))
+        root, entries = corpus3d
+        ckpt = tr.train_stage2(small_cfg(epochs=0), split(entries, "train"),
+                               split(entries, "val"), root, stage1)
+        assert stage1.optimizer is not None
+        assert all(state is not stage1.optimizer for state in copied)
+        for p, q in group_pairs(stage1, ckpt, ["text", "image"]):
+            assert np.shares_memory(p.value, q.value), p.name
+        for p, q in group_pairs(stage1, ckpt, ["adapter"]):
+            assert not np.shares_memory(p.value, q.value), p.name
 
     @pytest.mark.parametrize("stage", [1, 2])
     def test_frozen_groups_get_no_gradient_in_training(self, stage, corpus2d, corpus3d,
@@ -659,9 +687,9 @@ class TestSnapshot:
     def test_snapshot_allocates_less_than_twice_its_trainable_state(self):
         import tracemalloc
         # the acceptance geometry: the frozen text table alone is 4096 x 64 (2 MiB)
-        ckpt = stage2_state(small_cfg(d_model=64, heads=4, d_hidden=128, d_text=64,
-                                      vocab=4096, patch_size=8, image_size=16))
-        trainable = sum(3 * p.value.nbytes for p in ckpt.model_params() if p.trainable)
+        ckpt = training_state(small_cfg(d_model=64, heads=4, d_hidden=128, d_text=64,
+                                        vocab=4096, patch_size=8, image_size=16), 2)
+        trainable = sum(3 * p.value.nbytes for p in ckpt.adapter.values())
         assert ckpt.text["embed_table"].value.nbytes > 4 * trainable
         tracemalloc.start()
         try:
@@ -730,6 +758,47 @@ class TestResume(object):
                 shutil.copy(tmp_path / "run" / f"epoch_{e:04d}.ckpt", out)
             train(resume_cfg, out, tr.load_checkpoint(out / f"epoch_{k:04d}.ckpt"))
             assert digests(out) == run, k
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    @pytest.mark.parametrize("change", [dict(epochs=5), dict(lr0=2e-3),
+                                        dict(epochs=5, lr0=2e-3, seed=4)],
+                             ids=["epochs", "lr0", "epochs-lr0-seed"])
+    def test_resume_under_another_config_is_refused(self, corpus2d, corpus3d, stage1,
+                                                    tmp_path, stage, change):
+        """The run goes on under the checkpoint's config, so a resume that
+        asks for another schedule is refused before any epoch runs."""
+        cfg = small_cfg(epochs=2, patience=10)
+        root, entries = corpus2d if stage == 1 else corpus3d
+
+        def train(c, out_dir, resume=None):
+            args = (c, split(entries, "train"), split(entries, "val"), root)
+            if stage == 1:
+                return tr.train_stage1(*args, out_dir=out_dir, resume=resume)
+            return tr.train_stage2(*args, stage1, out_dir=out_dir, resume=resume)
+
+        train(cfg, tmp_path / "run")
+        out = tmp_path / "resumed"
+        out.mkdir()
+        shutil.copy(tmp_path / "run" / "epoch_0001.ckpt", out)
+        with pytest.raises(CompatibilityError, match="checkpoint config differs") as exc:
+            train(dataclasses.replace(cfg, **change), out,
+                  tr.load_checkpoint(out / "epoch_0001.ckpt"))
+        named = {k for k in change if k != "seed"}
+        assert all(f"'{k}'" in str(exc.value) for k in named)
+        assert "'seed'" not in str(exc.value)
+        assert sorted(p.name for p in out.iterdir()) == ["epoch_0001.ckpt"]
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_resume_from_the_other_stage_is_refused(self, corpus2d, corpus3d, stage1, stage):
+        root, entries = corpus2d if stage == 1 else corpus3d
+        other = dataclasses.replace(stage1, stage=3 - stage)
+        args = (stage1.config, split(entries, "train"), split(entries, "val"), root)
+        with pytest.raises(CompatibilityError, match=f"cannot resume stage {stage} from a "
+                                                     f"stage-{3 - stage} checkpoint"):
+            if stage == 1:
+                tr.train_stage1(*args, resume=other)
+            else:
+                tr.train_stage2(*args, stage1, resume=other)
 
     def test_best_checkpoint_dominates_all_epochs(self, corpus3d, corpus2d):
         root2, entries2 = corpus2d
