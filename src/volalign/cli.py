@@ -116,18 +116,22 @@ def _run_training(args, stage: int) -> int:
     val = _split_entries(entries, "val")
     out = Path(args.out)
     resume = tr.load_checkpoint(args.resume) if args.resume else None
+    if resume is not None:  # refuse before run_config.json is written
+        tr.check_resumable(resume, cfg, stage)
 
     if stage == 1:
         _write_run_config(out, "train2d", cfg, {"data": str(data_root)})
         best = tr.train_stage1(cfg, train, val, data_root, out_dir=out, resume=resume)
         label = "stage1"
     else:
-        if not Path(args.from_ckpt).is_file():
-            raise DependencyError(f"stage-1 checkpoint not found: {args.from_ckpt}; "
-                                  "run train2d first")
-        stage1 = tr.load_checkpoint(args.from_ckpt)
+        stage1 = None
+        if resume is None:  # a resume holds both encoders; --from is not read
+            if args.from_ckpt is None or not Path(args.from_ckpt).is_file():
+                raise DependencyError(f"stage-1 checkpoint not found: {args.from_ckpt}; "
+                                      "run train2d first and pass it as --from")
+            stage1 = tr.load_checkpoint(args.from_ckpt)
         _write_run_config(out, "train3d", cfg,
-                          {"data": str(data_root), "from": str(args.from_ckpt)})
+                          {"data": str(data_root), "from": args.from_ckpt})
         best = tr.train_stage2(cfg, train, val, data_root, stage1, out_dir=out,
                                resume=resume)
         label = "stage2"
@@ -243,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train3d", help="stage 2: train the slice pooling adapter")
     _add_config_flags(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--from", dest="from_ckpt", required=True,
-                   help="stage-1 checkpoint to start from")
+    p.add_argument("--from", dest="from_ckpt",
+                   help="stage-1 checkpoint to start from (required unless resuming)")
     p.add_argument("--out", required=True)
     p.add_argument("--resume")
     p.set_defaults(func=partial(_run_training, stage=2))

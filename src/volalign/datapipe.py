@@ -316,11 +316,6 @@ def tokenize(text: str, vocab: int = DEFAULT_VOCAB) -> list[int]:
     return [fnv1a64(w) % vocab for w in words]
 
 
-def caption_for(entry: ManifestEntry, vocab: int = DEFAULT_VOCAB) -> Caption:
-    text = build_caption(entry)
-    return Caption(text=text, token_ids=tokenize(text, vocab))
-
-
 # ---------------------------------------------------------------------------
 # synthetic corpora
 

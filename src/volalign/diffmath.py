@@ -11,12 +11,12 @@ mean_rows act on the trailing axes of [..., m, n] arrays, so one call (and
 one tape record) covers a whole batch. A weight shared by the batch ([k x n]
 in matmul, [m x d] in add) gets its gradient summed over the leading axes.
 numpy runs a batched matmul one matrix at a time, so each matrix of a batch
-gets the same bits it would get alone. mean_rows sorts along the row axis
-before summing (sorted summation), so mean-based pooling is bitwise
-invariant to row order; mean_all and logsumexp_rows use exactly rounded
-(fsum) summation. Where numpy would return a numpy scalar for a 0-d
-result (mean_all, and add, sub, scale, relu and dropout on 0-d inputs), the
-op returns it as a 0-d array instead.
+gets the same bits it would get alone. mean_rows sums each column in
+ascending order (a compare-exchange network up to 4 rows, np.sort beyond),
+so mean-based pooling is bitwise invariant to row order; mean_all and
+logsumexp_rows use exactly rounded (fsum) summation. Where numpy would
+return a numpy scalar for a 0-d result (mean_all, and add, sub, scale, relu
+and dropout on 0-d inputs), the op returns it as a 0-d array instead.
 """
 
 from __future__ import annotations
@@ -339,17 +339,33 @@ def l2_normalize_rows(x, eps: float = 1e-12, tape: Tape | None = None) -> np.nda
     return out
 
 
+# Compare-exchange pairs (i, j) that leave rows 0..m-1 in ascending order.
+_SORT_NETWORKS = {1: (), 2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1)),
+                  4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
+
+
 def mean_rows(x, tape: Tape | None = None) -> np.ndarray:
     """Mean over the row axis, [..., m, d] -> [..., d].
 
-    Each column is sorted before it is summed, so the result is bitwise
-    invariant to the order of the rows.
+    Each column is summed in ascending order (sorted summation), so the
+    result is bitwise invariant to the order of the rows. For m <= 4 a
+    compare-exchange network sorts whole [..., d] planes, added left to right
+    from +0.0 as numpy's sum adds np.sort's rows. The bits match: apart from
+    NaN only -0.0 and +0.0 tie with different bits, and a sum from +0.0
+    comes out the same whichever of them it adds.
     """
     xv = _val(x)
     if xv.ndim < 2 or xv.shape[-2] < 1:
         raise DimensionError(f"mean_rows: expected a non-empty matrix, got shape {xv.shape}")
     m = xv.shape[-2]
-    out = np.sort(xv, axis=-2).sum(axis=-2) / m
+    if m in _SORT_NETWORKS:
+        rows = list(np.moveaxis(xv, -2, 0).copy())
+        for i, j in _SORT_NETWORKS[m]:
+            rows[i], rows[j] = np.minimum(rows[i], rows[j]), np.maximum(rows[i], rows[j])
+        total = sum(rows, 0.0)
+    else:
+        total = np.sort(xv, axis=-2).sum(axis=-2)
+    out = total / m
     if tape is not None:
         def bwd(g, accum, x=x, m=m):
             accum(x, np.repeat(np.expand_dims(g / m, -2), m, axis=-2))

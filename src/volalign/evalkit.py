@@ -197,20 +197,33 @@ def _train_logistic(xa: np.ndarray, onehot: np.ndarray) -> np.ndarray:
     numpy multiplies a stack one matrix at a time, and xat stays a view of
     xa, so each problem gets the bits it would get alone. The row max is a
     running maximum over the c columns: exact, and faster than a reduction
-    over a short trailing axis.
+    over a short trailing axis. For c < 8 the row sum adds the columns left
+    to right, as numpy's pairwise sum does below 8 elements; from 8 on that
+    sum splits into 8 accumulators, so numpy's reduction is kept.
     """
     n = xa.shape[1]
+    c = onehot.shape[2]
     xat = xa.swapaxes(-1, -2)
-    w = np.zeros((xa.shape[0], xa.shape[2], onehot.shape[2]))
+    w = np.zeros((xa.shape[0], xa.shape[2], c))
     for _ in range(PROBE_ITERATIONS):
         z = xa @ w
-        zmax = z[..., 0].copy()
-        for j in range(1, z.shape[-1]):
+        zmax = np.maximum(z[..., 0], z[..., 1])
+        for j in range(2, c):
             np.maximum(zmax, z[..., j], out=zmax)
         z -= zmax[..., None]
-        p = np.exp(z)
-        p /= p.sum(axis=-1, keepdims=True)
-        w -= PROBE_STEP * (xat @ (p - onehot)) / n
+        p = np.exp(z, out=z)
+        if c < 8:
+            total = p[..., 0] + p[..., 1]
+            for j in range(2, c):
+                total += p[..., j]
+        else:
+            total = p.sum(axis=-1)
+        p /= total[..., None]
+        p -= onehot
+        g = xat @ p
+        g *= PROBE_STEP
+        g /= n
+        w -= g
     return w
 
 

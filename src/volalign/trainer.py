@@ -400,11 +400,11 @@ def check_geometry(ckpt: Checkpoint, cfg: TrainConfig) -> None:
         raise CompatibilityError(f"checkpoint geometry differs from config: {mismatches}")
 
 
-def _resumable(resume: Checkpoint, cfg: TrainConfig, stage: int) -> Checkpoint:
-    """A snapshot to go on training from, refused unless resume is a
-    checkpoint of `stage` whose config equals cfg in every field but seed.
-    The run goes on under resume's config, and its epoch streams key on
-    resume's seed, so any seed reproduces the run."""
+def check_resumable(resume: Checkpoint, cfg: TrainConfig, stage: int) -> None:
+    """Refuse to resume unless resume is a checkpoint of `stage` whose config
+    equals cfg in every field but seed. The run goes on under resume's
+    config, and its epoch streams key on resume's seed, so any seed
+    reproduces the run."""
     if resume.stage != stage:
         raise CompatibilityError(
             f"cannot resume stage {stage} from a stage-{resume.stage} checkpoint")
@@ -412,7 +412,6 @@ def _resumable(resume: Checkpoint, cfg: TrainConfig, stage: int) -> Checkpoint:
                   if k != "seed" and v != getattr(cfg, k)}
     if mismatches:
         raise CompatibilityError(f"checkpoint config differs from the resuming one: {mismatches}")
-    return snapshot_checkpoint(resume)
 
 
 # ---------------------------------------------------------------------------
@@ -605,14 +604,16 @@ def train_stage1(cfg: TrainConfig, train_entries, val_entries, data_root,
     _require_kind(train_entries, "2d")
     _require_kind(val_entries, "2d")
 
-    ckpt = _resumable(resume, cfg, 1) if resume is not None else make_initial_checkpoint(cfg)
+    if resume is not None:
+        check_resumable(resume, cfg, 1)
+    ckpt = snapshot_checkpoint(resume) if resume is not None else make_initial_checkpoint(cfg)
     items = _stage1_items(train_entries, data_root, cfg, ckpt.text)
     val_items = _stage1_items(val_entries, data_root, cfg, ckpt.text)
     return _run_stage(ckpt, items, val_items, out_dir)
 
 
 def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
-                 stage1_ckpt: Checkpoint, out_dir=None, resume: Checkpoint | None = None,
+                 stage1_ckpt: Checkpoint | None, out_dir=None, resume: Checkpoint | None = None,
                  volumes: dict | None = None) -> Checkpoint:
     """Train the slice-pooling adapter on volumes; both encoders are frozen.
 
@@ -621,16 +622,18 @@ def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
     flushed, so set-up holds the [n, d_model] rows and never the preprocessed
     split, and each epoch touches only the adapter parameters. `volumes`
     caches preprocessed volumes across calls, keyed by (sample path, image
-    size); given one, set-up stores every volume in it.
+    size); given one, set-up stores every volume in it. A resume holds both
+    encoders, so stage1_ckpt is read by a fresh run only (None otherwise).
     """
     cfg.validate()
     _require_kind(train_entries, "3d")
     _require_kind(val_entries, "3d")
-    check_geometry(stage1_ckpt, cfg)
 
     if resume is not None:
-        ckpt = _resumable(resume, cfg, 2)
+        check_resumable(resume, cfg, 2)
+        ckpt = snapshot_checkpoint(resume)
     else:
+        check_geometry(stage1_ckpt, cfg)
         ckpt = snapshot_checkpoint(replace(stage1_ckpt, stage=2, config=cfg, optimizer=None,
                                            history=[]))
     items = _stage2_items(train_entries, data_root, cfg, ckpt.text, ckpt.image, volumes)

@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -95,6 +96,12 @@ class TestTraining:
         assert code == 4
         assert "error:dependency:" in capsys.readouterr().err
 
+    def test_fresh_train3d_without_from_is_dependency_error(self, workspace, capsys):
+        code = run(["train3d", "--config", workspace / "cfg.json",
+                    "--data", workspace / "data" / "3d", "--out", workspace / "x"])
+        assert code == 4
+        assert "error:dependency:" in capsys.readouterr().err
+
     def test_invalid_config_exit_code(self, workspace, capsys):
         code = run(["train2d", "--config", workspace / "cfg.json", "--batch-size", 1,
                     "--data", workspace / "data" / "2d", "--out", workspace / "y"])
@@ -110,6 +117,31 @@ class TestTraining:
         assert ("error:compat: checkpoint config differs from the resuming one: "
                 "{'epochs': (2, 5)}") in capsys.readouterr().err
         assert not list((tmp_path / "r").glob("epoch_*.ckpt"))
+
+    def test_refused_resume_leaves_out_dir_unchanged(self, trained, tmp_path):
+        out = tmp_path / "r"
+        shutil.copytree(trained / "run1", out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        code = run(["train2d", "--config", trained / "cfg.json", "--epochs", 9,
+                    "--data", trained / "data" / "2d", "--out", out,
+                    "--resume", out / "epoch_0001.ckpt"])
+        assert code == 6
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_train3d_resume_needs_no_stage1(self, trained, tmp_path):
+        base = ["train3d", "--config", trained / "cfg.json", "--data", trained / "data" / "3d",
+                "--resume", trained / "run2" / "epoch_0001.ckpt"]
+        assert run([*base, "--from", trained / "run1" / "stage1.ckpt",
+                    "--out", tmp_path / "with"]) == 0
+        assert run([*base, "--out", tmp_path / "without"]) == 0
+        names = sorted(p.name for p in (tmp_path / "with").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "without").iterdir())
+        for name in names:
+            if name != "run_config.json":
+                assert ((tmp_path / "with" / name).read_bytes()
+                        == (tmp_path / "without" / name).read_bytes()), name
+        rc = json.loads((tmp_path / "without" / "run_config.json").read_text())
+        assert rc["from"] is None
 
     def test_bad_manifest_exit_code(self, workspace, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text("{not json")

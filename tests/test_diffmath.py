@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from volalign import diffmath as dm
 from volalign.diffmath import Param, Tape
@@ -164,6 +167,27 @@ class TestElementwiseSuite:
             perm = r.permutation(11)
             out = dm.mean_rows(x[perm])
             assert np.array_equal(out, base)
+
+
+# Ties, both zeros, both infinities and sums that lose bits when added out of
+# order, beside arbitrary finite values.
+MEAN_VALUES = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 1e-300, 1e16, -1e16,
+                                math.inf, -math.inf])
+               | st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestMeanRowsBits:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), lead=st.lists(st.integers(1, 3), max_size=2),
+           m=st.integers(1, 8), d=st.integers(1, 5), zero_col=st.booleans())
+    def test_equals_sorted_sum_bytewise(self, data, lead, m, d, zero_col):
+        # np.array_equal cannot tell -0.0 from +0.0; the bytes can.
+        x = data.draw(hnp.arrays(np.float64, (*lead, m, d), elements=MEAN_VALUES))
+        if zero_col:
+            x[..., 0] = -0.0
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.sort(x, axis=-2).sum(axis=-2) / m
+            assert dm.mean_rows(x).tobytes() == expected.tobytes()
 
 
 class TestDropout:

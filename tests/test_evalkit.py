@@ -244,6 +244,16 @@ class TestStackedProbe:
            c=st.integers(2, 9), seed=st.integers(0, 2**32 - 1),
            scale=st.sampled_from([0.01, 1.0, 30.0]))
     def test_stack_equals_each_problem_alone_bitwise(self, g, n, d, c, seed, scale):
+        self.check_stack(g, n, d, c, seed, scale)
+
+    # The row sum adds class columns left to right below 8 classes and keeps
+    # numpy's reduction from 8 on; both branches run on every test pass.
+    @pytest.mark.parametrize("c", [7, 8])
+    def test_both_row_sum_branches(self, c):
+        self.check_stack(3, 24, 6, c, seed=c, scale=1.0)
+
+    @staticmethod
+    def check_stack(g, n, d, c, seed, scale):
         r = make_rng(seed, "probe:stack")
         x = scale * r.normal(size=(g, n, d))
         y = r.integers(0, c, size=(g, n))
@@ -251,7 +261,7 @@ class TestStackedProbe:
         w = ek._train_logistic(xa, np.eye(c)[y])
         assert w.shape == (g, d + 1, c)
         for i in range(g):
-            assert np.array_equal(w[i], train_logistic_2d(x[i], y[i], c))
+            assert w[i].tobytes() == train_logistic_2d(x[i], y[i], c).tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(k=st.integers(2, 5), d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
