@@ -17,11 +17,24 @@ The probe recipe is fixed (full-batch gradient descent, 500 iterations, step
 The k folds' probes train as stacks, one stack per training-set size (one
 stack when every class size is a multiple of k), and each fold's weights are
 bit for bit those it would get trained alone.
+
+The ablation extracts its four tables in order, then probes them on two
+cores: one forked child probes rows 1-2 while this process probes rows 3-4
+(_probe_tables), and matching follows. Threads were slower: the probe loop
+makes many small numpy calls, and each needs the GIL. The fork costs later
+work in the same process a page fault at the first write to each page that
+the fork shared (copy-on-write). With one usable CPU, or without os.fork,
+the probes run one after another in this process. Python 3.12 and later
+warn at a fork in a process that runs other threads, such as OpenBLAS's.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +48,7 @@ from . import trainer as tr
 from .config import TrainConfig
 from .diffmath import ParamGroup, make_rng
 from .errors import (AmbiguityError, DependencyError, EvaluationError,
-                     InputError, LoadError, StratificationError)
+                     InputError, LoadError, StratificationError, VolalignError)
 
 PROBE_ITERATIONS = 500
 PROBE_STEP = 0.1
@@ -481,13 +494,66 @@ def run_ablation(data: AblationData, cfg: TrainConfig, workdir=None,
     # stage 2 freezes the image group, so rows 2 and 4 reuse the encodings of
     # rows 1 and 3
     encoded: dict = {}
+    tables = [extract_embeddings(ckpt, test3d, data.root3d, mode, volumes=volumes,
+                                 encoded=encoded) for _, ckpt, mode in setups]
+    probes = _probe_tables(tables, cfg.seed)
     rows = []
-    for name, ckpt, mode in setups:
-        table = extract_embeddings(ckpt, test3d, data.root3d, mode, volumes=volumes,
-                                   encoded=encoded)
-        probe = linear_probe_cv(table, k=5, seed=cfg.seed)
+    for (name, ckpt, _), table, probe in zip(setups, tables, probes):
         match = top1_match(table, data.captions3d, ckpt.text)
         rows.append(AblationRow(config=name, probe_accuracy=probe.accuracy_mean,
                                 probe_macro_f1=probe.f1_mean,
                                 match_precision=match.precision))
     return AblationReport(rows=rows)
+
+
+def _probe_tables(tables: list[EmbeddingTable], seed: int) -> list[ProbeReport]:
+    """linear_probe_cv(table, k=5, seed=seed) of each table, raising the first
+    table's typed error as a loop over them would.
+
+    With os.fork and two usable CPUs, one forked child probes the first half
+    of the tables while this process probes the rest. The child sends its
+    reports or its typed error back pickled through a pipe and always leaves
+    through os._exit; this process reaps it on every path.
+    """
+    def probe(part):
+        try:
+            return [linear_probe_cv(t, k=5, seed=seed) for t in part]
+        except VolalignError as exc:
+            return exc
+
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if not hasattr(os, "fork") or cpus < 2:
+        parts = [probe(tables)]
+    else:
+        half = len(tables) // 2
+        r, w = os.pipe()
+        with open(r, "rb") as reader, open(w, "wb") as writer:
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    pickle.dump(probe(tables[:half]), writer)
+                    writer.close()
+                    status = 0
+                except BaseException:
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            writer.close()
+            sent = None
+            try:
+                mine = probe(tables[half:])
+                sent = reader.read()
+            finally:
+                if sent is None:  # this process failed untyped: stop the child
+                    os.kill(pid, signal.SIGKILL)
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status != 0:
+            raise EvaluationError(f"the probe child sent no result and ended with exit "
+                                  f"status {status} (a negative status is its signal)")
+        parts = [pickle.loads(sent), mine]
+    for part in parts:
+        if isinstance(part, VolalignError):
+            raise part
+    return [report for part in parts for report in part]

@@ -12,6 +12,7 @@ config reproduces the uninterrupted trajectory exactly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import mmap
@@ -211,18 +212,21 @@ def _tensor_parts(a: np.ndarray) -> list:
     return [struct.pack(f"<I{a.ndim}I", a.ndim, *a.shape), a.reshape(-1).view(np.uint8)]
 
 
-def _unpack_tensor(buf: bytes) -> np.ndarray:
-    if len(buf) < 4:
+def _unpack_tensor(blob, span: slice) -> np.ndarray:
+    """The tensor in blob[span], copied once out of blob."""
+    start, stop = span.start, span.stop
+    if stop - start < 4:
         raise CheckpointError("tensor section truncated")
-    (ndim,) = struct.unpack_from("<I", buf, 0)
-    if len(buf) < 4 + 4 * ndim:
+    (ndim,) = struct.unpack_from("<I", blob, start)
+    ofs = start + 4 + 4 * ndim
+    if ofs > stop:
         raise CheckpointError("tensor section truncated")
-    shape = struct.unpack_from(f"<{ndim}I", buf, 4)
-    ofs = 4 + 4 * ndim
-    count = int(np.prod(shape)) if ndim else 1
-    if len(buf) != ofs + 8 * count:
+    shape = struct.unpack_from(f"<{ndim}I", blob, start + 4)
+    count = math.prod(shape)
+    if stop != ofs + 8 * count:
         raise CheckpointError("tensor payload length mismatch")
-    return np.frombuffer(buf, dtype="<f8", offset=ofs).astype(np.float64).reshape(shape)
+    # no name holds the view, so no exception's frame keeps the map exported
+    return np.frombuffer(blob, "<f8", count, ofs).astype(np.float64).reshape(shape)
 
 
 def _sections(ckpt: Checkpoint):
@@ -256,7 +260,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     dp._write_atomic(path, _file_chunks(ckpt))
 
 
-def _read_sections(blob: bytes, path) -> dict[str, bytes]:
+def _read_sections(blob, path) -> dict[str, slice]:
+    """The byte span of each section's payload in blob, by section name."""
     if blob[:4] != _MAGIC:
         raise CheckpointError(f"{path}: bad magic {blob[:4]!r}")
     if len(blob) < 8:
@@ -264,7 +269,7 @@ def _read_sections(blob: bytes, path) -> dict[str, bytes]:
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unknown checkpoint version {version}")
-    sections: dict[str, bytes] = {}
+    sections: dict[str, slice] = {}
     ofs = 8
     while ofs < len(blob):
         if ofs + 4 > len(blob):
@@ -284,7 +289,7 @@ def _read_sections(blob: bytes, path) -> dict[str, bytes]:
             raise CheckpointError(f"{path}: truncated payload for section {name!r}")
         if name in sections:
             raise CheckpointError(f"{path}: duplicate section {name!r}")
-        sections[name] = blob[ofs:ofs + plen]
+        sections[name] = slice(ofs, ofs + plen)
         ofs += plen
     return sections
 
@@ -343,21 +348,29 @@ def load_checkpoint(path) -> Checkpoint:
     with a non-finite value. A file with optimizer state holds both Adam
     moments of exactly the params that its stage trains."""
     path = Path(path)
-    try:
+    with contextlib.ExitStack() as files:
         # mapped rather than read into one file-sized heap block, which a
-        # fragmented heap can only serve with fresh, page-faulted memory
-        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as blob:
-            sections = _read_sections(blob, path)
-    except (OSError, ValueError) as exc:  # ValueError: an empty file cannot be mapped
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    meta = _read_meta(sections.pop("meta", None), path)
+        # fragmented heap can only serve with fresh, page-faulted memory; each
+        # tensor is copied once, straight out of the map
+        try:
+            fh = files.enter_context(open(path, "rb"))
+            blob = files.enter_context(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
+        except (OSError, ValueError) as exc:  # ValueError: an empty file cannot be mapped
+            raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+        return _load_mapped(blob, path)
+
+
+def _load_mapped(blob, path) -> Checkpoint:
+    """The checkpoint held in blob, the mapped file at path."""
+    sections = _read_sections(blob, path)
+    meta = _read_meta(blob[sections.pop("meta")] if "meta" in sections else None, path)
     try:
         cfg = TrainConfig.from_dict(meta["config"])
     except ConfigurationError as exc:
         raise CheckpointError(f"{path}: meta config is invalid: {exc}") from exc
 
     def tensor(key: str, shape: tuple) -> np.ndarray:
-        a = _unpack_tensor(sections.pop(key))
+        a = _unpack_tensor(blob, sections.pop(key))
         if a.shape != shape:
             raise CheckpointError(f"{path}: section {key} has shape {a.shape}, "
                                   f"expected {shape}")

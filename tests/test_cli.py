@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import os
 import re
 import shutil
 import struct
@@ -12,6 +13,7 @@ import pytest
 
 from volalign import cli
 from volalign import errors
+from volalign import evalkit as ek
 from volalign import trainer as tr
 from volalign.cli import main
 from volalign.config import TrainConfig
@@ -234,6 +236,27 @@ class TestEvalCommands:
         assert len(lines) == 5  # header + four configurations
         assert (out / "work" / "stage1.ckpt").is_file()
 
+    def test_ablate_exits_with_the_code_of_an_error_in_the_probe_child(
+            self, trained, tmp_path, capsys, monkeypatch):
+        probe, me = ek.linear_probe_cv, os.getpid()
+
+        def failing_in_the_child(table, **kwargs):
+            if os.getpid() != me:
+                raise errors.DimensionError("raised in the probe child")
+            return probe(table, **kwargs)
+
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
+        monkeypatch.setattr(ek, "linear_probe_cv", failing_in_the_child)
+        code = run(["ablate", "--config", trained / "cfg.json", "--data", trained / "data",
+                    "--out", tmp_path / "abl"])
+        assert code == errors.DimensionError.exit_code == 8
+        assert "error:dimension: raised in the probe child" in capsys.readouterr().err
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
 
 class TestParser:
     def test_unknown_flag_exits_2(self):
@@ -292,7 +315,8 @@ def test_readme_lists_the_meta_keys_the_writer_writes(tmp_path):
     path = tmp_path / "c.ckpt"
     cfg = TrainConfig(d_model=8, d_hidden=8, d_text=8, vocab=64, heads=2)
     tr.save_checkpoint(tr.make_initial_checkpoint(cfg), path)
-    meta = json.loads(tr._read_sections(path.read_bytes(), path)["meta"])
+    blob = path.read_bytes()
+    meta = json.loads(blob[tr._read_sections(blob, path)["meta"]])
     assert sorted(readme_meta_keys()) == sorted(meta)
 
 

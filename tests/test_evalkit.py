@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -18,7 +19,7 @@ from volalign.config import TrainConfig
 from volalign.datapipe import Caption
 from volalign.diffmath import make_rng
 from volalign.errors import (AmbiguityError, CompatibilityError, DependencyError,
-                             EvaluationError, InputError, StratificationError)
+                             DimensionError, EvaluationError, InputError, StratificationError)
 
 
 def small_cfg(**kw):
@@ -373,18 +374,30 @@ class TestAblation:
             assert a == b
 
 
+@pytest.fixture(scope="module")
+def trained(ordered3d, pattern2d, tmp_path_factory):
+    """A work directory holding the three trained checkpoints."""
+    root3, entries3 = ordered3d
+    root2, entries2 = pattern2d
+    data = ek.AblationData(root2d=root2, entries2d=entries2, root3d=root3,
+                           entries3d=entries3,
+                           captions3d=dp.load_captions(root3 / "captions.json", vocab=64))
+    workdir = tmp_path_factory.mktemp("ablate")
+    ek.run_ablation(data, small_cfg(epochs=2), workdir=workdir)
+    return data, workdir
+
+
+# sha256 of run_ablation(...).to_csv() on the trained fixture's work directory,
+# computed with the serial loop of one probe per row. Its four rows read
+# alike, so TestProbeChild checks the order of the rows' probes.
+GOLDEN_ABLATION_CSV = "e80c1e9273665963c9beb5d3eb4edfe3a98b0c26acce7b0b4618fb30b01b79ee"
+
+
 class TestAblationPreprocessesOnce:
-    @pytest.fixture(scope="class")
-    def trained(self, ordered3d, pattern2d, tmp_path_factory):
-        """A work directory holding the three trained checkpoints."""
-        root3, entries3 = ordered3d
-        root2, entries2 = pattern2d
-        data = ek.AblationData(root2d=root2, entries2d=entries2, root3d=root3,
-                               entries3d=entries3,
-                               captions3d=dp.load_captions(root3 / "captions.json", vocab=64))
-        workdir = tmp_path_factory.mktemp("ablate")
-        ek.run_ablation(data, small_cfg(epochs=2), workdir=workdir)
-        return data, workdir
+    def test_golden_report(self, trained):
+        data, workdir = trained
+        csv = ek.run_ablation(data, small_cfg(epochs=2), workdir=workdir).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_ABLATION_CSV
 
     def test_same_report_as_uncached_rows_and_one_load_per_volume(self, trained, monkeypatch):
         data, workdir = trained
@@ -545,3 +558,94 @@ class TestAblationPreprocessesOnce:
                                captions3d=[])
         with pytest.raises(CompatibilityError, match="d_model"):
             ek.run_ablation(data, cfg, workdir=tmp_path)
+
+
+class TestProbeChild:
+    """run_ablation probes rows 1-2 in one forked child and rows 3-4 itself."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids that os.fork returns to this process; after the test none
+        of them is a child of it any more."""
+        pids = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        yield pids
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    @staticmethod
+    def patch_probe(monkeypatch, child=None, parent=None):
+        """linear_probe_cv that runs `child` in the forked child and `parent`
+        in this process, when given, before probing."""
+        probe, me = ek.linear_probe_cv, os.getpid()
+
+        def patched(table, **kwargs):
+            hook = parent if os.getpid() == me else child
+            if hook is not None:
+                hook()
+            return probe(table, **kwargs)
+
+        monkeypatch.setattr(ek, "linear_probe_cv", patched)
+
+    @staticmethod
+    def raiser(exc):
+        def hook():
+            raise exc
+        return hook
+
+    def test_same_reports_as_one_probe_after_another(self, forks):
+        tables = [clustered_table(seed, [10, 7, 8], 5, 1.0) for seed in range(4)]
+        serial = [ek.linear_probe_cv(t, k=5, seed=2).to_csv() for t in tables]
+        assert len(set(serial)) == 4
+        assert [r.to_csv() for r in ek._probe_tables(tables, 2)] == serial
+        assert len(forks) == 1
+
+    def test_typed_error_in_the_child(self, trained, forks, monkeypatch):
+        data, workdir = trained
+        self.patch_probe(monkeypatch, child=self.raiser(DimensionError("child side")))
+        with pytest.raises(DimensionError, match="child side"):
+            ek.run_ablation(data, small_cfg(epochs=2), workdir=workdir)
+        assert len(forks) == 1
+
+    def test_child_without_a_result(self, trained, forks, monkeypatch):
+        data, workdir = trained
+        self.patch_probe(monkeypatch, child=lambda: os._exit(3))
+        with pytest.raises(EvaluationError, match="sent no result.*status 3"):
+            ek.run_ablation(data, small_cfg(epochs=2), workdir=workdir)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("exc", [DimensionError("parent side"), RuntimeError("parent side")],
+                             ids=["typed", "untyped"])
+    def test_failure_in_this_process(self, trained, forks, monkeypatch, exc):
+        data, workdir = trained
+        self.patch_probe(monkeypatch, parent=self.raiser(exc))
+        with pytest.raises(type(exc), match="parent side"):
+            ek.run_ablation(data, small_cfg(epochs=2), workdir=workdir)
+        assert len(forks) == 1
+
+    def test_both_sides_fail_with_the_lowest_rows_error(self, trained, forks, monkeypatch):
+        data, workdir = trained
+        self.patch_probe(monkeypatch, child=self.raiser(DimensionError("child side")),
+                         parent=self.raiser(EvaluationError("parent side")))
+        with pytest.raises(DimensionError, match="child side"):
+            ek.run_ablation(data, small_cfg(epochs=2), workdir=workdir)
+
+    @pytest.mark.parametrize("platform", ["one-cpu", "no-fork"])
+    def test_serial_without_a_second_cpu_or_fork(self, trained, forks, monkeypatch, platform):
+        data, workdir = trained
+        if platform == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:
+            monkeypatch.delattr(os, "fork")
+        csv = ek.run_ablation(data, small_cfg(epochs=2), workdir=workdir).to_csv()
+        assert forks == []
+        assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_ABLATION_CSV

@@ -217,7 +217,8 @@ CONFIG_VALUES = (st.sampled_from([0, 1, 2, 4, 8, -1, 1.0, 8.0, 0.5, True, False,
 def checkpoint_sections(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "c.ckpt"
     tr.save_checkpoint(tr.make_initial_checkpoint(small_cfg()), path)
-    return tr._read_sections(path.read_bytes(), path)
+    blob = path.read_bytes()
+    return {k: blob[s] for k, s in tr._read_sections(blob, path).items()}
 
 
 def checkpoint_bytes(sections: dict[str, bytes]) -> bytes:
@@ -301,7 +302,8 @@ class TestResumeGuard:
     def test_cli_resume_from_string_epoch_is_checkpoint_error(self, corpus2d, tmp_path, capsys):
         path = tmp_path / "c.ckpt"
         tr.save_checkpoint(tr.make_initial_checkpoint(small_cfg()), path)
-        sections = tr._read_sections(path.read_bytes(), path)
+        blob = path.read_bytes()
+        sections = {k: blob[s] for k, s in tr._read_sections(blob, path).items()}
         meta = json.loads(sections["meta"])
         meta["history"] = [dict(HISTORY_RECORD, epoch="0")]
         path.write_bytes(checkpoint_bytes({**sections, "meta": json.dumps(meta).encode()}))

@@ -59,7 +59,8 @@ def craft(ckpt, tmp_path, edit):
     """Save ckpt, pass its sections (raw names) through edit, write the result."""
     good = tmp_path / "good.ckpt"
     tr.save_checkpoint(ckpt, good)
-    sections = {k.encode(): v for k, v in tr._read_sections(good.read_bytes(), good).items()}
+    blob = good.read_bytes()
+    sections = {k.encode(): blob[s] for k, s in tr._read_sections(blob, good).items()}
     write_raw(tmp_path / "same.ckpt", sections)
     assert (tmp_path / "same.ckpt").read_bytes() == good.read_bytes()
     write_raw(tmp_path / "bad.ckpt", edit(sections))
@@ -254,9 +255,9 @@ class TestCheckpointIO:
     def test_initial_values_golden(self, tmp_path):
         path = tmp_path / "c.ckpt"
         tr.save_checkpoint(tr.make_initial_checkpoint(small_cfg()), path)
-        sections = tr._read_sections(path.read_bytes(), path)
-        got = [(k[len("param:"):], hashlib.sha256(v).hexdigest())
-               for k, v in sections.items() if k.startswith("param:")]
+        blob = path.read_bytes()
+        got = [(k[len("param:"):], hashlib.sha256(blob[s]).hexdigest())
+               for k, s in tr._read_sections(blob, path).items() if k.startswith("param:")]
         assert got == GOLDEN_INIT
 
     @pytest.mark.parametrize("edit", [
