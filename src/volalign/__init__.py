@@ -5,7 +5,7 @@ evaluation protocol (linear probing, top-1 matching, ablations)."""
 __version__ = "0.1.0"
 
 from .config import TrainConfig
-from .contrastive import LossConfig, batch_loss, info_nce, similarity_matrix
+from .contrastive import batch_loss, info_nce, similarity_matrix
 from .datapipe import (Caption, ManifestEntry, SynthSpec, build_caption, load_captions,
                        load_manifest, load_preprocessed, load_volume, preprocess_volume,
                        preprocessed_batches, resize_bilinear, save_manifest, save_volume,

@@ -1,4 +1,8 @@
-"""Run configuration shared by model construction, training, and the CLI."""
+"""Run configuration shared by model construction, training, and the CLI.
+
+A TrainConfig is immutable, and every constructor and dataclasses.replace
+validate it, so code that holds one never checks it again.
+"""
 
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ _ACCEPTS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Flat bundle of model geometry and optimization settings.
 
@@ -48,11 +52,16 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
 
+    def __post_init__(self):
+        self.validate()
+
     @property
     def d_head(self) -> int:
         return self.d_model // self.heads
 
     def validate(self) -> "TrainConfig":
+        """self, or ConfigurationError naming the first invalid field. Every
+        construction runs it, so a config that exists is valid."""
         for f in fields(self):
             value = getattr(self, f.name)
             what, accepts = _ACCEPTS[f.type]
@@ -83,6 +92,11 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def differences(self, other: "TrainConfig", names) -> dict[str, tuple]:
+        """{name: (mine, other's)} for each field among names whose values differ."""
+        return {k: (getattr(self, k), getattr(other, k))
+                for k in names if getattr(self, k) != getattr(other, k)}
+
     @classmethod
     def from_dict(cls, data: dict, overrides: dict | None = None) -> "TrainConfig":
         known = {f.name for f in fields(cls)}
@@ -92,11 +106,7 @@ class TrainConfig:
         unknown = sorted(set(merged) - known)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {unknown}")
-        try:
-            cfg = cls(**merged)
-        except TypeError as exc:
-            raise ConfigurationError(str(exc)) from exc
-        return cfg.validate()
+        return cls(**merged)
 
     @classmethod
     def from_json(cls, path, overrides: dict | None = None) -> "TrainConfig":

@@ -4,31 +4,20 @@ Both embedding matrices are L2-normalized inside similarity_matrix, so its
 [N x N] logits array holds cosine similarities divided by the temperature;
 matching pairs sit on the diagonal. info_nce takes that array. The loss is
 batch-mean cross-entropy toward the diagonal, averaged over both directions
-when symmetric.
+when symmetric. The temperature tau and the symmetric flag are plain values;
+TrainConfig holds and validates them for training.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffmath as dm
 from .diffmath import Tape
-from .errors import BatchError, ConfigurationError, DimensionError, InputError
+from .errors import BatchError, DimensionError, InputError
 
 
-@dataclass
-class LossConfig:
-    tau: float = 0.07
-    symmetric: bool = True
-
-    def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ConfigurationError(f"tau must be positive, got {self.tau}")
-
-
-def similarity_matrix(img, txt, cfg: LossConfig, tape: Tape | None = None) -> np.ndarray:
+def similarity_matrix(img, txt, tau: float, tape: Tape | None = None) -> np.ndarray:
     """Cosine similarities of all image/text pairs, scaled by 1/tau: the
     [N x N] logits, entry ij = cos(img_i, txt_j) / tau."""
     iv, tv = dm._val(img), dm._val(txt)
@@ -42,7 +31,7 @@ def similarity_matrix(img, txt, cfg: LossConfig, tape: Tape | None = None) -> np
         raise BatchError("similarity_matrix: need N >= 2 pairs for in-batch negatives")
     img_n = dm.l2_normalize_rows(img, tape=tape)
     txt_n = dm.l2_normalize_rows(txt, tape=tape)
-    return dm.scale(dm.matmul(img_n, dm.transpose(txt_n, tape), tape), 1.0 / cfg.tau, tape)
+    return dm.scale(dm.matmul(img_n, dm.transpose(txt_n, tape), tape), 1.0 / tau, tape)
 
 
 def _direction_loss(logits, tape: Tape | None) -> np.ndarray:
@@ -52,18 +41,18 @@ def _direction_loss(logits, tape: Tape | None) -> np.ndarray:
     return dm.mean_all(dm.sub(lse, diag, tape), tape)
 
 
-def info_nce(logits: np.ndarray, cfg: LossConfig, tape: Tape | None = None) -> np.ndarray:
+def info_nce(logits: np.ndarray, symmetric: bool = True, tape: Tape | None = None) -> np.ndarray:
     """Cross-entropy toward the diagonal of the [N x N] logits; image->text
     plus (optionally) text->image."""
     if logits.ndim != 2 or logits.shape[0] != logits.shape[1]:
         raise InputError(f"info_nce: logits must be square, got shape {logits.shape}")
     i2t = _direction_loss(logits, tape)
-    if not cfg.symmetric:
+    if not symmetric:
         return i2t
     t2i = _direction_loss(dm.transpose(logits, tape), tape)
     return dm.scale(dm.add(i2t, t2i, tape), 0.5, tape)
 
 
-def batch_loss(img, txt, cfg: LossConfig, tape: Tape | None = None) -> np.ndarray:
+def batch_loss(img, txt, tau: float, symmetric: bool, tape: Tape | None = None) -> np.ndarray:
     """similarity_matrix followed by info_nce; the training-step composite."""
-    return info_nce(similarity_matrix(img, txt, cfg, tape), cfg, tape)
+    return info_nce(similarity_matrix(img, txt, tau, tape), symmetric, tape)

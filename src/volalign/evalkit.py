@@ -47,7 +47,7 @@ from . import slice_pool as sp
 from . import trainer as tr
 from .config import TrainConfig
 from .diffmath import ParamGroup, make_rng
-from .errors import (AmbiguityError, DependencyError, EvaluationError,
+from .errors import (AmbiguityError, CompatibilityError, DependencyError, EvaluationError,
                      InputError, LoadError, StratificationError, VolalignError)
 
 PROBE_ITERATIONS = 500
@@ -427,7 +427,9 @@ def _cached_stage2(cfg, data, base_ckpt, workdir, name, volumes):
         path = Path(workdir) / name
         if path.is_file():
             ckpt = tr.load_checkpoint(path)
-            tr.check_geometry(ckpt, cfg)
+            mismatches = ckpt.config.differences(cfg, TrainConfig.GEOMETRY)
+            if mismatches:
+                raise CompatibilityError(f"checkpoint geometry differs from config: {mismatches}")
             if all(np.array_equal(p.value, base_ckpt.image[k].value)
                    for k, p in ckpt.image.items()):
                 return ckpt
@@ -450,7 +452,6 @@ def run_ablation(data: AblationData, cfg: TrainConfig, workdir=None,
     rows share preprocessed volumes, and the rows share slice embeddings per
     image group.
     """
-    cfg.validate()
     if workdir is not None:
         Path(workdir).mkdir(parents=True, exist_ok=True)
 
@@ -471,7 +472,9 @@ def run_ablation(data: AblationData, cfg: TrainConfig, workdir=None,
         if workdir is not None:
             tr.save_checkpoint(stage1_ckpt, Path(workdir) / "stage1.ckpt")
     else:
-        tr.check_geometry(stage1_ckpt, cfg)
+        mismatches = stage1_ckpt.config.differences(cfg, TrainConfig.GEOMETRY)
+        if mismatches:
+            raise CompatibilityError(f"checkpoint geometry differs from config: {mismatches}")
 
     # both adapters and every row share cfg.image_size, so each 3D sample is
     # loaded and preprocessed once

@@ -31,7 +31,7 @@ from . import slice_pool as sp
 from .config import TrainConfig
 from .diffmath import Param, ParamGroup, Tape
 from .errors import (CheckpointError, CompatibilityError, ConfigurationError,
-                     InputError, NonFiniteError)
+                     DependencyError, InputError, NonFiniteError)
 
 CHECKPOINT_VERSION = 4
 _MAGIC = b"RCKP"
@@ -179,7 +179,6 @@ class Checkpoint:
 
 def make_initial_checkpoint(cfg: TrainConfig, stage: int = 1) -> Checkpoint:
     """A fresh, untrained checkpoint determined entirely by cfg.seed."""
-    cfg.validate()
     return Checkpoint(stage=stage, config=cfg,
                       **{g: init_group(cfg, g, cfg.seed) for g in GROUPS})
 
@@ -405,14 +404,6 @@ def _load_mapped(blob, path) -> Checkpoint:
                       history=meta["history"])
 
 
-def check_geometry(ckpt: Checkpoint, cfg: TrainConfig) -> None:
-    mismatches = {k: (getattr(ckpt.config, k), getattr(cfg, k))
-                  for k in TrainConfig.GEOMETRY
-                  if getattr(ckpt.config, k) != getattr(cfg, k)}
-    if mismatches:
-        raise CompatibilityError(f"checkpoint geometry differs from config: {mismatches}")
-
-
 def check_resumable(resume: Checkpoint, cfg: TrainConfig, stage: int) -> None:
     """Refuse to resume unless resume is a checkpoint of `stage` whose config
     equals cfg in every field but seed. The run goes on under resume's
@@ -421,8 +412,7 @@ def check_resumable(resume: Checkpoint, cfg: TrainConfig, stage: int) -> None:
     if resume.stage != stage:
         raise CompatibilityError(
             f"cannot resume stage {stage} from a stage-{resume.stage} checkpoint")
-    mismatches = {k: (v, getattr(cfg, k)) for k, v in resume.config.to_dict().items()
-                  if k != "seed" and v != getattr(cfg, k)}
+    mismatches = resume.config.differences(cfg, [k for k in cfg.to_dict() if k != "seed"])
     if mismatches:
         raise CompatibilityError(f"checkpoint config differs from the resuming one: {mismatches}")
 
@@ -488,7 +478,7 @@ def _forward(inputs: np.ndarray, ckpt: Checkpoint, train_mode: bool, rng, tape) 
                              cfg.dropout_rate, rng, tape)
 
 
-def _batch_loss(items: list[_Item], idxs, ckpt, loss_cfg, train_mode, rng, tape):
+def _batch_loss(items: list[_Item], idxs, ckpt, train_mode, rng, tape):
     """InfoNCE of one batch, with one forward call per distinct input shape.
 
     Stage-2 volumes may differ in slice count; their outputs are joined along
@@ -503,10 +493,10 @@ def _batch_loss(items: list[_Item], idxs, ckpt, loss_cfg, train_mode, rng, tape)
             for group in groups.values()]
     img = outs[0] if len(outs) == 1 else dm.concat_rows(outs, tape)
     txt = np.stack([items[i].text_vec for i in order])
-    return ct.batch_loss(img, txt, loss_cfg, tape)
+    return ct.batch_loss(img, txt, ckpt.config.tau, ckpt.config.symmetric, tape)
 
 
-def _mean_val_loss(items: list[_Item], ckpt, loss_cfg) -> float:
+def _mean_val_loss(items: list[_Item], ckpt) -> float:
     losses = []
     n = len(items)
     batch_size = ckpt.config.batch_size
@@ -514,7 +504,7 @@ def _mean_val_loss(items: list[_Item], ckpt, loss_cfg) -> float:
         idxs = range(start, min(start + batch_size, n))
         if len(idxs) < 2:
             break
-        losses.append(_batch_loss(items, idxs, ckpt, loss_cfg, False, None, None).item())
+        losses.append(_batch_loss(items, idxs, ckpt, False, None, None).item())
     return math.fsum(losses) / len(losses)
 
 
@@ -549,7 +539,6 @@ def _run_stage(ckpt: Checkpoint, items, val_items, out_dir) -> Checkpoint:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    loss_cfg = ct.LossConfig(tau=cfg.tau, symmetric=cfg.symmetric)
     start_epoch = ckpt.epoch
     adam = Adam(trained, weight_decay=cfg.weight_decay, state=ckpt.optimizer)
 
@@ -567,7 +556,7 @@ def _run_stage(ckpt: Checkpoint, items, val_items, out_dir) -> Checkpoint:
         for b in range(n_batches):
             idxs = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             tape = Tape()
-            loss = _batch_loss(items, idxs, ckpt, loss_cfg, True, rng, tape)
+            loss = _batch_loss(items, idxs, ckpt, True, rng, tape)
             _check_finite(loss, epoch, b, "training loss")
             batch_losses.append(loss.item())
             dm.zero_grads(trained)
@@ -576,7 +565,7 @@ def _run_stage(ckpt: Checkpoint, items, val_items, out_dir) -> Checkpoint:
                 _check_finite(p.grad, epoch, b, f"gradient of {p.name}")
             adam.step(lr)
         train_loss = math.fsum(batch_losses) / len(batch_losses)
-        val_loss = _mean_val_loss(val_items, ckpt, loss_cfg)
+        val_loss = _mean_val_loss(val_items, ckpt)
         ckpt.history.append({"epoch": epoch, "lr": lr,
                              "train_loss": train_loss, "val_loss": val_loss})
         ckpt.optimizer = OptimizerState(adam.step_count, adam.moments)  # the snapshot copies it
@@ -613,7 +602,6 @@ def train_stage1(cfg: TrainConfig, train_entries, val_entries, data_root,
     Returns the best-validation checkpoint; per-epoch checkpoints and a loss
     CSV are written when out_dir is given.
     """
-    cfg.validate()
     _require_kind(train_entries, "2d")
     _require_kind(val_entries, "2d")
 
@@ -638,7 +626,6 @@ def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
     size); given one, set-up stores every volume in it. A resume holds both
     encoders, so stage1_ckpt is read by a fresh run only (None otherwise).
     """
-    cfg.validate()
     _require_kind(train_entries, "3d")
     _require_kind(val_entries, "3d")
 
@@ -646,7 +633,12 @@ def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
         check_resumable(resume, cfg, 2)
         ckpt = snapshot_checkpoint(resume)
     else:
-        check_geometry(stage1_ckpt, cfg)
+        if stage1_ckpt is None:
+            raise DependencyError("a fresh stage-2 run needs a stage-1 checkpoint; "
+                                  "train stage 1 first and pass its checkpoint")
+        mismatches = stage1_ckpt.config.differences(cfg, TrainConfig.GEOMETRY)
+        if mismatches:
+            raise CompatibilityError(f"checkpoint geometry differs from config: {mismatches}")
         ckpt = snapshot_checkpoint(replace(stage1_ckpt, stage=2, config=cfg, optimizer=None,
                                            history=[]))
     items = _stage2_items(train_entries, data_root, cfg, ckpt.text, ckpt.image, volumes)

@@ -132,7 +132,6 @@ def test_criterion_1_gradient_oracle():
     data_rng = dm.make_rng(12, "acc1:data")
     voxels = np.stack([data_rng.normal(size=(6, 16, 16)) for _ in range(4)])  # [4, 6, 16, 16]
     txt = data_rng.normal(size=(4, 16))
-    loss_cfg = ct.LossConfig(tau=0.07)
 
     def composite(tape):
         drop = dm.make_rng(99, "acc1:drop")
@@ -140,7 +139,7 @@ def test_criterion_1_gradient_oracle():
                                    dropout_rate=cfg.dropout_rate, rng=drop, tape=tape)
         img = sp.attention_pool(stack, adapter, cfg.heads, train_mode=True,
                                 dropout_rate=cfg.dropout_rate, rng=drop, tape=tape)
-        return ct.batch_loss(img, txt, loss_cfg, tape)
+        return ct.batch_loss(img, txt, cfg.tau, cfg.symmetric, tape)
 
     params = list(image.values()) + list(adapter.values())
     report = dm.grad_check(composite, params, h=1e-5, tol=1e-4)
@@ -152,10 +151,10 @@ def test_criterion_1_gradient_oracle():
 
 def test_criterion_2_analytic_loss_values():
     for n in (2, 4, 8):
-        loss = ct.info_nce(np.full((n, n), 1.23), ct.LossConfig()).item()
+        loss = ct.info_nce(np.full((n, n), 1.23)).item()
         assert abs(loss - math.log(n)) < 1e-9
     logits = np.array([[10.0, 0.0], [0.0, 10.0]])
-    loss = ct.info_nce(logits, ct.LossConfig()).item()
+    loss = ct.info_nce(logits).item()
     assert abs(loss - math.log(1.0 + math.exp(-10.0))) < 1e-9
 
 

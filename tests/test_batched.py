@@ -133,7 +133,6 @@ class TestBatchedEqualsPerVolume:
         data = dm.make_rng(4, "vols")
         vox = data.normal(size=(4, 5, 8, 8))
         txt = data.normal(size=(4, 8))
-        loss_cfg = ct.LossConfig(tau=0.07)
 
         def run(batched):
             # separate streams for encoder and adapter dropout, so both
@@ -149,7 +148,7 @@ class TestBatchedEqualsPerVolume:
                                           adapter, CFG.heads, True, 0.5, pool_rng, tape)
                         for v in vox]
                 img = dm.concat_rows([dm.reshape(r, (1, CFG.d_model), tape) for r in rows], tape)
-            loss = ct.batch_loss(img, txt, loss_cfg, tape)
+            loss = ct.batch_loss(img, txt, CFG.tau, CFG.symmetric, tape)
             tape.backward(loss)
             return loss.item(), [p.grad.copy() for p in params]
 
@@ -179,13 +178,11 @@ def items_3d(slice_counts, seed):
 
 
 class TestTrainerBatchLoss:
-    loss_cfg = ct.LossConfig(tau=0.07)
-
     def loss_fn(self, items, stage, ckpt, train_mode=True):
         def f(tape):
             rng = dm.make_rng(8, "drop") if train_mode else None
             return tr._batch_loss(items, range(len(items)), replace(ckpt, stage=stage),
-                                  self.loss_cfg, train_mode, rng, tape)
+                                  train_mode, rng, tape)
         return f
 
     def test_stage1_gradient_check(self):
@@ -207,7 +204,7 @@ class TestTrainerBatchLoss:
         batched = self.loss_fn(items, 2, ckpt, train_mode=False)(None).item()
         rows = [sp.attention_pool(it.inputs, ckpt.adapter, CFG.heads) for it in items]
         txt = np.stack([it.text_vec for it in items])
-        per_volume = ct.batch_loss(np.stack(rows), txt, self.loss_cfg).item()
+        per_volume = ct.batch_loss(np.stack(rows), txt, CFG.tau, CFG.symmetric).item()
         assert abs(batched - per_volume) <= 1e-10
 
     def test_one_record_per_layer_per_batch(self):

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from volalign import contrastive as ct
 from volalign import datapipe as dp
 from volalign import diffmath as dm
 from volalign import evalkit as ek
@@ -197,6 +196,8 @@ def test_non_utf8_file_is_typed_error(tmp_path, loader, error):
     ("symmetric", "true", "symmetric must be a boolean"),
     ("patch_size", 0, "dimensions must be positive"),  # before patch_size divides image_size
     ("image_size", 0, "dimensions must be positive"),
+    ("tau", 0.0, "tau must be positive"),
+    ("tau", -1.0, "tau must be positive"),
 ])
 def test_config_value_of_wrong_type_or_size_is_configuration_error(field, value, message):
     with pytest.raises(ConfigurationError, match=message):
@@ -205,6 +206,15 @@ def test_config_value_of_wrong_type_or_size_is_configuration_error(field, value,
 
 def test_integer_is_a_real_number():
     assert TrainConfig.from_dict({"lr0": 1, "tau": 2}).lr0 == 1
+
+
+def test_config_is_validated_by_replace_and_immutable():
+    cfg = TrainConfig(d_model=8)
+    with pytest.raises(ConfigurationError, match=r"heads \(3\) must divide d_model \(8\)"):
+        dataclasses.replace(cfg, heads=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.heads = 3
+    assert cfg.heads == 4
 
 
 CONFIG_FIELDS = [f.name for f in dataclasses.fields(TrainConfig)]
@@ -267,13 +277,6 @@ def test_any_meta_config_loads_or_raises_checkpoint_error(checkpoint_sections, e
     assert json.dumps(loaded_meta(ckpt)) == json.dumps({k: meta[k] for k in loaded_meta(ckpt)})
     assert ckpt.epoch == len(ckpt.history) and ckpt.stage in (1, 2)
 
-
-
-def test_loss_config_checks_tau_once_at_construction():
-    for tau in (0.0, -1.0, float("nan")):
-        with pytest.raises(ConfigurationError):
-            ct.LossConfig(tau=tau)
-    assert ct.LossConfig(tau=0.5).tau == 0.5
 
 
 def small_cfg(**kw):

@@ -36,10 +36,9 @@ class TestInitAdapter:
         assert not np.array_equal(a["pe_table"].value, b["pe_table"].value)
 
     def test_head_dim_mismatch(self):
-        bad = TrainConfig(d_model=8, heads=3, d_hidden=8, d_text=8, vocab=32,
-                          patch_size=4, image_size=8)
         with pytest.raises(ConfigurationError):
-            bad.validate()
+            TrainConfig(d_model=8, heads=3, d_hidden=8, d_text=8, vocab=32,
+                        patch_size=4, image_size=8)
 
     def test_pe_gaussian_sample_mean(self):
         big = TrainConfig(d_model=64, heads=4, s_max=64, d_hidden=8, d_text=8,

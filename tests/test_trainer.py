@@ -17,7 +17,7 @@ from volalign import evalkit as ek
 from volalign import trainer as tr
 from volalign.config import TrainConfig
 from volalign.errors import (CheckpointError, CompatibilityError,
-                             ConfigurationError, InputError)
+                             ConfigurationError, DependencyError, InputError)
 
 
 def small_cfg(**kw):
@@ -591,6 +591,14 @@ class TestStage2(object):
         with pytest.raises(CompatibilityError, match="d_model"):
             tr.train_stage2(cfg, split(entries, "train"), split(entries, "val"),
                             root, stage1)
+
+    def test_fresh_run_without_stage1_is_dependency_error(self, corpus3d, tmp_path):
+        root, entries = corpus3d
+        with pytest.raises(DependencyError, match="stage-1 checkpoint") as exc:
+            tr.train_stage2(small_cfg(), split(entries, "train"), split(entries, "val"),
+                            root, None, out_dir=tmp_path / "run")
+        assert exc.value.exit_code == 4
+        assert not (tmp_path / "run").exists()
 
     def test_rejects_2d_entries(self, corpus2d, stage1):
         root, entries = corpus2d
