@@ -278,7 +278,6 @@ def test_any_meta_config_loads_or_raises_checkpoint_error(checkpoint_sections, e
     assert ckpt.epoch == len(ckpt.history) and ckpt.stage in (1, 2)
 
 
-
 def small_cfg(**kw):
     base = dict(d_model=8, d_hidden=8, d_text=8, vocab=64, patch_size=4, image_size=8,
                 heads=2, s_max=8, epochs=3, batch_size=4, dropout_rate=0.2, lr0=1e-3,
