@@ -21,7 +21,7 @@ from . import datapipe as dp
 from . import evalkit as ek
 from . import trainer as tr
 from .config import TrainConfig
-from .errors import DependencyError, InputError, VolalignError
+from .errors import CompatibilityError, DependencyError, InputError, VolalignError
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1  # an untyped exception; a VolalignError exits with its exit_code
@@ -118,6 +118,8 @@ def _run_training(args, stage: int) -> int:
     resume = tr.load_checkpoint(args.resume) if args.resume else None
     if resume is not None:  # refuse before run_config.json is written
         tr.check_resumable(resume, cfg, stage)
+        if Path(args.resume).resolve().parent != out.resolve():
+            raise CompatibilityError(f"--resume {args.resume} is not in --out {out}")
 
     if stage == 1:
         _write_run_config(out, "train2d", cfg, {"data": str(data_root)})
@@ -241,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--data", required=True, help="corpus directory (manifest.json)")
     p.add_argument("--out", required=True)
-    p.add_argument("--resume", help="epoch checkpoint to resume from")
+    p.add_argument("--resume", help="epoch checkpoint in --out to resume from")
     p.set_defaults(func=partial(_run_training, stage=1))
 
     p = sub.add_parser("train3d", help="stage 2: train the slice pooling adapter")
@@ -250,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_ckpt",
                    help="stage-1 checkpoint to start from (required unless resuming)")
     p.add_argument("--out", required=True)
-    p.add_argument("--resume")
+    p.add_argument("--resume", help="epoch checkpoint in --out to resume from")
     p.set_defaults(func=partial(_run_training, stage=2))
 
     p = sub.add_parser("probe", help="linear probe with k-fold cross-validation")

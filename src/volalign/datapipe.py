@@ -32,6 +32,7 @@ from .diffmath import fnv1a64, make_rng
 from .errors import ConfigurationError, FormatError, InputError, LoadError
 
 DEFAULT_VOCAB = 4096
+ZSCORE_EPS = 1e-8  # the least std zscore divides by
 # Slices per preprocess_volume call of preprocessed_batches and per
 # encode_image2d call of encoders.encode_frozen: big enough to amortise numpy
 # call overhead, small enough that a batch's gathers and activations stay in
@@ -232,24 +233,24 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return out
 
 
-def zscore(img: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+def zscore(img: np.ndarray) -> np.ndarray:
     """Standardize each `[H, W]` image of `[..., H, W]` to zero mean and unit
-    population std; constant images map to zeros. The moments come from one
-    mean and one std reduction over the last two axes of a C-contiguous array,
-    so an image's bits do not depend on its memory layout or batch."""
+    population std (at least ZSCORE_EPS); constant images map to zeros. The
+    moments come from one mean and one std reduction over the last two axes
+    of a C-contiguous array, so an image's bits do not depend on its memory
+    layout or batch."""
     a = np.asarray(img, dtype=np.float64)
     if a.ndim < 2:
         raise InputError(f"zscore expects [..., H, W] images, got shape {a.shape}")
     a = np.ascontiguousarray(a)
     mean = a.mean(axis=(-2, -1), keepdims=True)
     std = a.std(axis=(-2, -1), keepdims=True)
-    return (a - mean) / np.maximum(std, eps)
+    return (a - mean) / np.maximum(std, ZSCORE_EPS)
 
 
-def preprocess_volume(volume: np.ndarray, out_h: int, out_w: int,
-                      eps: float = 1e-8) -> np.ndarray:
+def preprocess_volume(volume: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resize then z-score each slice of `[n, H, W]` voxels, in that order."""
-    return zscore(resize_bilinear(volume, out_h, out_w), eps)
+    return zscore(resize_bilinear(volume, out_h, out_w))
 
 
 def preprocessed_batches(paths, size: int):
@@ -324,9 +325,9 @@ _PATTERNS = ("square", "stripe", "disk", "blank")
 _SPLIT_FRACTIONS = (("train", 0.7), ("val", 0.1), ("test", 0.2))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
-    """Parameters of a synthetic corpus.
+    """Parameters of a synthetic corpus, validated when built.
 
     family "pattern": the class is a geometric marker (bright square, stripe,
     disk, or nothing) drawn at a fixed place on one randomly chosen slice.
@@ -343,6 +344,9 @@ class SynthSpec:
     width: int = 16
     kind: str = "3d"
     noise: float = 0.1
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.family not in ("pattern", "order-coded"):
@@ -440,7 +444,6 @@ def _split_for(index: int, per_class: int) -> str:
 
 def synth_dataset(spec: SynthSpec, seed: int, out_dir) -> list[ManifestEntry]:
     """Generate a corpus under out_dir: samples/, manifest.json, captions.json."""
-    spec.validate()
     out_dir = Path(out_dir)
     (out_dir / "samples").mkdir(parents=True, exist_ok=True)
 

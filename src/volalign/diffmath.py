@@ -2,9 +2,9 @@
 
 Everything trainable in this package is expressed through the ops in this
 module. Each op takes C-contiguous float64 ndarrays or Params, returns a
-C-contiguous float64 ndarray (reshape returns a view, eval-mode dropout its
-input) and, when a Tape is supplied, records a backward rule; the tape keys
-gradients on the identity of these arrays.
+C-contiguous float64 ndarray (reshape returns a view, dropout without an
+rng its input) and, when a Tape is supplied, records a backward rule; the
+tape keys gradients on the identity of these arrays.
 
 A batch is a leading array axis: matmul, transpose, add, softmax_rows and
 mean_rows act on the trailing axes of [..., m, n] arrays, so one call (and
@@ -58,6 +58,7 @@ __all__ = [
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
+NORM_EPS = 1e-12  # the least row norm l2_normalize_rows divides by
 
 
 def fnv1a64(data) -> int:
@@ -320,13 +321,13 @@ def logsumexp_rows(x, tape: Tape | None = None) -> np.ndarray:
     return out
 
 
-def l2_normalize_rows(x, eps: float = 1e-12, tape: Tape | None = None) -> np.ndarray:
-    """Scale each row to unit Euclidean norm; rows with norm < eps pass through."""
+def l2_normalize_rows(x, tape: Tape | None = None) -> np.ndarray:
+    """Scale each row to unit Euclidean norm; rows with norm < NORM_EPS pass through."""
     xv = _val(x)
     if xv.ndim != 2:
         raise DimensionError(f"l2_normalize_rows: expected a matrix, got shape {xv.shape}")
     norms = np.sqrt((xv * xv).sum(axis=1))
-    safe = norms >= eps
+    safe = norms >= NORM_EPS
     div = np.where(safe, norms, 1.0)
     out = xv / div[:, None]
     if tape is not None:
@@ -438,20 +439,18 @@ def concat_rows(parts: Sequence, tape: Tape | None = None) -> np.ndarray:
     return out
 
 
-def dropout(x, rate: float, train_mode: bool, rng: np.random.Generator | None = None,
+def dropout(x, rate: float, rng: np.random.Generator | None = None,
             tape: Tape | None = None) -> np.ndarray:
     """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
 
-    Identity in eval mode and at rate 0; the mask comes from the supplied
-    generator so training stays reproducible.
+    A generator switches it on: the mask comes from rng, so training stays
+    reproducible. Without one (eval), or at rate 0, it is the identity.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigurationError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train_mode or rate == 0.0:
-        return _val(x)
-    if rng is None:
-        raise ConfigurationError("dropout in train mode requires a random generator")
     xv = _val(x)
+    if rng is None or rate == 0.0:
+        return xv
     keep = rng.random(xv.shape) >= rate
     factor = 1.0 / (1.0 - rate)
     out = np.asarray(xv * keep * factor)

@@ -6,8 +6,8 @@ trainable patch + MLP image encoder for single slices. A batch of images is
 a leading axis of the image array, so encode_image2d of a volume's
 [n, H, W] voxel array is its [n, d_model] slice embeddings, the stack the
 slice-pooling adapter takes; patchify cuts the array into patch rows.
-encode_frozen is the frozen (eval-mode) path over many voxel arrays: those
-of one slice count share each encode_image2d call, at most
+encode_frozen is the frozen path (no rng, so no dropout) over many voxel
+arrays: those of one slice count share each encode_image2d call, at most
 datapipe.SLICE_BATCH slices at a time. numpy multiplies a stack one matrix
 at a time, so every slice keeps the bits it gets when encoded alone.
 encode_samples streams sample files through it: each batch that
@@ -74,22 +74,22 @@ def patchify(image, patch_size: int) -> np.ndarray:
              .reshape(*lead, (h // p) * (w // p), p * p))
 
 
-def encode_image2d(image, params: ParamGroup, train_mode: bool = False,
-                   dropout_rate: float = 0.0, rng=None, tape: Tape | None = None) -> np.ndarray:
+def encode_image2d(image, params: ParamGroup, dropout_rate: float = 0.0, rng=None,
+                   tape: Tape | None = None) -> np.ndarray:
     """Patch projection -> relu -> hidden layer -> relu -> output projection
     -> mean over patches; [..., H, W] -> [..., d_model].
 
     The output projection is linear, so applying it before the mean gives the
     same embedding as after; applied per patch, it keeps each image of a batch
-    a separate matrix product. Dropout acts on the hidden activation in train
-    mode only; eval mode is a pure function of the image and parameters.
+    a separate matrix product. Given an rng, dropout acts on the hidden layer;
+    without one the output is a pure function of the image and parameters.
     """
     patch_proj = params["patch_proj"]
     patch_size = math.isqrt(patch_proj.value.shape[0])
     patches = patchify(image, patch_size)  # constant w.r.t. params
     h1 = dm.relu(dm.matmul(patches, patch_proj, tape), tape)
     h2 = dm.relu(dm.matmul(h1, params["mlp_hidden"], tape), tape)
-    h2 = dm.dropout(h2, dropout_rate, train_mode, rng, tape)
+    h2 = dm.dropout(h2, dropout_rate, rng, tape)
     return dm.mean_rows(dm.matmul(h2, params["out_proj"], tape), tape)
 
 

@@ -149,13 +149,16 @@ def read_embeddings_csv(path) -> EmbeddingTable:
         raise LoadError(f"cannot read embeddings {path}: {exc}") from exc
     if not lines or not lines[0].startswith("id,label,"):
         raise LoadError(f"{path}: missing embedding CSV header")
+    dim = lines[0].count(",") - 1  # the header's value columns
     rows = []
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
         try:
-            rows.append(EmbeddingRow(id=parts[0], label=int(parts[1]),
-                                     vec=np.array([float(x) for x in parts[2:]])))
-        except (IndexError, ValueError) as exc:
+            vec = np.array([float(x) for x in parts[2:]])
+            if len(vec) != dim or not np.isfinite(vec).all():
+                raise ValueError(f"the header needs {dim} finite values")
+            rows.append(EmbeddingRow(id=parts[0], label=int(parts[1]), vec=vec))
+        except ValueError as exc:
             raise LoadError(f"{path}: line {lineno}: malformed embedding row: {exc}") from exc
     return EmbeddingTable(rows)
 
@@ -420,57 +423,51 @@ def _splits(entries):
             [e for e in entries if e.split == "test"])
 
 
-def _cached_stage2(cfg, data, base_ckpt, workdir, name, volumes):
+def _cached_stage2(cfg, data, base_ckpt, workdir: Path, name, volumes):
     """The adapter trained on base_ckpt's encoder: the cached file in workdir
     when its image group equals base_ckpt's bit for bit, else a fresh one."""
-    if workdir is not None:
-        path = Path(workdir) / name
-        if path.is_file():
-            ckpt = tr.load_checkpoint(path)
-            mismatches = ckpt.config.differences(cfg, TrainConfig.GEOMETRY)
-            if mismatches:
-                raise CompatibilityError(f"checkpoint geometry differs from config: {mismatches}")
-            if all(np.array_equal(p.value, base_ckpt.image[k].value)
-                   for k, p in ckpt.image.items()):
-                return ckpt
+    path = workdir / name
+    if path.is_file():
+        ckpt = tr.load_checkpoint(path)
+        mismatches = ckpt.config.differences(cfg, TrainConfig.GEOMETRY)
+        if mismatches:
+            raise CompatibilityError(f"checkpoint geometry differs from config: {mismatches}")
+        if all(np.array_equal(p.value, base_ckpt.image[k].value)
+               for k, p in ckpt.image.items()):
+            return ckpt
     train3d, val3d, _ = _splits(data.entries3d)
-    out = Path(workdir) / name.removesuffix(".ckpt") if workdir is not None else None
-    ckpt = tr.train_stage2(cfg, train3d, val3d, data.root3d, base_ckpt, out_dir=out,
-                           volumes=volumes)
-    if workdir is not None:
-        tr.save_checkpoint(ckpt, Path(workdir) / name)
+    ckpt = tr.train_stage2(cfg, train3d, val3d, data.root3d, base_ckpt,
+                           out_dir=workdir / name.removesuffix(".ckpt"), volumes=volumes)
+    tr.save_checkpoint(ckpt, path)
     return ckpt
 
 
-def run_ablation(data: AblationData, cfg: TrainConfig, workdir=None,
+def run_ablation(data: AblationData, cfg: TrainConfig, workdir,
                  stage1_ckpt: tr.Checkpoint | None = None) -> AblationReport:
     """Evaluate the four encoder/pooling configurations on the 3D test split.
 
     Trains whatever is missing: the stage-1 encoder (unless supplied or cached
-    in workdir) and one adapter per encoder variant. Configuration "vanilla
-    encoder + gap" involves no training at all. The adapter trainings and the
-    rows share preprocessed volumes, and the rows share slice embeddings per
-    image group.
+    in workdir) and one adapter per encoder variant, each cached in workdir
+    with its per-epoch files. Configuration "vanilla encoder + gap" involves
+    no training at all. The adapter trainings and the rows share preprocessed
+    volumes, and the rows share slice embeddings per image group.
     """
-    if workdir is not None:
-        Path(workdir).mkdir(parents=True, exist_ok=True)
+    workdir = Path(workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
 
     init_ckpt = tr.make_initial_checkpoint(cfg)
 
-    if stage1_ckpt is None and workdir is not None:
-        cached = Path(workdir) / "stage1.ckpt"
-        if cached.is_file():
-            stage1_ckpt = tr.load_checkpoint(cached)
+    if stage1_ckpt is None and (workdir / "stage1.ckpt").is_file():
+        stage1_ckpt = tr.load_checkpoint(workdir / "stage1.ckpt")
     if stage1_ckpt is None:
         if data.entries2d is None or data.root2d is None:
             raise DependencyError(
                 "no stage-1 checkpoint and no 2D corpus to train one; "
                 "run the 2D training step first or provide its checkpoint")
         train2d, val2d, _ = _splits(data.entries2d)
-        out = Path(workdir) / "stage1" if workdir is not None else None
-        stage1_ckpt = tr.train_stage1(cfg, train2d, val2d, data.root2d, out_dir=out)
-        if workdir is not None:
-            tr.save_checkpoint(stage1_ckpt, Path(workdir) / "stage1.ckpt")
+        stage1_ckpt = tr.train_stage1(cfg, train2d, val2d, data.root2d,
+                                      out_dir=workdir / "stage1")
+        tr.save_checkpoint(stage1_ckpt, workdir / "stage1.ckpt")
     else:
         mismatches = stage1_ckpt.config.differences(cfg, TrainConfig.GEOMETRY)
         if mismatches:

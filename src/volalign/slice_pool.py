@@ -57,14 +57,15 @@ def _slice_count(stack: np.ndarray, who: str) -> int:
     return stack.shape[-2]
 
 
-def attention_pool(stack: np.ndarray, params: ParamGroup, heads: int, train_mode: bool = False,
-                   dropout_rate: float = 0.0, rng=None, tape: Tape | None = None) -> np.ndarray:
+def attention_pool(stack: np.ndarray, params: ParamGroup, heads: int, dropout_rate: float = 0.0,
+                   rng=None, tape: Tape | None = None) -> np.ndarray:
     """Position-aware attention over slices, then mean over the output rows;
     [..., n, d_model] -> [..., d_model].
 
     The heads run together: each of q, k and v is one product with its
     table, split into `heads` heads by a reshape. A table's width does not
-    tell how many heads it holds, so `heads` is the config's.
+    tell how many heads it holds, so `heads` is the config's. Dropout acts
+    on the merged heads only when an rng is given (training).
     """
     n = _slice_count(stack, "attention_pool")
     pe_table = params["pe_table"]
@@ -91,7 +92,7 @@ def attention_pool(stack: np.ndarray, params: ParamGroup, heads: int, train_mode
     heads_out = dm.transpose(dm.reshape(out_t, (*lead, heads * d_head, n), tape), tape)
 
     merged = dm.matmul(heads_out, params["wo"], tape)    # [..., n, d_model]
-    merged = dm.dropout(merged, dropout_rate, train_mode, rng, tape)
+    merged = dm.dropout(merged, dropout_rate, rng, tape)
     return dm.mean_rows(merged, tape)
 
 

@@ -110,9 +110,6 @@ class Adam:
                 update = update + self.weight_decay * p.value
             p.value -= lr * update
 
-    def state(self) -> OptimizerState:
-        return OptimizerState(self.step_count, self.moments).copy()
-
 
 # ---------------------------------------------------------------------------
 # checkpoints
@@ -177,9 +174,9 @@ class Checkpoint:
         return [p for group in self.groups().values() for p in group.values()]
 
 
-def make_initial_checkpoint(cfg: TrainConfig, stage: int = 1) -> Checkpoint:
-    """A fresh, untrained checkpoint determined entirely by cfg.seed."""
-    return Checkpoint(stage=stage, config=cfg,
+def make_initial_checkpoint(cfg: TrainConfig) -> Checkpoint:
+    """A fresh, untrained stage-1 checkpoint determined entirely by cfg.seed."""
+    return Checkpoint(stage=1, config=cfg,
                       **{g: init_group(cfg, g, cfg.seed) for g in GROUPS})
 
 
@@ -468,17 +465,16 @@ def _stage2_items(entries, data_root, cfg, text_params, image_params,
 # training engine
 
 
-def _forward(inputs: np.ndarray, ckpt: Checkpoint, train_mode: bool, rng, tape) -> np.ndarray:
+def _forward(inputs: np.ndarray, ckpt: Checkpoint, rng, tape) -> np.ndarray:
     """Embeddings of a batch: images [B, H, W] (stage 1) or slice embeddings
-    [B, n, d_model] (stage 2) -> [B, d_model]."""
+    [B, n, d_model] (stage 2) -> [B, d_model]; an rng switches dropout on."""
     cfg = ckpt.config
     if ckpt.stage == 1:
-        return enc.encode_image2d(inputs, ckpt.image, train_mode, cfg.dropout_rate, rng, tape)
-    return sp.attention_pool(inputs, ckpt.adapter, cfg.heads, train_mode,
-                             cfg.dropout_rate, rng, tape)
+        return enc.encode_image2d(inputs, ckpt.image, cfg.dropout_rate, rng, tape)
+    return sp.attention_pool(inputs, ckpt.adapter, cfg.heads, cfg.dropout_rate, rng, tape)
 
 
-def _batch_loss(items: list[_Item], idxs, ckpt, train_mode, rng, tape):
+def _batch_loss(items: list[_Item], idxs, ckpt, rng, tape):
     """InfoNCE of one batch, with one forward call per distinct input shape.
 
     Stage-2 volumes may differ in slice count; their outputs are joined along
@@ -489,7 +485,7 @@ def _batch_loss(items: list[_Item], idxs, ckpt, train_mode, rng, tape):
     for i in idxs:
         groups.setdefault(items[i].inputs.shape, []).append(i)
     order = [i for group in groups.values() for i in group]
-    outs = [_forward(np.stack([items[i].inputs for i in group]), ckpt, train_mode, rng, tape)
+    outs = [_forward(np.stack([items[i].inputs for i in group]), ckpt, rng, tape)
             for group in groups.values()]
     img = outs[0] if len(outs) == 1 else dm.concat_rows(outs, tape)
     txt = np.stack([items[i].text_vec for i in order])
@@ -504,7 +500,7 @@ def _mean_val_loss(items: list[_Item], ckpt) -> float:
         idxs = range(start, min(start + batch_size, n))
         if len(idxs) < 2:
             break
-        losses.append(_batch_loss(items, idxs, ckpt, False, None, None).item())
+        losses.append(_batch_loss(items, idxs, ckpt, None, None).item())
     return math.fsum(losses) / len(losses)
 
 
@@ -556,7 +552,7 @@ def _run_stage(ckpt: Checkpoint, items, val_items, out_dir) -> Checkpoint:
         for b in range(n_batches):
             idxs = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             tape = Tape()
-            loss = _batch_loss(items, idxs, ckpt, True, rng, tape)
+            loss = _batch_loss(items, idxs, ckpt, rng, tape)
             _check_finite(loss, epoch, b, "training loss")
             batch_losses.append(loss.item())
             dm.zero_grads(trained)

@@ -135,10 +135,10 @@ def test_criterion_1_gradient_oracle():
 
     def composite(tape):
         drop = dm.make_rng(99, "acc1:drop")
-        stack = enc.encode_image2d(voxels, image, train_mode=True,
-                                   dropout_rate=cfg.dropout_rate, rng=drop, tape=tape)
-        img = sp.attention_pool(stack, adapter, cfg.heads, train_mode=True,
-                                dropout_rate=cfg.dropout_rate, rng=drop, tape=tape)
+        stack = enc.encode_image2d(voxels, image, dropout_rate=cfg.dropout_rate, rng=drop,
+                                   tape=tape)
+        img = sp.attention_pool(stack, adapter, cfg.heads, dropout_rate=cfg.dropout_rate,
+                                rng=drop, tape=tape)
         return ct.batch_loss(img, txt, cfg.tau, cfg.symmetric, tape)
 
     params = list(image.values()) + list(adapter.values())
@@ -284,8 +284,12 @@ def test_criterion_7_determinism_and_checkpoints(tmp_path):
         assert ((ws / "runA" / name).read_bytes()
                 == (ws / "runB" / name).read_bytes()), name
 
+    (ws / "resumed").mkdir()
+    for e in (1, 2, 3):  # what a run stopped after epoch 3 leaves behind
+        name = f"epoch_{e:04d}.ckpt"
+        (ws / "resumed" / name).write_bytes((ws / "runA" / name).read_bytes())
     run(["train3d", "--config", ws / "cfg.json", "--data", ws / "d3",
-         "--from", ws / "s1" / "stage1.ckpt", "--resume", ws / "runA" / "epoch_0003.ckpt",
+         "--from", ws / "s1" / "stage1.ckpt", "--resume", ws / "resumed" / "epoch_0003.ckpt",
          "--out", ws / "resumed"])
     full = tr.load_checkpoint(ws / "runA" / "epoch_0006.ckpt")
     res = tr.load_checkpoint(ws / "resumed" / "epoch_0006.ckpt")

@@ -141,11 +141,11 @@ class TestBatchedEqualsPerVolume:
             dm.zero_grads(params)
             tape = Tape()
             if batched:
-                emb = enc.encode_image2d(vox, image, True, 0.5, enc_rng, tape)
-                img = sp.attention_pool(emb, adapter, CFG.heads, True, 0.5, pool_rng, tape)
+                emb = enc.encode_image2d(vox, image, 0.5, enc_rng, tape)
+                img = sp.attention_pool(emb, adapter, CFG.heads, 0.5, pool_rng, tape)
             else:
-                rows = [sp.attention_pool(enc.encode_image2d(v, image, True, 0.5, enc_rng, tape),
-                                          adapter, CFG.heads, True, 0.5, pool_rng, tape)
+                rows = [sp.attention_pool(enc.encode_image2d(v, image, 0.5, enc_rng, tape),
+                                          adapter, CFG.heads, 0.5, pool_rng, tape)
                         for v in vox]
                 img = dm.concat_rows([dm.reshape(r, (1, CFG.d_model), tape) for r in rows], tape)
             loss = ct.batch_loss(img, txt, CFG.tau, CFG.symmetric, tape)
@@ -178,11 +178,11 @@ def items_3d(slice_counts, seed):
 
 
 class TestTrainerBatchLoss:
-    def loss_fn(self, items, stage, ckpt, train_mode=True):
+    def loss_fn(self, items, stage, ckpt, drop=True):
         def f(tape):
-            rng = dm.make_rng(8, "drop") if train_mode else None
+            rng = dm.make_rng(8, "drop") if drop else None
             return tr._batch_loss(items, range(len(items)), replace(ckpt, stage=stage),
-                                  train_mode, rng, tape)
+                                  rng, tape)
         return f
 
     def test_stage1_gradient_check(self):
@@ -201,7 +201,7 @@ class TestTrainerBatchLoss:
     def test_stage2_mixed_slice_counts_match_per_volume_loss(self):
         ckpt = tr.make_initial_checkpoint(CFG)
         items = items_3d([3, 5, 3, 4, 5], 11)
-        batched = self.loss_fn(items, 2, ckpt, train_mode=False)(None).item()
+        batched = self.loss_fn(items, 2, ckpt, drop=False)(None).item()
         rows = [sp.attention_pool(it.inputs, ckpt.adapter, CFG.heads) for it in items]
         txt = np.stack([it.text_vec for it in items])
         per_volume = ct.batch_loss(np.stack(rows), txt, CFG.tau, CFG.symmetric).item()

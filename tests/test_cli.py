@@ -130,12 +130,35 @@ class TestTraining:
         assert code == 6
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_resume_into_another_out_is_refused(self, tmp_path, capsys):
+        # a run whose best epoch (2) lies before its resume point (epoch 4):
+        # resumed elsewhere, it could not find epoch_0003.ckpt again
+        cfg = dict(d_model=16, d_hidden=16, d_text=16, vocab=64, patch_size=4, image_size=8,
+                   heads=2, s_max=8, batch_size=4, epochs=8, patience=8, lr0=1.0,
+                   dropout_rate=0.5, seed=3)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert run(["synth", "--family", "pattern", "--kind", "2d", "--classes", 3,
+                    "--per-class", 10, "--size", 8, "--seed", 3, "--out", tmp_path / "d"]) == 0
+        base = ["train2d", "--config", tmp_path / "cfg.json", "--data", tmp_path / "d",
+                "--resume", tmp_path / "a" / "epoch_0004.ckpt"]
+        assert run(base[:5] + ["--out", tmp_path / "a"]) == 0
+        assert run([*base, "--out", tmp_path / "b"]) == CompatibilityError.exit_code == 6
+        assert "error:compat: --resume " in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+        assert run([*base, "--out", tmp_path / "a"]) == 0  # in its own directory
+        best = (tmp_path / "a" / "stage1.ckpt").read_bytes()
+        assert best == (tmp_path / "a" / "epoch_0003.ckpt").read_bytes()
+
     def test_train3d_resume_needs_no_stage1(self, trained, tmp_path):
-        base = ["train3d", "--config", trained / "cfg.json", "--data", trained / "data" / "3d",
-                "--resume", trained / "run2" / "epoch_0001.ckpt"]
-        assert run([*base, "--from", trained / "run1" / "stage1.ckpt",
-                    "--out", tmp_path / "with"]) == 0
-        assert run([*base, "--out", tmp_path / "without"]) == 0
+        for out in ("with", "without"):  # each holds the run's epoch-1 checkpoint
+            (tmp_path / out).mkdir()
+            shutil.copyfile(trained / "run2" / "epoch_0001.ckpt",
+                            tmp_path / out / "epoch_0001.ckpt")
+        base = ["train3d", "--config", trained / "cfg.json", "--data", trained / "data" / "3d"]
+        assert run([*base, "--from", trained / "run1" / "stage1.ckpt", "--out", tmp_path / "with",
+                    "--resume", tmp_path / "with" / "epoch_0001.ckpt"]) == 0
+        assert run([*base, "--out", tmp_path / "without",
+                    "--resume", tmp_path / "without" / "epoch_0001.ckpt"]) == 0
         names = sorted(p.name for p in (tmp_path / "with").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "without").iterdir())
         for name in names:

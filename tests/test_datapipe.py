@@ -1,4 +1,5 @@
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -540,6 +541,13 @@ class TestSynth:
         for noise in (-0.5, float("nan")):
             with pytest.raises(ConfigurationError):
                 SynthSpec(family="pattern", noise=noise).validate()
+
+    def test_spec_is_validated_when_built_and_immutable(self):
+        spec = SynthSpec(family="pattern", classes=4)
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(spec, classes=9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.classes = 9
 
     def test_pattern_classes_linearly_separable_in_pixel_space(self, tmp_path):
         # probe oracle on raw flattened voxels; evalkit has the probe itself,

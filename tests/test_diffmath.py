@@ -46,9 +46,9 @@ CONTRACT_CASES = [
     pytest.param("take_rows", lambda: (_x(3, 4), 2), id="take_rows"),
     pytest.param("take_diag", lambda: (_x(3, 3),), id="take_diag"),
     pytest.param("concat_rows", lambda: ([_x(2, 4), Param(_x(3, 4))],), id="concat_rows"),
-    pytest.param("dropout", lambda: (_x(3, 4), 0.5, True, rng("mask")), id="dropout"),
-    pytest.param("dropout", lambda: (np.array(1.5), 0.5, True, rng("mask")), id="dropout-0d"),
-    pytest.param("dropout", lambda: (_x(3, 4), 0.5, False, None), id="dropout-eval"),
+    pytest.param("dropout", lambda: (_x(3, 4), 0.5, rng("mask")), id="dropout"),
+    pytest.param("dropout", lambda: (np.array(1.5), 0.5, rng("mask")), id="dropout-0d"),
+    pytest.param("dropout", lambda: (_x(3, 4), 0.5, None), id="dropout-eval"),
 ]
 
 
@@ -61,8 +61,8 @@ class TestOpOutputContract:
         assert isinstance(out, np.ndarray), type(out)
         assert out.dtype == np.float64
         assert out.flags["C_CONTIGUOUS"]
-        if op == "dropout" and not args[2]:
-            assert out is args[0]  # eval mode is the identity
+        if op == "dropout" and args[2] is None:
+            assert out is args[0]  # without an rng it is the identity
 
     def test_every_public_op_has_a_case(self):
         not_ops = {"Param", "Tape", "zero_grads", "grad_check", "GradCheckReport",
@@ -129,7 +129,7 @@ class TestL2NormalizeRows:
         assert np.array_equal(out, [[1.0, 0.0, 0.0]])
 
     def test_zero_row_guarded(self):
-        out = dm.l2_normalize_rows(np.array([[0.0, 0.0]]), eps=1e-12)
+        out = dm.l2_normalize_rows(np.array([[0.0, 0.0]]))
         assert np.array_equal(out, [[0.0, 0.0]])
 
     def test_norms_property(self):
@@ -193,27 +193,29 @@ class TestMeanRowsBits:
 class TestDropout:
     def test_eval_mode_identity(self):
         x = np.array([[1.0, 2.0]])
-        out = dm.dropout(x, 0.9, train_mode=False)
+        out = dm.dropout(x, 0.9)
         assert out is x
 
     def test_rate_zero_identity(self):
         x = np.array([[1.0, 2.0]])
-        out = dm.dropout(x, 0.0, train_mode=True, rng=rng())
+        out = dm.dropout(x, 0.0, rng=rng())
         assert out is x
 
     def test_rate_out_of_range(self):
         with pytest.raises(ConfigurationError):
-            dm.dropout(np.array([1.0]), 1.0, train_mode=True, rng=rng())
+            dm.dropout(np.array([1.0]), 1.0, rng=rng())
         with pytest.raises(ConfigurationError):
-            dm.dropout(np.array([1.0]), -0.1, train_mode=True, rng=rng())
+            dm.dropout(np.array([1.0]), -0.1, rng=rng())
+        with pytest.raises(ConfigurationError):  # checked before the rng is looked at
+            dm.dropout(np.array([1.0]), 1.0)
 
     def test_inverted_scaling_preserves_mean(self):
         x = np.ones(100_000)
-        out = dm.dropout(x, 0.5, train_mode=True, rng=rng("dropmean"))
+        out = dm.dropout(x, 0.5, rng=rng("dropmean"))
         assert abs(out.mean() - 1.0) < 0.02
 
     def test_survivors_scaled(self):
-        out = dm.dropout(np.ones(1000), 0.5, train_mode=True, rng=rng("scaled"))
+        out = dm.dropout(np.ones(1000), 0.5, rng=rng("scaled"))
         vals = set(np.unique(out).tolist())
         assert vals <= {0.0, 2.0}
 
@@ -327,7 +329,7 @@ class TestPrimitiveGradients:
 
     def test_dropout_fixed_mask(self):
         def build(p, t):
-            out = dm.dropout(p[0], 0.4, train_mode=True, rng=dm.make_rng(7, "dropg"), tape=t)
+            out = dm.dropout(p[0], 0.4, rng=dm.make_rng(7, "dropg"), tape=t)
             return dm.mean_all(out, t)
         self.check(build, [(6, 6)], "g_dropout")
 

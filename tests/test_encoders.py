@@ -83,6 +83,8 @@ class TestImageEncoder:
         a = enc.encode_image2d(img, p)
         b = enc.encode_image2d(img, p)
         assert np.array_equal(a, b)
+        # without an rng a dropout rate changes nothing
+        assert enc.encode_image2d(img, p, dropout_rate=0.5).tobytes() == a.tobytes()
 
     def test_gradient_passes_check(self):
         p = tr.init_group(SMALL, "image", seed=3)
@@ -90,8 +92,8 @@ class TestImageEncoder:
         probe = Param(dm.make_rng(2, "probe").normal(size=(6, 1)), name="probe")
 
         def f(tape):
-            emb = enc.encode_image2d(img, p, train_mode=True, dropout_rate=0.3,
-                                     rng=dm.make_rng(9, "drop"), tape=tape)
+            emb = enc.encode_image2d(img, p, dropout_rate=0.3, rng=dm.make_rng(9, "drop"),
+                                     tape=tape)
             return dm.mean_all(dm.matmul(emb, probe, tape), tape)
 
         report = dm.grad_check(f, list(p.values()), h=1e-5, tol=1e-4)

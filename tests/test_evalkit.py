@@ -339,25 +339,25 @@ class TestTop1Match:
 
 
 class TestAblation:
-    def test_four_rows_and_gap_at_chance_on_order_coded(self, ordered3d, pattern2d):
+    def test_four_rows_and_gap_at_chance_on_order_coded(self, ordered3d, pattern2d, tmp_path):
         root3, entries3 = ordered3d
         root2, entries2 = pattern2d
         caps = dp.load_captions(root3 / "captions.json", vocab=64)
         data = ek.AblationData(root2d=root2, entries2d=entries2,
                                root3d=root3, entries3d=entries3, captions3d=caps)
-        report = ek.run_ablation(data, small_cfg(epochs=2))
+        report = ek.run_ablation(data, small_cfg(epochs=2), tmp_path)
         assert [r.config for r in report.rows] == list(ek.ABLATION_CONFIGS)
         # order-invariant pooling sees identical embeddings: chance-level probe
         assert report.rows[0].probe_accuracy <= 0.55
         assert report.rows[2].probe_accuracy <= 0.55
 
-    def test_dependency_error_without_stage1_source(self, ordered3d):
+    def test_dependency_error_without_stage1_source(self, ordered3d, tmp_path):
         root3, entries3 = ordered3d
         caps = dp.load_captions(root3 / "captions.json", vocab=64)
         data = ek.AblationData(root2d=None, entries2d=None, root3d=root3,
                                entries3d=entries3, captions3d=caps)
         with pytest.raises(DependencyError, match="train"):
-            ek.run_ablation(data, small_cfg())
+            ek.run_ablation(data, small_cfg(), tmp_path)
 
     def test_workdir_caches_checkpoints(self, ordered3d, pattern2d, tmp_path):
         root3, entries3 = ordered3d

@@ -39,6 +39,9 @@ CSV_HEADER = "id,label,e0,e1\n"
     ("embeddings", CSV_HEADER + "a,0,1.0,zero\n"),
     ("embeddings", CSV_HEADER + "a,first,1.0,2.0\n"),
     ("embeddings", CSV_HEADER + "a\n"),
+    ("embeddings", CSV_HEADER + "a,0,1.0,2.0\nb,0,1.0,2.0,3.0\n"),  # a value too many
+    ("embeddings", CSV_HEADER + "a,0\n"),  # no values
+    ("embeddings", CSV_HEADER + "a,0,nan,inf\n"),
 ])
 def test_malformed_loader_input_is_load_error(tmp_path, loader, content):
     if loader == "captions":
@@ -49,7 +52,8 @@ def test_malformed_loader_input_is_load_error(tmp_path, loader, content):
     else:
         path = tmp_path / "embeddings.csv"
         path.write_text(content)
-        with pytest.raises(LoadError):
+        # the bad row is the last line, and the error names it
+        with pytest.raises(LoadError, match=f"line {content.count(chr(10))}:"):
             ek.read_embeddings_csv(path)
 
 

@@ -1,8 +1,9 @@
 """Every output of a small CLI pipeline, pinned by sha256.
 
-One workspace runs both trainings (each also resumed from epoch 1), both
-exports, the probe, the match and an uncached ablation through cli.main, and
-the test compares the sha256 of every file they write with PINS. Only
+One workspace runs both trainings (each also resumed from epoch 1, in a
+directory that holds a copy of that epoch's checkpoint), both exports, the
+probe, the match and an uncached ablation through cli.main, and the test
+compares the sha256 of every file they write with PINS. Only
 run_config.json is left out, because it records paths. A change that moves
 these bits by accident fails here; one that moves them on purpose updates
 PINS and names each changed file in CHANGES.md.
@@ -17,6 +18,7 @@ import contextlib
 import csv
 import hashlib
 import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -36,6 +38,12 @@ def run(*argv) -> None:
         raise AssertionError(f"volalign {' '.join(map(str, argv))} exited {code}")
 
 
+def killed_after_epoch_1(run_dir: Path, into: Path) -> Path:
+    """into as a run that stopped after epoch 1 leaves it; its checkpoint path."""
+    into.mkdir(parents=True)
+    return Path(shutil.copy(run_dir / "epoch_0001.ckpt", into))
+
+
 def build_workspace(ws: Path) -> None:
     """Corpora in ws/data, every output in ws/out."""
     data, out = ws / "data", ws / "out"
@@ -47,11 +55,11 @@ def build_workspace(ws: Path) -> None:
     d2, d3 = data / "2d", data / "3d"
     run("train2d", "--config", cfg, "--data", d2, "--out", out / "train2d")
     run("train2d", "--config", cfg, "--data", d2, "--out", out / "train2d_resumed",
-        "--resume", out / "train2d" / "epoch_0001.ckpt")
+        "--resume", killed_after_epoch_1(out / "train2d", out / "train2d_resumed"))
     stage1 = out / "train2d" / "stage1.ckpt"
     run("train3d", "--config", cfg, "--data", d3, "--from", stage1, "--out", out / "train3d")
     run("train3d", "--config", cfg, "--data", d3, "--out", out / "train3d_resumed",
-        "--resume", out / "train3d" / "epoch_0001.ckpt")
+        "--resume", killed_after_epoch_1(out / "train3d", out / "train3d_resumed"))
     stage2 = out / "train3d" / "stage2.ckpt"
     run("export", "--ckpt", stage1, "--data", d3, "--pool", "gap", "--out", out / "export_gap")
     run("export", "--ckpt", stage2, "--data", d3, "--pool", "attn", "--out", out / "export_attn")
@@ -168,6 +176,8 @@ PINS = {
     "train2d/epoch_0010.ckpt": "e271d067f387575307c83f1530f7dddf8082374a60fa3b77fd51d14e8b53d3c0",
     "train2d/loss.csv": "c7cb305d0b45ef850e215264242246569958d10a8221e6c99c1164b1b935e647",
     "train2d/stage1.ckpt": "e271d067f387575307c83f1530f7dddf8082374a60fa3b77fd51d14e8b53d3c0",
+    "train2d_resumed/epoch_0001.ckpt":
+        "a3c5d9a83095d05857de9a276f86a2ce6c6674165ae91fad3a026040e9f0e641",
     "train2d_resumed/epoch_0002.ckpt":
         "3554ae1e8f1fbc2e7cb9d53de46e6b6a2555c0bf1d1260809a1a1ad686f0f638",
     "train2d_resumed/epoch_0003.ckpt":
@@ -201,6 +211,8 @@ PINS = {
     "train3d/epoch_0010.ckpt": "7ccd44d038d1b78764b51f11957e8e05e258a5a61abdbaf6043b419b591f6d5b",
     "train3d/loss.csv": "d073971f62b62848db51f4311f8f3ea7ff92ec77ab6d459a6de3bd52454e91f7",
     "train3d/stage2.ckpt": "d3381a00220a74cb922285e5ddcc068151aad2fccb227dad337dd627d16b59b1",
+    "train3d_resumed/epoch_0001.ckpt":
+        "5270cbdcfb228b6182f3790656fa3d142aa9cdaf4343e899382cb2c9a4af4cc3",
     "train3d_resumed/epoch_0002.ckpt":
         "508a0b5bd21f39b7e262e91d1815bbe215a9c579738fe5c8698772a59ed60572",
     "train3d_resumed/epoch_0003.ckpt":

@@ -89,6 +89,8 @@ class TestAttentionPool:
         r = dm.make_rng(4, "stack")
         mat = r.normal(size=(5, 8))
         out = sp.attention_pool(mat, adapter, CFG.heads)
+        # without an rng a dropout rate changes nothing (eval)
+        assert sp.attention_pool(mat, adapter, CFG.heads, 0.5).tobytes() == out.tobytes()
 
         z = mat + adapter["pe_table"].value[:5]
         outs = []
@@ -122,8 +124,8 @@ class TestAttentionPool:
         probe = Param(dm.make_rng(6, "probe").normal(size=(8, 1)), name="probe")
 
         def f(tape):
-            emb = sp.attention_pool(mat, adapter, CFG.heads, train_mode=True,
-                                    rng=dm.make_rng(11, "drop"), tape=tape)
+            emb = sp.attention_pool(mat, adapter, CFG.heads, rng=dm.make_rng(11, "drop"),
+                                    tape=tape)
             return dm.mean_all(dm.matmul(emb, probe, tape), tape)
 
         report = dm.grad_check(f, list(adapter.values()), h=1e-5, tol=1e-4)

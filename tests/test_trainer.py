@@ -160,7 +160,7 @@ class TestAdam:
         opt = tr.Adam([p])
         p.grad[...] = 0.5
         opt.step(0.1)
-        st = opt.state()
+        st = tr.OptimizerState(opt.step_count, opt.moments)
         opt2 = tr.Adam([p], state=st)
         assert opt2.step_count == 1
         assert np.array_equal(opt2.moments["w"][0], opt.moments["w"][0])
@@ -611,12 +611,12 @@ class TestStage2(object):
 def training_state(cfg, stage):
     """A checkpoint as a stage holds it in training: moments for the group the
     stage trains, and a gradient buffer on every parameter."""
-    ckpt = tr.make_initial_checkpoint(cfg, stage=stage)
+    ckpt = dataclasses.replace(tr.make_initial_checkpoint(cfg), stage=stage)
     adam = tr.Adam(list(ckpt.groups()[tr.TRAINS[stage]].values()))
     for p in ckpt.model_params():
         p.grad[...] = 1.0
     adam.step(1e-3)
-    ckpt.optimizer = adam.state()
+    ckpt.optimizer = tr.OptimizerState(adam.step_count, adam.moments)
     return ckpt
 
 
