@@ -21,10 +21,11 @@ from . import datapipe as dp
 from . import evalkit as ek
 from . import trainer as tr
 from .config import TrainConfig
-from .errors import CompatibilityError, DependencyError, InputError, VolalignError
+from .errors import DependencyError, InputError, VolalignError
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1  # an untyped exception; a VolalignError exits with its exit_code
+RESUME_HELP = "continue --out from its newest epoch checkpoint (a fresh run deletes them)"
 
 
 def _write_run_config(out_dir: Path, command: str, cfg: TrainConfig | None,
@@ -115,19 +116,16 @@ def _run_training(args, stage: int) -> int:
     train = _split_entries(entries, "train")
     val = _split_entries(entries, "val")
     out = Path(args.out)
-    resume = tr.load_checkpoint(args.resume) if args.resume else None
-    if resume is not None:  # refuse before run_config.json is written
-        tr.check_resumable(resume, cfg, stage)
-        if Path(args.resume).resolve().parent != out.resolve():
-            raise CompatibilityError(f"--resume {args.resume} is not in --out {out}")
+    if args.resume:  # refuse before run_config.json is written
+        tr.resume_checkpoint(out, cfg, stage)
 
     if stage == 1:
         _write_run_config(out, "train2d", cfg, {"data": str(data_root)})
-        best = tr.train_stage1(cfg, train, val, data_root, out_dir=out, resume=resume)
+        best = tr.train_stage1(cfg, train, val, data_root, out_dir=out, resume=args.resume)
         label = "stage1"
     else:
         stage1 = None
-        if resume is None:  # a resume holds both encoders; --from is not read
+        if not args.resume:  # a resume holds both encoders; --from is not read
             if args.from_ckpt is None or not Path(args.from_ckpt).is_file():
                 raise DependencyError(f"stage-1 checkpoint not found: {args.from_ckpt}; "
                                       "run train2d first and pass it as --from")
@@ -135,7 +133,7 @@ def _run_training(args, stage: int) -> int:
         _write_run_config(out, "train3d", cfg,
                           {"data": str(data_root), "from": args.from_ckpt})
         best = tr.train_stage2(cfg, train, val, data_root, stage1, out_dir=out,
-                               resume=resume)
+                               resume=args.resume)
         label = "stage2"
     print(f"best epoch {best.best_epoch}: val loss {best.best_val_loss!r} "
           f"-> {out / (label + '.ckpt')}")
@@ -243,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--data", required=True, help="corpus directory (manifest.json)")
     p.add_argument("--out", required=True)
-    p.add_argument("--resume", help="epoch checkpoint in --out to resume from")
+    p.add_argument("--resume", action="store_true", help=RESUME_HELP)
     p.set_defaults(func=partial(_run_training, stage=1))
 
     p = sub.add_parser("train3d", help="stage 2: train the slice pooling adapter")
@@ -252,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_ckpt",
                    help="stage-1 checkpoint to start from (required unless resuming)")
     p.add_argument("--out", required=True)
-    p.add_argument("--resume", help="epoch checkpoint in --out to resume from")
+    p.add_argument("--resume", action="store_true", help=RESUME_HELP)
     p.set_defaults(func=partial(_run_training, stage=2))
 
     p = sub.add_parser("probe", help="linear probe with k-fold cross-validation")

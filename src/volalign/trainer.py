@@ -6,8 +6,8 @@ adapter on volumes (TRAINS). Both stages share one engine, which reads the
 stage and config from its checkpoint: seeded shuffling, Adam with decoupled
 weight decay, cosine-annealed learning rate, per-epoch checkpoints, and
 early stopping on validation loss. Runs are bitwise reproducible for a fixed
-config and seed, and a run resumed from any epoch checkpoint under its own
-config reproduces the uninterrupted trajectory exactly.
+config and seed. A run is its output directory: a resume continues it exactly
+from its newest epoch checkpoint, and a fresh run first deletes those files.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class OptimizerState:
 
 
 class Adam:
-    """Adam with decoupled weight decay over the params it was given."""
+    """Adam with decoupled weight decay over its params, updating a given state in place."""
 
     def __init__(self, params: list[Param], weight_decay: float = 0.0,
                  state: OptimizerState | None = None):
@@ -87,7 +87,6 @@ class Adam:
             self.moments = {p.name: (np.zeros_like(p.value), np.zeros_like(p.value))
                             for p in self.params}
         else:
-            state = state.copy()
             self.step_count, self.moments = state.step, state.moments
             for p in self.params:
                 if p.name not in self.moments:
@@ -401,17 +400,24 @@ def _load_mapped(blob, path) -> Checkpoint:
                       history=meta["history"])
 
 
-def check_resumable(resume: Checkpoint, cfg: TrainConfig, stage: int) -> None:
-    """Refuse to resume unless resume is a checkpoint of `stage` whose config
-    equals cfg in every field but seed. The run goes on under resume's
-    config, and its epoch streams key on resume's seed, so any seed
-    reproduces the run."""
+def resume_checkpoint(out_dir, cfg: TrainConfig, stage: int) -> Checkpoint:
+    """The newest epoch checkpoint in out_dir by epoch number, refused unless
+    it is of `stage` with a config equal to cfg in every field but seed. The
+    run goes on under its config, and its epoch streams key on its seed."""
+    if out_dir is None:
+        raise ConfigurationError("a resume continues the run in out_dir, and none was given")
+    numbered = {p.stem.removeprefix("epoch_"): p for p in Path(out_dir).glob("epoch_*.ckpt")}
+    epochs = {int(n): p for n, p in numbered.items() if n.isdecimal()}
+    if not epochs:
+        raise DependencyError(f"no epoch checkpoint in {out_dir} to resume from")
+    resume = load_checkpoint(epochs[max(epochs)])
     if resume.stage != stage:
         raise CompatibilityError(
             f"cannot resume stage {stage} from a stage-{resume.stage} checkpoint")
     mismatches = resume.config.differences(cfg, [k for k in cfg.to_dict() if k != "seed"])
     if mismatches:
         raise CompatibilityError(f"checkpoint config differs from the resuming one: {mismatches}")
+    return resume
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +540,9 @@ def _run_stage(ckpt: Checkpoint, items, val_items, out_dir) -> Checkpoint:
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+        if not ckpt.history:  # fresh: no earlier run's epoch may pass for one of this run's
+            for path in out_dir.glob("epoch_*.ckpt"):
+                path.unlink()
 
     start_epoch = ckpt.epoch
     adam = Adam(trained, weight_decay=cfg.weight_decay, state=ckpt.optimizer)
@@ -574,43 +583,36 @@ def _run_stage(ckpt: Checkpoint, items, val_items, out_dir) -> Checkpoint:
         if epoch - ckpt.best_epoch >= cfg.patience:
             break
 
-    if ckpt.history and start_epoch >= end_epoch and out_dir is not None:
+    if ckpt.history and start_epoch >= end_epoch:
         # a finished run resumed: loss.csv again, in case a kill cut its last write
         _write_loss_csv(ckpt.history, out_dir / "loss.csv")
     if best_ckpt is None:
-        # either zero epochs (return the starting state) or a resumed run in
-        # which no new epoch improved; recover the best epoch from disk if we can
-        if ckpt.history and out_dir is not None:
-            best_path = out_dir / f"epoch_{ckpt.best_epoch + 1:04d}.ckpt"
-            if best_path.is_file():
-                best_ckpt = load_checkpoint(best_path)
-        if best_ckpt is None:
-            best_ckpt = snapshot_checkpoint(ckpt)
+        # zero epochs, or a resume in which no new epoch improved: the best epoch's file
+        best_ckpt = (load_checkpoint(out_dir / f"epoch_{ckpt.best_epoch + 1:04d}.ckpt")
+                     if ckpt.history else snapshot_checkpoint(ckpt))
     if out_dir is not None:
         save_checkpoint(best_ckpt, out_dir / f"stage{stage}.ckpt")
     return best_ckpt
 
 
 def train_stage1(cfg: TrainConfig, train_entries, val_entries, data_root,
-                 out_dir=None, resume: Checkpoint | None = None) -> Checkpoint:
+                 out_dir=None, resume: bool = False) -> Checkpoint:
     """Contrastively fine-tune the 2D image encoder; the text tower stays frozen.
 
-    Returns the best-validation checkpoint; per-epoch checkpoints and a loss
-    CSV are written when out_dir is given.
+    Returns the best-validation checkpoint. Given out_dir, the run writes its
+    epoch checkpoints and loss CSV there, and resume continues it from there.
     """
     _require_kind(train_entries, "2d")
     _require_kind(val_entries, "2d")
 
-    if resume is not None:
-        check_resumable(resume, cfg, 1)
-    ckpt = snapshot_checkpoint(resume) if resume is not None else make_initial_checkpoint(cfg)
+    ckpt = resume_checkpoint(out_dir, cfg, 1) if resume else make_initial_checkpoint(cfg)
     items = _stage1_items(train_entries, data_root, cfg, ckpt.text)
     val_items = _stage1_items(val_entries, data_root, cfg, ckpt.text)
     return _run_stage(ckpt, items, val_items, out_dir)
 
 
 def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
-                 stage1_ckpt: Checkpoint | None, out_dir=None, resume: Checkpoint | None = None,
+                 stage1_ckpt: Checkpoint | None, out_dir=None, resume: bool = False,
                  volumes: dict | None = None) -> Checkpoint:
     """Train the slice-pooling adapter on volumes; both encoders are frozen.
 
@@ -619,15 +621,15 @@ def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
     flushed, so set-up holds the [n, d_model] rows and never the preprocessed
     split, and each epoch touches only the adapter parameters. `volumes`
     caches preprocessed volumes across calls, keyed by (sample path, image
-    size); given one, set-up stores every volume in it. A resume holds both
-    encoders, so stage1_ckpt is read by a fresh run only (None otherwise).
+    size); given one, set-up stores every volume in it. A fresh run deletes
+    the epoch checkpoints in out_dir; a resume continues from the newest, which
+    holds both encoders, so only a fresh run reads stage1_ckpt (else None).
     """
     _require_kind(train_entries, "3d")
     _require_kind(val_entries, "3d")
 
-    if resume is not None:
-        check_resumable(resume, cfg, 2)
-        ckpt = snapshot_checkpoint(resume)
+    if resume:
+        ckpt = resume_checkpoint(out_dir, cfg, 2)
     else:
         if stage1_ckpt is None:
             raise DependencyError("a fresh stage-2 run needs a stage-1 checkpoint; "

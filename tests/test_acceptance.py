@@ -289,7 +289,7 @@ def test_criterion_7_determinism_and_checkpoints(tmp_path):
         name = f"epoch_{e:04d}.ckpt"
         (ws / "resumed" / name).write_bytes((ws / "runA" / name).read_bytes())
     run(["train3d", "--config", ws / "cfg.json", "--data", ws / "d3",
-         "--from", ws / "s1" / "stage1.ckpt", "--resume", ws / "resumed" / "epoch_0003.ckpt",
+         "--from", ws / "s1" / "stage1.ckpt", "--resume",
          "--out", ws / "resumed"])
     full = tr.load_checkpoint(ws / "runA" / "epoch_0006.ckpt")
     res = tr.load_checkpoint(ws / "resumed" / "epoch_0006.ckpt")

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 import os
@@ -12,16 +13,23 @@ from pathlib import Path
 import pytest
 
 from volalign import cli
+from volalign import datapipe as dp
 from volalign import errors
 from volalign import evalkit as ek
 from volalign import trainer as tr
 from volalign.cli import main
 from volalign.config import TrainConfig
-from volalign.errors import CheckpointError, CompatibilityError
+from volalign.errors import CheckpointError, CompatibilityError, DependencyError
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def digests(directory) -> dict[str, str]:
+    """sha256 of each file in directory but run_config.json, which records paths."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in directory.iterdir() if p.name != "run_config.json"}
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +57,29 @@ def trained(workspace):
     assert run(["train3d", "--config", ws / "cfg.json", "--data", ws / "data" / "3d",
                 "--from", ws / "run1" / "stage1.ckpt", "--out", ws / "run2"]) == 0
     return ws
+
+
+@pytest.fixture(scope="module")
+def repro(tmp_path_factory):
+    """A 2D corpus, a config and run `a` under it: 8 epochs, whose best
+    (epoch_0003.ckpt) comes before epoch 4."""
+    ws = tmp_path_factory.mktemp("repro")
+    cfg = dict(d_model=16, d_hidden=16, d_text=16, vocab=64, patch_size=4, image_size=8,
+               heads=2, s_max=8, batch_size=4, epochs=8, patience=8, lr0=1.0,
+               dropout_rate=0.5, seed=3)
+    (ws / "cfg.json").write_text(json.dumps(cfg))
+    assert run(["synth", "--family", "pattern", "--kind", "2d", "--classes", 3,
+                "--per-class", 10, "--size", 8, "--seed", 3, "--out", ws / "d"]) == 0
+    assert run(["train2d", "--config", ws / "cfg.json", "--data", ws / "d",
+                "--out", ws / "a"]) == 0
+    return ws
+
+
+def killed_after(run_dir: Path, epochs, into: Path) -> None:
+    """into as a run that was killed leaves it, holding these epochs of run_dir."""
+    into.mkdir()
+    for e in epochs:
+        shutil.copy(run_dir / f"epoch_{e:04d}.ckpt", into)
 
 
 class TestSynth:
@@ -112,42 +143,77 @@ class TestTraining:
 
     def test_resume_under_another_config_is_compatibility_error(self, trained, tmp_path,
                                                                 capsys):
+        killed_after(trained / "run1", [1], tmp_path / "r")
         code = run(["train2d", "--config", trained / "cfg.json", "--epochs", 5,
-                    "--data", trained / "data" / "2d", "--out", tmp_path / "r",
-                    "--resume", trained / "run1" / "epoch_0001.ckpt"])
+                    "--data", trained / "data" / "2d", "--out", tmp_path / "r", "--resume"])
         assert code == CompatibilityError.exit_code == 6
         assert ("error:compat: checkpoint config differs from the resuming one: "
                 "{'epochs': (2, 5)}") in capsys.readouterr().err
-        assert not list((tmp_path / "r").glob("epoch_*.ckpt"))
+        assert [p.name for p in (tmp_path / "r").glob("epoch_*.ckpt")] == ["epoch_0001.ckpt"]
 
     def test_refused_resume_leaves_out_dir_unchanged(self, trained, tmp_path):
         out = tmp_path / "r"
         shutil.copytree(trained / "run1", out)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         code = run(["train2d", "--config", trained / "cfg.json", "--epochs", 9,
-                    "--data", trained / "data" / "2d", "--out", out,
-                    "--resume", out / "epoch_0001.ckpt"])
+                    "--data", trained / "data" / "2d", "--out", out, "--resume"])
         assert code == 6
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    def test_resume_into_another_out_is_refused(self, tmp_path, capsys):
-        # a run whose best epoch (2) lies before its resume point (epoch 4):
-        # resumed elsewhere, it could not find epoch_0003.ckpt again
-        cfg = dict(d_model=16, d_hidden=16, d_text=16, vocab=64, patch_size=4, image_size=8,
-                   heads=2, s_max=8, batch_size=4, epochs=8, patience=8, lr0=1.0,
-                   dropout_rate=0.5, seed=3)
-        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-        assert run(["synth", "--family", "pattern", "--kind", "2d", "--classes", 3,
-                    "--per-class", 10, "--size", 8, "--seed", 3, "--out", tmp_path / "d"]) == 0
-        base = ["train2d", "--config", tmp_path / "cfg.json", "--data", tmp_path / "d",
-                "--resume", tmp_path / "a" / "epoch_0004.ckpt"]
-        assert run(base[:5] + ["--out", tmp_path / "a"]) == 0
-        assert run([*base, "--out", tmp_path / "b"]) == CompatibilityError.exit_code == 6
-        assert "error:compat: --resume " in capsys.readouterr().err
-        assert not (tmp_path / "b").exists()
-        assert run([*base, "--out", tmp_path / "a"]) == 0  # in its own directory
-        best = (tmp_path / "a" / "stage1.ckpt").read_bytes()
-        assert best == (tmp_path / "a" / "epoch_0003.ckpt").read_bytes()
+    def test_resume_continues_its_own_directory(self, repro, tmp_path):
+        # the best epoch (3) lies before the resume point (epoch 4), so the
+        # best checkpoint is read back from the run's directory
+        killed_after(repro / "a", [1, 2, 3, 4], tmp_path / "b")
+        assert run(["train2d", "--config", repro / "cfg.json", "--data", repro / "d",
+                    "--out", tmp_path / "b", "--resume"]) == 0
+        best = (tmp_path / "b" / "stage1.ckpt").read_bytes()
+        assert best == (tmp_path / "b" / "epoch_0003.ckpt").read_bytes()
+        assert digests(tmp_path / "b") == digests(repro / "a")
+
+    def test_resume_without_the_best_epoch_is_checkpoint_error(self, repro, tmp_path):
+        killed_after(repro / "a", [1, 2, 4], tmp_path / "b")
+        entries = dp.load_manifest(repro / "d" / "manifest.json")
+        train = [e for e in entries if e.split == "train"]
+        val = [e for e in entries if e.split == "val"]
+        cfg = TrainConfig.from_json(repro / "cfg.json")
+        with pytest.raises(CheckpointError, match="epoch_0003.ckpt"):
+            tr.train_stage1(cfg, train, val, repro / "d", out_dir=tmp_path / "b", resume=True)
+        assert not (tmp_path / "b" / "stage1.ckpt").exists()
+
+    def test_resume_without_an_epoch_checkpoint_is_dependency_error(self, workspace, tmp_path,
+                                                                    capsys):
+        code = run(["train2d", "--config", workspace / "cfg.json",
+                    "--data", workspace / "data" / "2d", "--out", tmp_path / "r", "--resume"])
+        assert code == DependencyError.exit_code == 4
+        err = capsys.readouterr().err
+        assert f"error:dependency: no epoch checkpoint in {tmp_path / 'r'}" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_train2d_resume_of_a_train3d_run_is_compatibility_error(self, trained, tmp_path,
+                                                                    capsys):
+        shutil.copytree(trained / "run2", tmp_path / "r")
+        before = digests(tmp_path / "r")
+        code = run(["train2d", "--config", trained / "cfg.json",
+                    "--data", trained / "data" / "2d", "--out", tmp_path / "r", "--resume"])
+        assert code == CompatibilityError.exit_code == 6
+        assert ("error:compat: cannot resume stage 1 from a stage-2 checkpoint"
+                in capsys.readouterr().err)
+        assert digests(tmp_path / "r") == before
+
+    def test_fresh_run_deletes_the_epochs_of_an_earlier_run(self, repro, tmp_path):
+        base = ["train2d", "--config", repro / "cfg.json", "--data", repro / "d",
+                "--epochs", 12, "--patience", 2]
+        out = tmp_path / "a"
+        assert run([*base, "--seed", 4, "--out", out]) == 0  # runs all 12 epochs
+        assert len(list(out.glob("epoch_*.ckpt"))) == 12
+        assert run([*base, "--seed", 3, "--out", out]) == 0  # stops early, after epoch 5
+        assert len((out / "loss.csv").read_text().splitlines()) == 1 + 5
+        assert (sorted(p.name for p in out.glob("epoch_*.ckpt"))
+                == [f"epoch_{e:04d}.ckpt" for e in range(1, 6)])
+        # the resume finds the finished seed-3 run, not seed 4's epochs 6-12
+        assert run([*base, "--seed", 4, "--out", out, "--resume"]) == 0
+        assert run([*base, "--seed", 3, "--out", tmp_path / "clean"]) == 0
+        assert digests(out) == digests(tmp_path / "clean")
 
     def test_train3d_resume_needs_no_stage1(self, trained, tmp_path):
         for out in ("with", "without"):  # each holds the run's epoch-1 checkpoint
@@ -156,9 +222,8 @@ class TestTraining:
                             tmp_path / out / "epoch_0001.ckpt")
         base = ["train3d", "--config", trained / "cfg.json", "--data", trained / "data" / "3d"]
         assert run([*base, "--from", trained / "run1" / "stage1.ckpt", "--out", tmp_path / "with",
-                    "--resume", tmp_path / "with" / "epoch_0001.ckpt"]) == 0
-        assert run([*base, "--out", tmp_path / "without",
-                    "--resume", tmp_path / "without" / "epoch_0001.ckpt"]) == 0
+                    "--resume"]) == 0
+        assert run([*base, "--out", tmp_path / "without", "--resume"]) == 0
         names = sorted(p.name for p in (tmp_path / "with").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "without").iterdir())
         for name in names:

@@ -306,7 +306,8 @@ def train(cfg, corpus):
 
 class TestResumeGuard:
     def test_cli_resume_from_string_epoch_is_checkpoint_error(self, corpus2d, tmp_path, capsys):
-        path = tmp_path / "c.ckpt"
+        (tmp_path / "run").mkdir()
+        path = tmp_path / "run" / "epoch_0001.ckpt"
         tr.save_checkpoint(tr.make_initial_checkpoint(small_cfg()), path)
         blob = path.read_bytes()
         sections = {k: blob[s] for k, s in tr._read_sections(blob, path).items()}
@@ -316,11 +317,11 @@ class TestResumeGuard:
         (tmp_path / "cfg.json").write_text(json.dumps(small_cfg().to_dict()))
         code = main(["train2d", "--config", str(tmp_path / "cfg.json"),
                      "--data", str(corpus2d[0]), "--out", str(tmp_path / "run"),
-                     "--resume", str(path)])
+                     "--resume"])
         assert code == CheckpointError.exit_code == 5
         assert (f"error:checkpoint: {path}: meta history must be a list of objects numbered "
                 "by epoch 0, 1, ...") in capsys.readouterr().err
-        assert not (tmp_path / "run" / "epoch_0001.ckpt").exists()
+        assert [p.name for p in (tmp_path / "run").iterdir()] == ["epoch_0001.ckpt"]
 
 
 class TestBadSampleInSplit:

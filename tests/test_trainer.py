@@ -425,6 +425,10 @@ def _contents(directory) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
+def _digests(directory) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
+
+
 class TestDerivedProgress:
     """Epoch count and best epoch follow from the history alone."""
 
@@ -721,10 +725,12 @@ class TestResume(object):
         full_dir = tmp_path / "full"
         full = tr.train_stage2(cfg, split(entries, "train"), split(entries, "val"),
                                root, stage1, out_dir=full_dir)
-        mid = tr.load_checkpoint(full_dir / "epoch_0003.ckpt")
         resumed_dir = tmp_path / "resumed"
+        resumed_dir.mkdir()
+        for e in (1, 2, 3):  # what a run stopped after epoch 3 leaves behind
+            shutil.copy(full_dir / f"epoch_{e:04d}.ckpt", resumed_dir)
         resumed = tr.train_stage2(cfg, split(entries, "train"), split(entries, "val"),
-                                  root, stage1, out_dir=resumed_dir, resume=mid)
+                                  root, stage1, out_dir=resumed_dir, resume=True)
 
         full_hist = tr.load_checkpoint(full_dir / "epoch_0006.ckpt").history
         res_hist = tr.load_checkpoint(resumed_dir / "epoch_0006.ckpt").history
@@ -745,18 +751,14 @@ class TestResume(object):
         cfg = small_cfg(epochs=3, patience=10)
         root, entries = corpus2d if stage == 1 else corpus3d
 
-        def train(c, out_dir, resume=None):
+        def train(c, out_dir, resume=False):
             args = (c, split(entries, "train"), split(entries, "val"), root)
             if stage == 1:
                 return tr.train_stage1(*args, out_dir=out_dir, resume=resume)
             return tr.train_stage2(*args, stage1, out_dir=out_dir, resume=resume)
 
-        def digests(directory):
-            return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                    for p in directory.iterdir()}
-
         train(cfg, tmp_path / "run")
-        run = digests(tmp_path / "run")
+        run = _digests(tmp_path / "run")
         assert sorted(run) == ["epoch_0001.ckpt", "epoch_0002.ckpt", "epoch_0003.ckpt",
                                "loss.csv", f"stage{stage}.ckpt"]
         resume_cfg = dataclasses.replace(cfg, seed=cfg.seed + 100) if other_seed else cfg
@@ -765,8 +767,8 @@ class TestResume(object):
             out.mkdir()
             for e in range(1, k + 1):  # what an interrupted run leaves behind
                 shutil.copy(tmp_path / "run" / f"epoch_{e:04d}.ckpt", out)
-            train(resume_cfg, out, tr.load_checkpoint(out / f"epoch_{k:04d}.ckpt"))
-            assert digests(out) == run, k
+            train(resume_cfg, out, resume=True)
+            assert _digests(out) == run, k
 
     @pytest.mark.parametrize("stage", [1, 2])
     @pytest.mark.parametrize("change", [dict(epochs=5), dict(lr0=2e-3),
@@ -779,7 +781,7 @@ class TestResume(object):
         cfg = small_cfg(epochs=2, patience=10)
         root, entries = corpus2d if stage == 1 else corpus3d
 
-        def train(c, out_dir, resume=None):
+        def train(c, out_dir, resume=False):
             args = (c, split(entries, "train"), split(entries, "val"), root)
             if stage == 1:
                 return tr.train_stage1(*args, out_dir=out_dir, resume=resume)
@@ -790,24 +792,25 @@ class TestResume(object):
         out.mkdir()
         shutil.copy(tmp_path / "run" / "epoch_0001.ckpt", out)
         with pytest.raises(CompatibilityError, match="checkpoint config differs") as exc:
-            train(dataclasses.replace(cfg, **change), out,
-                  tr.load_checkpoint(out / "epoch_0001.ckpt"))
+            train(dataclasses.replace(cfg, **change), out, resume=True)
         named = {k for k in change if k != "seed"}
         assert all(f"'{k}'" in str(exc.value) for k in named)
         assert "'seed'" not in str(exc.value)
         assert sorted(p.name for p in out.iterdir()) == ["epoch_0001.ckpt"]
 
     @pytest.mark.parametrize("stage", [1, 2])
-    def test_resume_from_the_other_stage_is_refused(self, corpus2d, corpus3d, stage1, stage):
+    def test_resume_from_the_other_stage_is_refused(self, corpus2d, corpus3d, stage1, stage,
+                                                    tmp_path):
         root, entries = corpus2d if stage == 1 else corpus3d
-        other = dataclasses.replace(stage1, stage=3 - stage)
+        other = dataclasses.replace(stage1, stage=3 - stage, optimizer=None)
+        tr.save_checkpoint(other, tmp_path / "epoch_0001.ckpt")
         args = (stage1.config, split(entries, "train"), split(entries, "val"), root)
         with pytest.raises(CompatibilityError, match=f"cannot resume stage {stage} from a "
                                                      f"stage-{3 - stage} checkpoint"):
             if stage == 1:
-                tr.train_stage1(*args, resume=other)
+                tr.train_stage1(*args, out_dir=tmp_path, resume=True)
             else:
-                tr.train_stage2(*args, stage1, resume=other)
+                tr.train_stage2(*args, stage1, out_dir=tmp_path, resume=True)
 
     def test_best_checkpoint_dominates_all_epochs(self, corpus3d, corpus2d):
         root2, entries2 = corpus2d
@@ -834,7 +837,7 @@ class TestResumeFinishedRun:
             else small_cfg(epochs=3, patience=10)
         root, entries = corpus2d if stage == 1 else corpus3d
 
-        def train(out_dir, resume=None):
+        def train(out_dir, resume=False):
             args = (cfg, split(entries, "train"), split(entries, "val"), root)
             if stage == 1:
                 return tr.train_stage1(*args, out_dir=out_dir, resume=resume)
@@ -846,7 +849,7 @@ class TestResumeFinishedRun:
         shutil.copytree(tmp_path / "run", tmp_path / "resumed")
         if lose_loss_csv:  # as a kill in its last write would
             (tmp_path / "resumed" / "loss.csv").unlink()
-        train(tmp_path / "resumed", tr.load_checkpoint(epochs[-1]))
+        train(tmp_path / "resumed", resume=True)
 
         def sha256(path):
             return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -855,3 +858,46 @@ class TestResumeFinishedRun:
             assert sha256(tmp_path / "resumed" / name) == sha256(tmp_path / "run" / name)
         assert (sorted(p.name for p in (tmp_path / "resumed").iterdir())
                 == sorted(p.name for p in (tmp_path / "run").iterdir()))
+
+
+class TestResumePoint:
+    """A resume continues the run in out_dir from its newest epoch checkpoint."""
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_resume_without_out_dir_is_configuration_error(self, corpus2d, corpus3d, stage1,
+                                                           stage):
+        root, entries = corpus2d if stage == 1 else corpus3d
+        args = (small_cfg(), split(entries, "train"), split(entries, "val"), root)
+        with pytest.raises(ConfigurationError, match="out_dir"):
+            if stage == 1:
+                tr.train_stage1(*args, resume=True)
+            else:
+                tr.train_stage2(*args, stage1, resume=True)
+
+    def test_newest_is_by_epoch_number(self, tmp_path):
+        newest = tmp_path / "epoch_10000.ckpt"
+        tr.save_checkpoint(tr.make_initial_checkpoint(small_cfg()), newest)
+        (tmp_path / "epoch_9999.ckpt").write_bytes(b"last in lexical order, never loaded")
+        tr.save_checkpoint(tr.resume_checkpoint(tmp_path, small_cfg(), 1), tmp_path / "back")
+        assert (tmp_path / "back").read_bytes() == newest.read_bytes()
+
+    def test_resume_ignores_a_cut_write(self, corpus2d, tmp_path):
+        """A kill inside datapipe._write_atomic leaves epoch_0004.ckpt.tmp; the
+        resume continues from epoch 3 and writes epoch 4 over it."""
+        root, entries = corpus2d
+        cfg = small_cfg(epochs=5, patience=10)
+
+        def train(out_dir, resume=False):
+            return tr.train_stage1(cfg, split(entries, "train"), split(entries, "val"), root,
+                                   out_dir=out_dir, resume=resume)
+
+        train(tmp_path / "run")
+        out = tmp_path / "resumed"
+        out.mkdir()
+        for e in (1, 2, 3):
+            shutil.copy(tmp_path / "run" / f"epoch_{e:04d}.ckpt", out)
+        cut = (tmp_path / "run" / "epoch_0004.ckpt").read_bytes()
+        (out / "epoch_0004.ckpt.tmp").write_bytes(cut[:len(cut) // 2])
+        train(out, resume=True)
+        assert not list(out.glob("*.tmp"))
+        assert _digests(out) == _digests(tmp_path / "run")
