@@ -29,8 +29,8 @@ def main(work: Path):
     e3d = dp.synth_dataset(dp.SynthSpec(family="pattern", classes=2, per_class=30,
                                         slices=4, height=8, width=8),
                            seed=2, out_dir=work / "3d")
-    caps = dp.load_captions(work / "3d" / "captions.json", vocab=cfg.vocab)
-    print(f"captions: {[c.text for c in caps]}")
+    caps = dp.load_captions(work / "3d" / "captions.json")
+    print(f"captions: {caps}")
 
     print("\n== train both stages ==")
     sp2 = lambda n: [e for e in e2d if e.split == n]

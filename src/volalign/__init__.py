@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .config import TrainConfig
 from .contrastive import batch_loss, info_nce, similarity_matrix
-from .datapipe import (Caption, ManifestEntry, SynthSpec, build_caption, load_captions,
+from .datapipe import (ManifestEntry, SynthSpec, build_caption, load_captions,
                        load_manifest, load_preprocessed, load_volume, preprocess_volume,
                        preprocessed_batches, resize_bilinear, save_manifest, save_volume,
                        synth_dataset, tokenize, zscore)
@@ -18,6 +18,6 @@ from .evalkit import (AblationData, AblationReport, EmbeddingRow, EmbeddingTable
                       extract_embeddings, linear_probe_cv, read_embeddings_csv,
                       run_ablation, top1_match)
 from .slice_pool import adapter_shapes, attention_pool, gap_pool
-from .trainer import (GROUPS, Adam, Checkpoint, OptimizerState, cosine_lr, init_group,
+from .trainer import (GROUPS, Adam, Checkpoint, cosine_lr, init_group,
                       load_checkpoint, make_initial_checkpoint, save_checkpoint,
                       train_stage1, train_stage2)

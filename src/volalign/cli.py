@@ -164,7 +164,7 @@ def cmd_probe(args) -> int:
 
 def cmd_match(args) -> int:
     ckpt, data_root, entries = _load_eval_inputs(args)
-    captions = dp.load_captions(args.captions, vocab=ckpt.config.vocab)
+    captions = dp.load_captions(args.captions)
     table = ek.extract_embeddings(ckpt, entries, data_root, _pool_mode(args.pool))
     report = ek.top1_match(table, captions, ckpt.text)
     out = Path(args.out)
@@ -185,7 +185,7 @@ def cmd_ablate(args) -> int:
     if not (dir3d / "manifest.json").is_file():
         raise DependencyError(f"no 3D corpus at {dir3d}; run synth first")
     entries3d = dp.load_manifest(dir3d / "manifest.json")
-    captions = dp.load_captions(dir3d / "captions.json", vocab=cfg.vocab)
+    captions = dp.load_captions(dir3d / "captions.json")
     entries2d = root2d = None
     if (dir2d / "manifest.json").is_file():
         entries2d = dp.load_manifest(dir2d / "manifest.json")
@@ -193,7 +193,7 @@ def cmd_ablate(args) -> int:
     stage1 = tr.load_checkpoint(args.from_ckpt) if args.from_ckpt else None
 
     out = Path(args.out)
-    _write_run_config(out, "ablate", cfg, {"data": str(data)})
+    _write_run_config(out, "ablate", cfg, {"data": str(data), "from": args.from_ckpt})
     abl = ek.AblationData(root2d=root2d, entries2d=entries2d, root3d=dir3d,
                           entries3d=entries3d, captions3d=captions)
     report = ek.run_ablation(abl, cfg, workdir=out / "work", stage1_ckpt=stage1)

@@ -31,7 +31,6 @@ import numpy as np
 from .diffmath import fnv1a64, make_rng
 from .errors import ConfigurationError, FormatError, InputError, LoadError
 
-DEFAULT_VOCAB = 4096
 ZSCORE_EPS = 1e-8  # the least std zscore divides by
 # Slices per preprocess_volume call of preprocessed_batches and per
 # encode_image2d call of encoders.encode_frozen: big enough to amortise numpy
@@ -54,12 +53,6 @@ class ManifestEntry:
     condition: str | None
     label: int
     split: str
-
-
-@dataclass
-class Caption:
-    text: str
-    token_ids: list[int]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +302,7 @@ def build_caption(entry: ManifestEntry) -> str:
     return base
 
 
-def tokenize(text: str, vocab: int = DEFAULT_VOCAB) -> list[int]:
+def tokenize(text: str, vocab: int) -> list[int]:
     """Lowercase, split on non-alphanumeric runs, hash each word (FNV-1a mod vocab)."""
     words = re.findall(r"[a-z0-9]+", text.lower())
     if not words:
@@ -480,8 +473,9 @@ def save_captions(records: list[dict], path) -> None:
     _write_atomic(path, [(json.dumps(records, indent=2) + "\n").encode("utf-8")])
 
 
-def load_captions(path, vocab: int = DEFAULT_VOCAB) -> list[Caption]:
-    """Read a captions.json written by synth_dataset; one caption per class, by label."""
+def load_captions(path) -> list[str]:
+    """The caption text of each class, by label, from a captions.json written
+    by synth_dataset; a caption without a word is refused (InputError)."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -503,4 +497,7 @@ def load_captions(path, vocab: int = DEFAULT_VOCAB) -> list[Caption]:
     labels = sorted(by_label)
     if labels != list(range(len(labels))):
         raise LoadError(f"captions {path}: labels must be 0..{len(labels) - 1}")
-    return [Caption(text=by_label[c], token_ids=tokenize(by_label[c], vocab)) for c in labels]
+    captions = [by_label[c] for c in labels]
+    for text in captions:  # the word check alone; the text encoder picks the vocab
+        tokenize(text, 1)
+    return captions

@@ -1,7 +1,8 @@
 """Shared-space embedding producers.
 
 Two towers meet in one d_model space: a frozen, seed-determined hashed-bag
-text encoder (word identity is all the short templated captions need) and a
+text encoder of caption text, which it tokenizes under its own table's
+vocabulary (word identity is all the short templated captions need), and a
 trainable patch + MLP image encoder for single slices. A batch of images is
 a leading axis of the image array, so encode_image2d of a volume's
 [n, H, W] voxel array is its [n, d_model] slice embeddings, the stack the
@@ -41,22 +42,16 @@ def image_shapes(cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
             "out_proj": (cfg.d_hidden, cfg.d_model)}
 
 
-def encode_text(token_ids: list[int], params: ParamGroup) -> np.ndarray:
-    """Mean of the looked-up embedding rows, projected into the shared space.
+def encode_text(text: str, params: ParamGroup) -> np.ndarray:
+    """Mean of the embedding rows of text's tokens, hashed mod the table's
+    row count, projected into the shared space.
 
     Frozen path: never records on a tape. The mean is exactly rounded, so any
-    permutation of the same token multiset gives a bitwise identical result.
+    permutation of the same words gives a bitwise identical result.
     """
-    if not token_ids:
-        raise InputError("encode_text: empty token list")
     table = params["embed_table"].value
-    vocab = table.shape[0]
-    for t in token_ids:
-        if not 0 <= t < vocab:
-            raise InputError(f"encode_text: token id {t} outside [0, {vocab})")
-    rows = table[np.asarray(token_ids, dtype=np.intp)]
-    bag = dm.mean_rows(rows)
-    return dm.matmul(bag, params["proj"])
+    rows = table[np.asarray(dp.tokenize(text, len(table)), dtype=np.intp)]
+    return dm.matmul(dm.mean_rows(rows), params["proj"])
 
 
 def patchify(image, patch_size: int) -> np.ndarray:

@@ -328,15 +328,16 @@ class MatchReport:
         return "\n".join(lines) + "\n"
 
 
-def top1_match(images: EmbeddingTable, class_captions: list[dp.Caption],
+def top1_match(images: EmbeddingTable, class_captions: list[str],
                text_params: ParamGroup) -> MatchReport:
-    """Assign each image to the nearest caption by cosine; ties break to the
-    lowest class id."""
+    """Assign each image to the nearest class caption by cosine; ties break
+    to the lowest class id. Captions are tokenized mod the text table's row
+    count, as encoders.encode_text does; one bag of tokens twice is ambiguous."""
     if not class_captions:
         raise InputError("top1_match: no candidate captions")
     seen: dict[tuple, int] = {}
-    for c, cap in enumerate(class_captions):
-        key = tuple(sorted(cap.token_ids))
+    for c, text in enumerate(class_captions):
+        key = tuple(sorted(dp.tokenize(text, len(text_params["embed_table"].value))))
         if key in seen:
             raise AmbiguityError(
                 f"captions for classes {seen[key]} and {c} are identical after tokenization")
@@ -350,7 +351,7 @@ def top1_match(images: EmbeddingTable, class_captions: list[dp.Caption],
         raise InputError(f"image labels must lie in [0, {n_classes}), got "
                          f"[{labels.min()}, {labels.max()}]")
 
-    cap_mat = np.stack([enc.encode_text(c.token_ids, text_params) for c in class_captions])
+    cap_mat = np.stack([enc.encode_text(text, text_params) for text in class_captions])
     scores = dm.l2_normalize_rows(images.matrix()) @ dm.l2_normalize_rows(cap_mat).T
     pred = scores.argmax(axis=1)  # argmax returns the first (lowest) index on ties
 
@@ -414,7 +415,7 @@ class AblationData:
     entries2d: list[dp.ManifestEntry] | None
     root3d: Path
     entries3d: list[dp.ManifestEntry]
-    captions3d: list[dp.Caption]
+    captions3d: list[str]
 
 
 def _splits(entries):

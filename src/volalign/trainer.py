@@ -7,7 +7,8 @@ stage and config from its checkpoint: seeded shuffling, Adam with decoupled
 weight decay, cosine-annealed learning rate, per-epoch checkpoints, and
 early stopping on validation loss. Runs are bitwise reproducible for a fixed
 config and seed. A run is its output directory: a resume continues it exactly
-from its newest epoch checkpoint, and a fresh run first deletes those files.
+from its newest epoch checkpoint; a fresh run first deletes the epoch
+checkpoints, its stage's best checkpoint and its loss CSV.
 """
 
 from __future__ import annotations
@@ -63,41 +64,29 @@ def cosine_lr(t: int, cfg: TrainConfig) -> float:
 
 
 @dataclass
-class OptimizerState:
-    step: int
+class Adam:
+    """Adam with decoupled weight decay as its own state: the step count and
+    the (m, v) moments of each param by name, which step updates in place."""
+
+    step_count: int
     moments: dict[str, tuple[np.ndarray, np.ndarray]]  # name -> (m, v)
 
-    def copy(self) -> "OptimizerState":
-        return OptimizerState(self.step, {k: (m.copy(), v.copy())
-                                          for k, (m, v) in self.moments.items()})
+    @classmethod
+    def zeros(cls, params: list[Param]) -> "Adam":
+        """The state before the first step."""
+        return cls(0, {p.name: (np.zeros_like(p.value), np.zeros_like(p.value))
+                       for p in params})
 
+    def copy(self) -> "Adam":
+        return Adam(self.step_count, {k: (m.copy(), v.copy())
+                                      for k, (m, v) in self.moments.items()})
 
-class Adam:
-    """Adam with decoupled weight decay over its params, updating a given state in place."""
-
-    def __init__(self, params: list[Param], weight_decay: float = 0.0,
-                 state: OptimizerState | None = None):
-        self.params = list(params)
-        names = [p.name for p in self.params]
-        if len(set(names)) != len(names):
-            raise ConfigurationError("optimizer params must have unique names")
-        self.weight_decay = weight_decay
-        if state is None:
-            self.step_count = 0
-            self.moments = {p.name: (np.zeros_like(p.value), np.zeros_like(p.value))
-                            for p in self.params}
-        else:
-            self.step_count, self.moments = state.step, state.moments
-            for p in self.params:
-                if p.name not in self.moments:
-                    raise CheckpointError(f"optimizer state missing moments for {p.name}")
-
-    def step(self, lr: float) -> None:
+    def step(self, params: list[Param], lr: float, weight_decay: float) -> None:
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - ADAM_BETA1 ** t
         bc2 = 1.0 - ADAM_BETA2 ** t
-        for p in self.params:
+        for p in params:
             g = p.grad
             m, v = self.moments[p.name]
             m *= ADAM_BETA1
@@ -105,8 +94,8 @@ class Adam:
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.value
+            if weight_decay:
+                update = update + weight_decay * p.value
             p.value -= lr * update
 
 
@@ -145,7 +134,7 @@ class Checkpoint:
     text: ParamGroup
     image: ParamGroup
     adapter: ParamGroup
-    optimizer: OptimizerState | None = None
+    optimizer: Adam | None = None
     history: list[dict] = field(default_factory=list)  # one record per completed epoch
 
     @property
@@ -230,7 +219,7 @@ def _sections(ckpt: Checkpoint):
         "stage": ckpt.stage,
         "config": ckpt.config.to_dict(),
         "history": ckpt.history,
-        "optimizer_step": ckpt.optimizer.step if ckpt.optimizer else None,
+        "optimizer_step": ckpt.optimizer.step_count if ckpt.optimizer else None,
     }
     yield "meta", [json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")]
     for p in ckpt.model_params():
@@ -392,7 +381,7 @@ def _load_mapped(blob, path) -> Checkpoint:
                 raise CheckpointError(f"{path}: missing sections {missing} of a "
                                       f"stage-{meta['stage']} file")
             moments[p.name] = tuple(tensor(k, p.value.shape) for k in keys)
-        optimizer = OptimizerState(step=meta["optimizer_step"], moments=moments)
+        optimizer = Adam(meta["optimizer_step"], moments)
     if sections:
         raise CheckpointError(f"{path}: unexpected sections {sorted(sections)}")
 
@@ -436,14 +425,13 @@ def _require_kind(entries: list[dp.ManifestEntry], kind: str) -> None:
             raise InputError(f"entry {e.id!r} has kind {e.kind!r}, expected {kind!r}")
 
 
-def _text_vectors(entries, text_params, vocab) -> list[np.ndarray]:
+def _text_vectors(entries, text_params) -> list[np.ndarray]:
     cache: dict[str, np.ndarray] = {}
     out = []
     for e in entries:
         caption = dp.build_caption(e)
         if caption not in cache:
-            ids = dp.tokenize(caption, vocab)
-            cache[caption] = enc.encode_text(ids, text_params)
+            cache[caption] = enc.encode_text(caption, text_params)
         out.append(cache[caption])
     return out
 
@@ -454,7 +442,7 @@ def _stage1_items(entries, data_root, cfg, text_params) -> list[_Item]:
     for e, vol in zip(entries, vols):
         if len(vol) != 1:
             raise InputError(f"entry {e.id!r} is 2d but its sample has {len(vol)} slices")
-    texts = _text_vectors(entries, text_params, cfg.vocab)
+    texts = _text_vectors(entries, text_params)
     return [_Item(inputs=v[0], text_vec=t) for v, t in zip(vols, texts)]
 
 
@@ -463,7 +451,7 @@ def _stage2_items(entries, data_root, cfg, text_params, image_params,
     root = Path(data_root)
     mats = enc.encode_samples([root / e.path for e in entries], cfg.image_size, image_params,
                               cfg.s_max, volumes)  # frozen, eval mode
-    texts = _text_vectors(entries, text_params, cfg.vocab)
+    texts = _text_vectors(entries, text_params)
     return [_Item(inputs=m, text_vec=t) for m, t in zip(mats, texts)]
 
 
@@ -540,12 +528,13 @@ def _run_stage(ckpt: Checkpoint, items, val_items, out_dir) -> Checkpoint:
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if not ckpt.history:  # fresh: no earlier run's epoch may pass for one of this run's
-            for path in out_dir.glob("epoch_*.ckpt"):
-                path.unlink()
+        if not ckpt.history:  # fresh: no earlier run's file may pass for one of this run's
+            for path in [*out_dir.glob("epoch_*.ckpt"), out_dir / f"stage{stage}.ckpt",
+                         out_dir / "loss.csv"]:
+                path.unlink(missing_ok=True)
 
     start_epoch = ckpt.epoch
-    adam = Adam(trained, weight_decay=cfg.weight_decay, state=ckpt.optimizer)
+    adam = ckpt.optimizer or Adam.zeros(trained)
 
     best_ckpt = None
     end_epoch = cfg.epochs
@@ -568,18 +557,17 @@ def _run_stage(ckpt: Checkpoint, items, val_items, out_dir) -> Checkpoint:
             tape.backward(loss)
             for p in trained:
                 _check_finite(p.grad, epoch, b, f"gradient of {p.name}")
-            adam.step(lr)
+            adam.step(trained, lr, cfg.weight_decay)
         train_loss = math.fsum(batch_losses) / len(batch_losses)
         val_loss = _mean_val_loss(val_items, ckpt)
         ckpt.history.append({"epoch": epoch, "lr": lr,
                              "train_loss": train_loss, "val_loss": val_loss})
-        ckpt.optimizer = OptimizerState(adam.step_count, adam.moments)  # the snapshot copies it
-        snap = snapshot_checkpoint(ckpt)
+        ckpt.optimizer = adam
         if out_dir is not None:
-            save_checkpoint(snap, out_dir / f"epoch_{epoch + 1:04d}.ckpt")
+            save_checkpoint(ckpt, out_dir / f"epoch_{epoch + 1:04d}.ckpt")
             _write_loss_csv(ckpt.history, out_dir / "loss.csv")
         if ckpt.best_epoch == epoch:
-            best_ckpt = snap
+            best_ckpt = snapshot_checkpoint(ckpt)
         if epoch - ckpt.best_epoch >= cfg.patience:
             break
 
@@ -621,9 +609,9 @@ def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
     flushed, so set-up holds the [n, d_model] rows and never the preprocessed
     split, and each epoch touches only the adapter parameters. `volumes`
     caches preprocessed volumes across calls, keyed by (sample path, image
-    size); given one, set-up stores every volume in it. A fresh run deletes
-    the epoch checkpoints in out_dir; a resume continues from the newest, which
-    holds both encoders, so only a fresh run reads stage1_ckpt (else None).
+    size); given one, set-up stores every volume in it. A resume continues
+    from the newest epoch checkpoint in out_dir, which holds both encoders,
+    so only a fresh run reads stage1_ckpt (else None).
     """
     _require_kind(train_entries, "3d")
     _require_kind(val_entries, "3d")

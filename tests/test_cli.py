@@ -215,6 +215,15 @@ class TestTraining:
         assert run([*base, "--seed", 3, "--out", tmp_path / "clean"]) == 0
         assert digests(out) == digests(tmp_path / "clean")
 
+    def test_train3d_into_the_stage1_directory_keeps_its_checkpoint(self, trained, tmp_path):
+        shutil.copyfile(trained / "run1" / "stage1.ckpt", tmp_path / "stage1.ckpt")
+        assert run(["train3d", "--config", trained / "cfg.json",
+                    "--data", trained / "data" / "3d", "--from", tmp_path / "stage1.ckpt",
+                    "--out", tmp_path]) == 0
+        assert ((tmp_path / "stage1.ckpt").read_bytes()
+                == (trained / "run1" / "stage1.ckpt").read_bytes())
+        assert (tmp_path / "stage2.ckpt").is_file()
+
     def test_train3d_resume_needs_no_stage1(self, trained, tmp_path):
         for out in ("with", "without"):  # each holds the run's epoch-1 checkpoint
             (tmp_path / out).mkdir()
@@ -323,6 +332,15 @@ class TestEvalCommands:
         lines = (out / "ablation_report.csv").read_text().splitlines()
         assert len(lines) == 5  # header + four configurations
         assert (out / "work" / "stage1.ckpt").is_file()
+        assert json.loads((out / "run_config.json").read_text())["from"] is None
+
+    def test_ablate_records_its_stage1_checkpoint(self, trained, tmp_path):
+        out = tmp_path / "abl"
+        ckpt = trained / "run1" / "stage1.ckpt"
+        assert run(["ablate", "--config", trained / "cfg.json", "--data", trained / "data",
+                    "--from", ckpt, "--out", out]) == 0
+        assert json.loads((out / "run_config.json").read_text())["from"] == str(ckpt)
+        assert not (out / "work" / "stage1.ckpt").exists()
 
     def test_ablate_exits_with_the_code_of_an_error_in_the_probe_child(
             self, trained, tmp_path, capsys, monkeypatch):

@@ -447,23 +447,23 @@ class TestCaptions:
 
 class TestTokenize:
     def test_case_folding(self):
-        assert dp.tokenize("MRI") == dp.tokenize("mri")
-        assert len(dp.tokenize("MRI")) == 1
+        assert dp.tokenize("MRI", vocab=4096) == dp.tokenize("mri", vocab=4096)
+        assert len(dp.tokenize("MRI", vocab=4096)) == 1
 
     def test_split_semantics(self):
-        a = dp.tokenize("Brain MRI")
-        b = dp.tokenize("MRI Brain")
+        a = dp.tokenize("Brain MRI", vocab=4096)
+        b = dp.tokenize("MRI Brain", vocab=4096)
         assert sorted(a) == sorted(b)
-        assert dp.tokenize("Chest X-ray") == dp.tokenize("chest x ray")
+        assert dp.tokenize("Chest X-ray", vocab=4096) == dp.tokenize("chest x ray", vocab=4096)
 
     def test_golden_brain_id(self):
         # pinned: FNV-1a 64-bit of "brain", mod 4096
         assert fnv1a64("brain") % 4096 == 2771
-        assert dp.tokenize("brain") == [2771]
+        assert dp.tokenize("brain", vocab=4096) == [2771]
 
     def test_no_alphanumeric_content(self):
         with pytest.raises(InputError):
-            dp.tokenize("--- !!! ---")
+            dp.tokenize("--- !!! ---", vocab=4096)
 
     def test_ids_below_vocab(self):
         ids = dp.tokenize("Brain MRI with Pituitary Tumor", vocab=128)
@@ -525,9 +525,9 @@ class TestSynth:
                          height=8, width=8)
         dp.synth_dataset(spec, seed=0, out_dir=tmp_path)
         caps = dp.load_captions(tmp_path / "captions.json")
-        assert [c.text for c in caps] == ["Brain MRI with Sequence A",
-                                          "Brain MRI with Sequence B",
-                                          "Brain MRI with Sequence C"]
+        assert caps == ["Brain MRI with Sequence A",
+                        "Brain MRI with Sequence B",
+                        "Brain MRI with Sequence C"]
 
     def test_invalid_spec(self):
         with pytest.raises(ConfigurationError):

@@ -32,30 +32,31 @@ class TestTextEncoder:
 
     def test_same_ids_twice_identical(self):
         p = tr.init_group(SMALL, "text", seed=1)
-        e1 = enc.encode_text([3, 9, 40], p)
-        e2 = enc.encode_text([3, 9, 40], p)
+        e1 = enc.encode_text("brain mri tumor", p)
+        e2 = enc.encode_text("brain mri tumor", p)
         assert np.array_equal(e1, e2)
 
     def test_single_token_is_projected_row(self):
         p = tr.init_group(SMALL, "text", seed=1)
-        out = enc.encode_text([7], p)
-        expected = p["embed_table"].value[7] @ p["proj"].value
+        out = enc.encode_text("brain", p)
+        (row,) = dp.tokenize("brain", SMALL.vocab)
+        expected = p["embed_table"].value[row] @ p["proj"].value
         assert np.allclose(out, expected, atol=1e-15)
 
     def test_permuted_ids_identical_bitwise(self):
         p = tr.init_group(SMALL, "text", seed=1)
-        a = enc.encode_text([3, 9, 40, 9], p)
-        b = enc.encode_text([9, 40, 3, 9], p)
+        a = enc.encode_text("brain mri tumor mri", p)
+        b = enc.encode_text("MRI tumor, brain MRI", p)
         assert np.array_equal(a, b)
 
     def test_empty_and_out_of_range(self):
         p = tr.init_group(SMALL, "text", seed=1)
-        with pytest.raises(InputError):
-            enc.encode_text([], p)
-        with pytest.raises(InputError):
-            enc.encode_text([64], p)
-        with pytest.raises(InputError):
-            enc.encode_text([-1], p)
+        for text in ("", "--- !!! ---"):
+            with pytest.raises(InputError):
+                enc.encode_text(text, p)
+        # "brain" hashes to 2771 mod 4096; the 64-row table reads row 2771 mod 64
+        assert np.array_equal(enc.encode_text("brain", p),
+                              p["embed_table"].value[2771 % 64] @ p["proj"].value)
 
 
 class TestPatchify:

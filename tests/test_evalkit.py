@@ -16,7 +16,6 @@ from volalign import evalkit as ek
 from volalign import slice_pool as sp
 from volalign import trainer as tr
 from volalign.config import TrainConfig
-from volalign.datapipe import Caption
 from volalign.diffmath import make_rng
 from volalign.errors import (AmbiguityError, CompatibilityError, DependencyError,
                              DimensionError, EvaluationError, InputError, StratificationError)
@@ -281,17 +280,32 @@ class TestStackedProbe:
         assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_PROBE_CSV
 
 
+@pytest.fixture(scope="module")
+def pattern4(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pat4")
+    spec = dp.SynthSpec(family="pattern", classes=4, per_class=5, height=8,
+                        width=8, kind="2d")
+    return root, dp.synth_dataset(spec, seed=33, out_dir=root)
+
+
 class TestTop1Match:
     def text_params(self):
         return tr.init_group(small_cfg(), "text", seed=3)
 
-    def captions(self, texts):
-        return [Caption(text=t, token_ids=dp.tokenize(t, 64)) for t in texts]
+    @pytest.mark.parametrize("vocab", [64, 4096, 8192, 65536])
+    def test_training_text_vectors_match_their_captions(self, pattern4, vocab):
+        """Training and matching tokenize under the text table's own row count."""
+        root, entries = pattern4
+        firsts = [next(e for e in entries if e.label == c) for c in range(4)]
+        tp = tr.init_group(small_cfg(vocab=vocab), "text", seed=3)
+        table = table_from(tr._text_vectors(firsts, tp), [e.label for e in firsts])
+        report = ek.top1_match(table, dp.load_captions(root / "captions.json"), tp)
+        assert report.precision == 1.0
 
     def test_perfect_when_images_equal_captions(self):
         tp = self.text_params()
-        caps = self.captions(["Brain MRI with Sequence A", "Brain MRI with Sequence B"])
-        vecs = [enc.encode_text(c.token_ids, tp) for c in caps]
+        caps = ["Brain MRI with Sequence A", "Brain MRI with Sequence B"]
+        vecs = [enc.encode_text(c, tp) for c in caps]
         table = table_from(vecs * 3, [0, 1] * 3)
         report = ek.top1_match(table, caps, tp)
         assert report.precision == 1.0
@@ -299,7 +313,7 @@ class TestTop1Match:
 
     def test_random_embeddings_near_chance(self):
         tp = self.text_params()
-        caps = self.captions(["Chest CT", "Brain MRI", "Knee X-ray", "Liver US"])
+        caps = ["Chest CT", "Brain MRI", "Knee X-ray", "Liver US"]
         r = make_rng(7, "match")
         n = 400
         table = table_from(r.normal(size=(n, 8)), [i % 4 for i in range(n)])
@@ -309,7 +323,7 @@ class TestTop1Match:
 
     def test_zero_embedding_ties_to_class_zero(self):
         tp = self.text_params()
-        caps = self.captions(["Chest CT", "Brain MRI"])
+        caps = ["Chest CT", "Brain MRI"]
         table = table_from([[0.0] * 8], [1])
         report = ek.top1_match(table, caps, tp)
         assert report.confusion[1, 0] == 1
@@ -318,17 +332,17 @@ class TestTop1Match:
     def test_empty_table_is_an_evaluation_error(self):
         tp = self.text_params()
         with pytest.raises(EvaluationError, match="empty"):
-            ek.top1_match(ek.EmbeddingTable([]), self.captions(["Chest CT", "Brain MRI"]), tp)
+            ek.top1_match(ek.EmbeddingTable([]), ["Chest CT", "Brain MRI"], tp)
 
     def test_duplicate_tokenized_captions_rejected(self):
         tp = self.text_params()
-        caps = self.captions(["Brain MRI", "MRI Brain"])  # same bag of words
+        caps = ["Brain MRI", "MRI Brain"]  # same bag of words
         with pytest.raises(AmbiguityError):
             ek.top1_match(table_from([[1.0] * 8], [0]), caps, tp)
 
     def test_scale_invariance(self):
         tp = self.text_params()
-        caps = self.captions(["Chest CT", "Brain MRI"])
+        caps = ["Chest CT", "Brain MRI"]
         r = make_rng(8, "scl")
         vecs = r.normal(size=(10, 8))
         labels = [i % 2 for i in range(10)]
@@ -342,7 +356,7 @@ class TestAblation:
     def test_four_rows_and_gap_at_chance_on_order_coded(self, ordered3d, pattern2d, tmp_path):
         root3, entries3 = ordered3d
         root2, entries2 = pattern2d
-        caps = dp.load_captions(root3 / "captions.json", vocab=64)
+        caps = dp.load_captions(root3 / "captions.json")
         data = ek.AblationData(root2d=root2, entries2d=entries2,
                                root3d=root3, entries3d=entries3, captions3d=caps)
         report = ek.run_ablation(data, small_cfg(epochs=2), tmp_path)
@@ -353,7 +367,7 @@ class TestAblation:
 
     def test_dependency_error_without_stage1_source(self, ordered3d, tmp_path):
         root3, entries3 = ordered3d
-        caps = dp.load_captions(root3 / "captions.json", vocab=64)
+        caps = dp.load_captions(root3 / "captions.json")
         data = ek.AblationData(root2d=None, entries2d=None, root3d=root3,
                                entries3d=entries3, captions3d=caps)
         with pytest.raises(DependencyError, match="train"):
@@ -362,7 +376,7 @@ class TestAblation:
     def test_workdir_caches_checkpoints(self, ordered3d, pattern2d, tmp_path):
         root3, entries3 = ordered3d
         root2, entries2 = pattern2d
-        caps = dp.load_captions(root3 / "captions.json", vocab=64)
+        caps = dp.load_captions(root3 / "captions.json")
         data = ek.AblationData(root2d=root2, entries2d=entries2,
                                root3d=root3, entries3d=entries3, captions3d=caps)
         cfg = small_cfg(epochs=2)
@@ -381,7 +395,7 @@ def trained(ordered3d, pattern2d, tmp_path_factory):
     root2, entries2 = pattern2d
     data = ek.AblationData(root2d=root2, entries2d=entries2, root3d=root3,
                            entries3d=entries3,
-                           captions3d=dp.load_captions(root3 / "captions.json", vocab=64))
+                           captions3d=dp.load_captions(root3 / "captions.json"))
     workdir = tmp_path_factory.mktemp("ablate")
     ek.run_ablation(data, small_cfg(epochs=2), workdir=workdir)
     return data, workdir

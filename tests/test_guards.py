@@ -121,6 +121,13 @@ MANIFEST_RECORDS = st.builds(
                     max_size=3))
 
 
+def test_caption_without_a_word_is_input_error(tmp_path):
+    path = tmp_path / "captions.json"
+    path.write_text(json.dumps([{"label": 0, "text": "-"}]))
+    with pytest.raises(InputError, match="no alphanumeric content"):
+        dp.load_captions(path)
+
+
 @pytest.fixture(scope="module")
 def sample_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
@@ -140,7 +147,7 @@ def test_any_manifest_records_load_or_raise_load_error(sample_dir, records):
         return
     for e in entries:  # a loaded entry yields a caption or a typed error
         try:
-            dp.tokenize(dp.build_caption(e))
+            dp.tokenize(dp.build_caption(e), vocab=4096)
         except VolalignError:
             pass
 
@@ -254,7 +261,7 @@ META_VALUES = (st.sampled_from([0, 1, 2, 3, -1, 1.0, True, None, "1", [], {}, [{
 def loaded_meta(ckpt) -> dict:
     """The meta fields of a loaded checkpoint, as save_checkpoint writes them."""
     return {"stage": ckpt.stage, "history": ckpt.history,
-            "optimizer_step": ckpt.optimizer.step if ckpt.optimizer else None}
+            "optimizer_step": ckpt.optimizer.step_count if ckpt.optimizer else None}
 
 
 @settings(max_examples=300, deadline=None)

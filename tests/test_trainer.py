@@ -147,23 +147,23 @@ class TestAdam:
     def test_quadratic_descent(self):
         from volalign.diffmath import Param
         p = Param(np.array([5.0, -3.0]), name="w")
-        opt = tr.Adam([p])
+        opt = tr.Adam.zeros([p])
         for _ in range(2000):
             p.zero_grad()
             p.grad[...] = 2.0 * p.value  # d/dw of w^2
-            opt.step(0.01)
+            opt.step([p], 0.01, 0.0)
         assert np.abs(p.value).max() < 1e-3
 
     def test_state_round_trip(self):
         from volalign.diffmath import Param
         p = Param(np.array([1.0]), name="w")
-        opt = tr.Adam([p])
+        opt = tr.Adam.zeros([p])
         p.grad[...] = 0.5
-        opt.step(0.1)
-        st = tr.OptimizerState(opt.step_count, opt.moments)
-        opt2 = tr.Adam([p], state=st)
+        opt.step([p], 0.1, 0.0)
+        opt2 = opt.copy()
         assert opt2.step_count == 1
         assert np.array_equal(opt2.moments["w"][0], opt.moments["w"][0])
+        assert not np.shares_memory(opt2.moments["w"][0], opt.moments["w"][0])
 
 
 class TestCheckpointIO:
@@ -235,8 +235,7 @@ class TestCheckpointIO:
     def test_non_finite_tensor_rejected(self, tmp_path, section, value):
         ckpt = tr.make_initial_checkpoint(small_cfg())
         shape = ckpt.image["patch_proj"].value.shape
-        ckpt.optimizer = tr.OptimizerState(1, {"image.patch_proj": (np.zeros(shape),
-                                                                    np.zeros(shape))})
+        ckpt.optimizer = tr.Adam(1, {"image.patch_proj": (np.zeros(shape), np.zeros(shape))})
         kind, name = section.split(":")
         if kind == "param":
             group, short = name.split(".")
@@ -449,7 +448,8 @@ def test_one_validation_sample_refused_before_any_step(corpus2d, corpus3d, stage
                                                        monkeypatch, stage):
     steps = []
     step = tr.Adam.step
-    monkeypatch.setattr(tr.Adam, "step", lambda self, lr: steps.append(lr) or step(self, lr))
+    monkeypatch.setattr(tr.Adam, "step",
+                        lambda self, params, lr, wd: steps.append(lr) or step(self, params, lr, wd))
     root, entries = corpus2d if stage == 1 else corpus3d
     args = (small_cfg(), split(entries, "train"), split(entries, "val")[:1], root)
     with pytest.raises(ConfigurationError, match="validation set needs at least 2 samples"):
@@ -518,6 +518,27 @@ class TestStage1(object):
         cfg = small_cfg(batch_size=64)
         with pytest.raises(ConfigurationError, match="fewer than batch size"):
             tr.train_stage1(cfg, split(entries, "train"), split(entries, "val"), root)
+
+    def test_cut_fresh_run_leaves_no_file_of_the_run_before(self, corpus2d, tmp_path,
+                                                            monkeypatch):
+        root, entries = corpus2d
+        args = (split(entries, "train"), split(entries, "val"), root)
+        out = tmp_path / "a"
+        tr.train_stage1(small_cfg(epochs=3, seed=4), *args, out_dir=out)
+        assert (out / "stage1.ckpt").is_file()
+        save = tr.save_checkpoint
+
+        def cut_at_epoch_2(ckpt, path):
+            if path.name == "epoch_0002.ckpt":
+                raise KeyboardInterrupt
+            save(ckpt, path)
+
+        monkeypatch.setattr(tr, "save_checkpoint", cut_at_epoch_2)
+        with pytest.raises(KeyboardInterrupt):
+            tr.train_stage1(small_cfg(epochs=3, seed=3), *args, out_dir=out)
+        assert sorted(p.name for p in out.iterdir()) == ["epoch_0001.ckpt", "loss.csv"]
+        assert len((out / "loss.csv").read_text().splitlines()) == 1 + 1
+        assert tr.load_checkpoint(out / "epoch_0001.ckpt").config.seed == 3
 
 
 class TestStage2(object):
@@ -616,11 +637,11 @@ def training_state(cfg, stage):
     """A checkpoint as a stage holds it in training: moments for the group the
     stage trains, and a gradient buffer on every parameter."""
     ckpt = dataclasses.replace(tr.make_initial_checkpoint(cfg), stage=stage)
-    adam = tr.Adam(list(ckpt.groups()[tr.TRAINS[stage]].values()))
+    trained = list(ckpt.groups()[tr.TRAINS[stage]].values())
+    ckpt.optimizer = tr.Adam.zeros(trained)
     for p in ckpt.model_params():
         p.grad[...] = 1.0
-    adam.step(1e-3)
-    ckpt.optimizer = tr.OptimizerState(adam.step_count, adam.moments)
+    ckpt.optimizer.step(trained, 1e-3, 0.0)
     return ckpt
 
 
@@ -653,7 +674,7 @@ class TestSnapshot:
                 assert q.value.flags.writeable
                 assert not np.shares_memory(p.value, q.value), (stage, p.name)
                 assert np.array_equal(p.value, q.value)
-            assert snap.optimizer.step == ckpt.optimizer.step == 1
+            assert snap.optimizer.step_count == ckpt.optimizer.step_count == 1
             assert (snap.optimizer.moments.keys() == ckpt.optimizer.moments.keys()
                     == {p.name for p in ckpt.groups()[trained].values()})
             for name, moments in ckpt.optimizer.moments.items():
@@ -663,8 +684,8 @@ class TestSnapshot:
 
     def test_fresh_stage2_copies_only_the_adapter(self, corpus3d, stage1, monkeypatch):
         copied = []
-        copy = tr.OptimizerState.copy
-        monkeypatch.setattr(tr.OptimizerState, "copy",
+        copy = tr.Adam.copy
+        monkeypatch.setattr(tr.Adam, "copy",
                             lambda self: copied.append(self) or copy(self))
         root, entries = corpus3d
         ckpt = tr.train_stage2(small_cfg(epochs=0), split(entries, "train"),
