@@ -109,6 +109,13 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _load_stage1(from_ckpt):
+    if from_ckpt is None or not Path(from_ckpt).is_file():
+        raise DependencyError(f"stage-1 checkpoint not found: {from_ckpt}; "
+                              "run train2d first and pass it as --from")
+    return tr.load_checkpoint(from_ckpt)
+
+
 def _run_training(args, stage: int) -> int:
     cfg = _load_config(args)
     data_root = Path(args.data)
@@ -126,10 +133,7 @@ def _run_training(args, stage: int) -> int:
     else:
         stage1 = None
         if not args.resume:  # a resume holds both encoders; --from is not read
-            if args.from_ckpt is None or not Path(args.from_ckpt).is_file():
-                raise DependencyError(f"stage-1 checkpoint not found: {args.from_ckpt}; "
-                                      "run train2d first and pass it as --from")
-            stage1 = tr.load_checkpoint(args.from_ckpt)
+            stage1 = _load_stage1(args.from_ckpt)
         _write_run_config(out, "train3d", cfg,
                           {"data": str(data_root), "from": args.from_ckpt})
         best = tr.train_stage2(cfg, train, val, data_root, stage1, out_dir=out,
@@ -190,7 +194,7 @@ def cmd_ablate(args) -> int:
     if (dir2d / "manifest.json").is_file():
         entries2d = dp.load_manifest(dir2d / "manifest.json")
         root2d = dir2d
-    stage1 = tr.load_checkpoint(args.from_ckpt) if args.from_ckpt else None
+    stage1 = _load_stage1(args.from_ckpt) if args.from_ckpt else None
 
     out = Path(args.out)
     _write_run_config(out, "ablate", cfg, {"data": str(data), "from": args.from_ckpt})

@@ -1,19 +1,23 @@
 """Dataset manifests, the VOL1 sample container, preprocessing, captions,
 and synthetic corpus generation.
 
-Manifests are JSON lists of entry records; samples are little-endian VOL1
-files (magic, n/H/W as u32, then float32 voxels, slice-major), passed from
-load_volume to the encoder as plain float64 `[n, H, W]` arrays (n = 1 in
-2D). load_volume alone checks voxels for finiteness; save_volume refuses
-what load_volume would refuse. Preprocessing is always resize first,
-z-score second. Both act on `[..., H, W]` arrays, so a volume is one call
-of each; the statistics are per image (slice), taken by one reduction over
-the image axes of a C-contiguous array. Splits are preprocessed by
-preprocessed_batches: samples of one image size share each
-preprocess_volume call, a batch closing at the sample that brings it to
-SLICE_BATCH slices, and each sample keeps the bits it gets alone. It yields
-each batch as it is flushed; load_preprocessed collects them, and
-encoders.encode_samples encodes each one at once.
+Manifests are JSON lists of entry records. load_manifest checks that each
+sample exists with one listing per sample directory, so a directory costs in
+proportion to its own size: synth writes directories that hold exactly their
+manifest's samples, and a small manifest over a huge shared directory pays a
+whole listing. sample_path names an entry's sample as pathlib would, without
+a pathlib parse per sample. Samples are little-endian VOL1 files (magic,
+n/H/W as u32, then float32 voxels, slice-major), passed from load_volume to
+the encoder as plain float64 `[n, H, W]` arrays (n = 1 in 2D). load_volume
+alone checks voxels for finiteness; save_volume refuses what load_volume
+would refuse. Preprocessing is always resize first, z-score second. Both
+act on `[..., H, W]` arrays, so a volume is one call of each; the statistics
+are per image (slice), taken by one reduction over the image axes of a
+C-contiguous array. Splits are preprocessed by preprocessed_batches: samples
+of one image size share each preprocess_volume call, a batch closing at the
+sample that brings it to SLICE_BATCH slices, and each sample keeps the bits
+it gets alone. It yields each batch as it is flushed; load_preprocessed
+collects them, and encoders.encode_samples encodes each one at once.
 """
 
 from __future__ import annotations
@@ -105,11 +109,18 @@ def load_manifest(path) -> list[ManifestEntry]:
         raise LoadError(f"manifest {path}: top level must be a list of entries")
 
     entries = [_check_entry(item, i) for i, item in enumerate(raw)]
+    parent = os.fspath(path.parent)
+    listed: dict[str, frozenset] = {}  # entry path's directory part -> its file names
     seen: dict[str, int] = {}
     for i, e in enumerate(entries):
         if e.id in seen:
             raise LoadError(f"entry {i}: duplicate id {e.id!r} (first at entry {seen[e.id]})")
         seen[e.id] = i
+        head, name = os.path.split(e.path)
+        if head not in listed:
+            listed[head] = _listed_files(os.path.join(parent, head))
+        if name in listed[head]:
+            continue
         sample = path.parent / e.path
         try:
             found = sample.is_file()
@@ -118,6 +129,35 @@ def load_manifest(path) -> list[ManifestEntry]:
         if not found:
             raise LoadError(f"entry {i} (id {e.id!r}): sample file not found: {sample}")
     return entries
+
+
+def _listed_files(directory: str) -> frozenset:
+    """The names in directory that Path.is_file() calls files, following
+    symlinks, from one listing, which stats only symlinks. Empty if the
+    directory cannot be listed or searched, or an entry cannot be stat-ed (a
+    symlink loop), so each name in it takes the is_file() check instead."""
+    try:
+        if not os.access(directory, os.X_OK, effective_ids=True):
+            return frozenset()
+        with os.scandir(directory) as listing:
+            return frozenset(d.name for d in listing if d.is_file())
+    except (OSError, ValueError):  # ValueError: a NUL byte in the path
+        return frozenset()
+
+
+_PLAIN_RELATIVE = re.compile(r"[^/.][^/]*(?:/[^/.][^/]*)*")  # no empty or dot-led component
+
+
+def sample_path(root: Path, rel: str) -> str:
+    """str(root / rel): where the entry path rel of a manifest in root names
+    its sample. A plain relative rel is joined as a string: pathlib interns
+    each component it parses, so each load would intern its split's sample
+    names anew, and a resize of the intern table that this churn forces, once
+    the heap has grown, can keep the process's resident memory raised."""
+    if not _PLAIN_RELATIVE.fullmatch(rel):
+        return str(root / rel)
+    base = str(root)
+    return rel if base == "." else os.path.join(base, rel)
 
 
 def _write_atomic(path, chunks) -> None:
@@ -164,9 +204,9 @@ def save_volume(voxels: np.ndarray, path) -> None:
 
 def load_volume(path) -> np.ndarray:
     """Read VOL1 as C-contiguous float64 `[n, H, W]` voxels, checked finite."""
-    path = Path(path)
     try:
-        blob = path.read_bytes()
+        with open(os.fspath(path), "rb") as fh:  # os.fspath: an int is no file descriptor here
+            blob = fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     if blob[:4] != _VOL1_MAGIC:

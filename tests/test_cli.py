@@ -342,6 +342,13 @@ class TestEvalCommands:
         assert json.loads((out / "run_config.json").read_text())["from"] == str(ckpt)
         assert not (out / "work" / "stage1.ckpt").exists()
 
+    def test_ablate_missing_stage1_is_dependency_error(self, workspace, tmp_path, capsys):
+        code = run(["ablate", "--config", workspace / "cfg.json", "--data", workspace / "data",
+                    "--from", workspace / "nope.ckpt", "--out", tmp_path / "abl"])
+        assert code == DependencyError.exit_code == 4
+        assert (f"error:dependency: stage-1 checkpoint not found: {workspace / 'nope.ckpt'}; "
+                "run train2d first and pass it as --from") in capsys.readouterr().err
+
     def test_ablate_exits_with_the_code_of_an_error_in_the_probe_child(
             self, trained, tmp_path, capsys, monkeypatch):
         probe, me = ek.linear_probe_cv, os.getpid()

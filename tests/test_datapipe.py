@@ -1,5 +1,7 @@
 
 import dataclasses
+import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -86,6 +88,107 @@ class TestManifest:
             dp.load_manifest(tmp_path / "m.json")
 
 
+def per_entry_manifest(path) -> list[ManifestEntry]:
+    """load_manifest as it was with one Path.is_file() check per entry: the
+    oracle of the listing check."""
+    path = Path(path)
+    entries = [dp._check_entry(item, i) for i, item in enumerate(json.loads(path.read_text()))]
+    seen: dict[str, int] = {}
+    for i, e in enumerate(entries):
+        if e.id in seen:
+            raise LoadError(f"entry {i}: duplicate id {e.id!r} (first at entry {seen[e.id]})")
+        seen[e.id] = i
+        sample = path.parent / e.path
+        try:
+            found = sample.is_file()
+        except OSError as exc:
+            raise LoadError(f"entry {i} (id {e.id!r}): cannot check sample file: {exc}") from exc
+        if not found:
+            raise LoadError(f"entry {i} (id {e.id!r}): sample file not found: {sample}")
+    return entries
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except LoadError as exc:
+        return str(exc)
+
+
+@pytest.fixture
+def odd_corpus(tmp_path):
+    """A corpus directory c holding samples s/a.vol and abs.vol beside odd names."""
+    c = tmp_path / "c"
+    (c / "s" / "d.vol").mkdir(parents=True)
+    for sample in (c / "s" / "a.vol", tmp_path / "out.vol", tmp_path / "abs.vol"):
+        dp.save_volume(np.zeros((1, 2, 2)), sample)
+    (c / "s" / "link.vol").symlink_to(c / "s" / "a.vol")
+    (c / "s" / "dlink.vol").symlink_to(c / "s" / "d.vol")
+    (c / "s" / "dangling.vol").symlink_to(c / "s" / "gone.vol")
+    (c / "s" / "loop.vol").symlink_to(c / "s" / "loop.vol")
+    for name, mode in (("locked", 0o000), ("unsearchable", 0o444)):
+        (c / name).mkdir()
+        dp.save_volume(np.zeros((1, 2, 2)), c / name / "a.vol")
+        (c / name).chmod(mode)
+    yield c
+    for name in ("locked", "unsearchable"):
+        (c / name).chmod(0o755)
+
+
+class TestManifestListing:
+    """load_manifest checks samples with one listing per directory, and
+    returns or refuses exactly what one is_file() check per entry did."""
+
+    @pytest.mark.parametrize("sample", [
+        "s/a.vol", "s/missing.vol", "s/d.vol", "s/link.vol", "s/dlink.vol",
+        "s/dangling.vol", "s/loop.vol", "nosub/a.vol", "locked/a.vol", "unsearchable/a.vol",
+        "s/a.vol/x", "s/a.vol/", "s/a.vol/.", "s/./a.vol", "s//a.vol", "./s/a.vol",
+        "s/../s/a.vol", "s/..", "../out.vol", "../c/s/a.vol", "<tmp>/abs.vol", "", ".", "s",
+        "s/" + "x" * 300, "x" * 300 + "/a.vol", "s/a\0.vol", "s\0/a.vol",
+    ])
+    def test_equals_the_per_entry_check(self, odd_corpus, sample):
+        sample = sample.replace("<tmp>", str(odd_corpus.parent))  # an absolute path
+        dp.save_manifest([make_entry(id="first", path="s/a.vol"),
+                          make_entry(id="odd", path=sample),
+                          make_entry(id="last", path="s/a.vol")], odd_corpus / "m.json")
+        expected = outcome(per_entry_manifest, odd_corpus / "m.json")
+        assert outcome(dp.load_manifest, odd_corpus / "m.json") == expected
+        assert outcome(dp.load_manifest, str(odd_corpus / "m.json")) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(root=st.sampled_from([".", "/", "//", "c", "/tmp/c d"]),
+           rel=st.text(alphabet="a./\0", max_size=10))
+    @example(root="c", rel="samples/a.vol")
+    @example(root=".", rel="samples/a.vol")
+    @example(root="/", rel="a.vol")
+    def test_sample_path_is_spelled_as_pathlib_spells_it(self, root, rel):
+        assert dp.sample_path(Path(root), rel) == str(Path(root) / rel)
+
+    def test_one_listing_and_no_stat_for_present_samples(self, tmp_path, monkeypatch):
+        (tmp_path / "s").mkdir()
+        entries = [make_entry(id=f"e{i}", path=f"s/{i}.vol") for i in range(200)]
+        for e in entries:
+            dp.save_volume(np.zeros((1, 2, 2)), tmp_path / e.path)
+        dp.save_manifest(entries, tmp_path / "m.json")
+        calls = {"scandir": 0, "is_file": 0, "stat": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(os, "scandir", counting("scandir", os.scandir))
+        monkeypatch.setattr(os, "stat", counting("stat", os.stat))
+        monkeypatch.setattr(Path, "is_file", counting("is_file", Path.is_file))
+        assert dp.load_manifest(tmp_path / "m.json") == entries
+        assert calls == {"scandir": 1, "is_file": 0, "stat": 0}
+        (tmp_path / "s" / "7.vol").unlink()
+        with pytest.raises(LoadError, match=r"entry 7 \(id 'e7'\): sample file not found"):
+            dp.load_manifest(tmp_path / "m.json")
+        assert calls["is_file"] == 1  # only the missing name is stat-ed
+
+
 class TestVol1:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -141,6 +244,22 @@ class TestVol1:
         with pytest.raises(InputError, match=message):
             dp.save_volume(voxels, tmp_path / "v.vol")
         assert list(tmp_path.iterdir()) == []
+
+    def test_str_and_path_read_alike(self, tmp_path):
+        vox = np.arange(12.0).reshape(3, 2, 2)
+        dp.save_volume(vox, tmp_path / "ok.vol")
+        (tmp_path / "magic.vol").write_bytes(b"NOPE" + bytes(12))
+        (tmp_path / "short.vol").write_bytes((tmp_path / "ok.vol").read_bytes()[:-1])
+        a = dp.load_volume(tmp_path / "ok.vol")
+        b = dp.load_volume(str(tmp_path / "ok.vol"))
+        assert a.tobytes() == b.tobytes() == vox.tobytes()
+        for name in ("magic.vol", "short.vol", "missing.vol", ""):
+            texts = []
+            for path in (tmp_path / name, str(tmp_path / name)):
+                with pytest.raises(FormatError) as info:
+                    dp.load_volume(path)
+                texts.append(str(info.value))
+            assert texts[0] == texts[1]
 
     def test_largest_float32_round_trips(self, tmp_path):
         vox = np.full((1, 2, 2), F32_MAX) * np.array([1.0, -1.0])

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -433,7 +434,7 @@ class TestAblationPreprocessesOnce:
         monkeypatch.undo()
 
         test3d = [e for e in data.entries3d if e.split == "test"]
-        assert sorted(loads) == sorted(data.root3d / e.path for e in test3d)
+        assert sorted(loads) == sorted(str(data.root3d / e.path) for e in test3d)
         ckpts = [tr.make_initial_checkpoint(cfg)] + [
             tr.load_checkpoint(workdir / name)
             for name in ("stage2_vanilla.ckpt", "stage1.ckpt", "stage2_finetuned.ckpt")]
@@ -463,8 +464,8 @@ class TestAblationPreprocessesOnce:
         monkeypatch.undo()
 
         train2d = [e for e in data.entries2d if e.split != "test"]
-        expected = ([data.root2d / e.path for e in train2d]
-                    + [data.root3d / e.path for e in data.entries3d])
+        expected = ([str(data.root2d / e.path) for e in train2d]
+                    + [str(data.root3d / e.path) for e in data.entries3d])
         assert sorted(loads) == sorted(expected)
 
         train3d, val3d, _ = ek._splits(data.entries3d)
@@ -551,13 +552,25 @@ class TestAblationPreprocessesOnce:
             assert ((tmp_path / "alone.ckpt").read_bytes()
                     == (work / "stage2_finetuned.ckpt").read_bytes())
 
+    def test_sample_paths_are_not_parsed_per_sample(self, ordered3d, monkeypatch):
+        # pathlib interns each component it parses; a parse per sample
+        # interns all 50 sample names on every call
+        root, entries = ordered3d
+        ckpt = tr.make_initial_checkpoint(small_cfg(image_size=8, patch_size=4))
+        interned = []
+        intern = sys.intern
+        monkeypatch.setattr(sys, "intern", lambda s: interned.append(s) or intern(s))
+        ek.extract_embeddings(ckpt, entries, root, "gap")
+        assert len(entries) == 50
+        assert not any(s.endswith(".vol") for s in interned)
+
     def test_cache_is_keyed_by_image_size(self, ordered3d):
         root, entries = ordered3d
         volumes = {}
         for size in (8, 4):
             ckpt = tr.make_initial_checkpoint(small_cfg(image_size=size, patch_size=4))
             ek.extract_embeddings(ckpt, entries[:2], root, "gap", volumes=volumes)
-        assert sorted(volumes) == sorted((root / e.path, size)
+        assert sorted(volumes) == sorted((str(root / e.path), size)
                                          for e in entries[:2] for size in (8, 4))
         assert {v.shape[-1] for (_, size), v in volumes.items() if size == 4} == {4}
 
