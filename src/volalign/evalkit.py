@@ -97,14 +97,14 @@ def extract_embeddings(ckpt: tr.Checkpoint, entries, data_root, pool_mode: str,
     `volumes` caches preprocessed volumes across calls, keyed by (sample
     path, image size); `encoded` caches slice embeddings, keyed by (sample
     path, image size, sha256 of the image group). A sample path is the str
-    of datapipe.sample_path. A miss computes and stores.
+    of datapipe._sample_path. A miss computes and stores.
     """
     if pool_mode not in sp.POOL_MODES:
         raise InputError(f"pool mode must be one of {sp.POOL_MODES}, got {pool_mode!r}")
     root = Path(data_root)
     size = ckpt.config.image_size
     image = _group_sha256(ckpt.image)
-    keys = [(dp.sample_path(root, e.path), size, image) for e in entries]
+    keys = [(dp._sample_path(root, e.path), size, image) for e in entries]
     encoded = {} if encoded is None else encoded
     missing = [k for k in dict.fromkeys(keys) if k not in encoded]
     encoded.update(zip(missing, enc.encode_samples([path for path, _, _ in missing], size,

@@ -438,7 +438,7 @@ def _text_vectors(entries, text_params) -> list[np.ndarray]:
 
 def _stage1_items(entries, data_root, cfg, text_params) -> list[_Item]:
     root = Path(data_root)
-    vols = dp.load_preprocessed([dp.sample_path(root, e.path) for e in entries], cfg.image_size)
+    vols = dp.load_preprocessed([dp._sample_path(root, e.path) for e in entries], cfg.image_size)
     for e, vol in zip(entries, vols):
         if len(vol) != 1:
             raise InputError(f"entry {e.id!r} is 2d but its sample has {len(vol)} slices")
@@ -449,7 +449,7 @@ def _stage1_items(entries, data_root, cfg, text_params) -> list[_Item]:
 def _stage2_items(entries, data_root, cfg, text_params, image_params,
                   volumes=None) -> list[_Item]:
     root = Path(data_root)
-    mats = enc.encode_samples([dp.sample_path(root, e.path) for e in entries], cfg.image_size,
+    mats = enc.encode_samples([dp._sample_path(root, e.path) for e in entries], cfg.image_size,
                               image_params, cfg.s_max, volumes)  # frozen, eval mode
     texts = _text_vectors(entries, text_params)
     return [_Item(inputs=m, text_vec=t) for m, t in zip(mats, texts)]
@@ -609,7 +609,7 @@ def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
     flushed, so set-up holds the [n, d_model] rows and never the preprocessed
     split, and each epoch touches only the adapter parameters. `volumes`
     caches preprocessed volumes across calls, keyed by (sample path, image
-    size), the path a str of datapipe.sample_path; given one, set-up stores
+    size), the path a str of datapipe._sample_path; given one, set-up stores
     every volume in it. A resume continues from the newest epoch checkpoint
     in out_dir, which holds both encoders, so only a fresh run reads
     stage1_ckpt (else None).

@@ -135,13 +135,19 @@ def odd_corpus(tmp_path):
         (c / name).chmod(0o755)
 
 
+SKIP_AS_SUPERUSER = pytest.mark.skipif(hasattr(os, "geteuid") and os.geteuid() == 0,
+                                       reason="directory modes do not bind the superuser")
+
+
 class TestManifestListing:
     """load_manifest checks samples with one listing per directory, and
     returns or refuses exactly what one is_file() check per entry did."""
 
     @pytest.mark.parametrize("sample", [
         "s/a.vol", "s/missing.vol", "s/d.vol", "s/link.vol", "s/dlink.vol",
-        "s/dangling.vol", "s/loop.vol", "nosub/a.vol", "locked/a.vol", "unsearchable/a.vol",
+        "s/dangling.vol", "s/loop.vol", "nosub/a.vol",
+        pytest.param("locked/a.vol", marks=SKIP_AS_SUPERUSER),
+        pytest.param("unsearchable/a.vol", marks=SKIP_AS_SUPERUSER),
         "s/a.vol/x", "s/a.vol/", "s/a.vol/.", "s/./a.vol", "s//a.vol", "./s/a.vol",
         "s/../s/a.vol", "s/..", "../out.vol", "../c/s/a.vol", "<tmp>/abs.vol", "", ".", "s",
         "s/" + "x" * 300, "x" * 300 + "/a.vol", "s/a\0.vol", "s\0/a.vol",
@@ -162,14 +168,17 @@ class TestManifestListing:
     @example(root=".", rel="samples/a.vol")
     @example(root="/", rel="a.vol")
     def test_sample_path_is_spelled_as_pathlib_spells_it(self, root, rel):
-        assert dp.sample_path(Path(root), rel) == str(Path(root) / rel)
+        assert dp._sample_path(Path(root), rel) == str(Path(root) / rel)
 
-    def test_one_listing_and_no_stat_for_present_samples(self, tmp_path, monkeypatch):
-        (tmp_path / "s").mkdir()
-        entries = [make_entry(id=f"e{i}", path=f"s/{i}.vol") for i in range(200)]
+    @staticmethod
+    def flat_corpus(root, n, monkeypatch, access=os.access):
+        """A manifest of n samples in root/s, and counts of the os.scandir,
+        os.stat and Path.is_file calls that follow, with os.access replaced."""
+        (root / "s").mkdir()
+        entries = [make_entry(id=f"e{i}", path=f"s/{i}.vol") for i in range(n)]
         for e in entries:
-            dp.save_volume(np.zeros((1, 2, 2)), tmp_path / e.path)
-        dp.save_manifest(entries, tmp_path / "m.json")
+            dp.save_volume(np.zeros((1, 2, 2)), root / e.path)
+        dp.save_manifest(entries, root / "m.json")
         calls = {"scandir": 0, "is_file": 0, "stat": 0}
 
         def counting(name, fn):
@@ -181,12 +190,43 @@ class TestManifestListing:
         monkeypatch.setattr(os, "scandir", counting("scandir", os.scandir))
         monkeypatch.setattr(os, "stat", counting("stat", os.stat))
         monkeypatch.setattr(Path, "is_file", counting("is_file", Path.is_file))
+        monkeypatch.setattr(os, "access", access)
+        return entries, calls
+
+    def test_one_listing_and_no_stat_for_present_samples(self, tmp_path, monkeypatch):
+        entries, calls = self.flat_corpus(tmp_path, 200, monkeypatch)
         assert dp.load_manifest(tmp_path / "m.json") == entries
         assert calls == {"scandir": 1, "is_file": 0, "stat": 0}
         (tmp_path / "s" / "7.vol").unlink()
         with pytest.raises(LoadError, match=r"entry 7 \(id 'e7'\): sample file not found"):
             dp.load_manifest(tmp_path / "m.json")
         assert calls["is_file"] == 1  # only the missing name is stat-ed
+
+    def test_an_unsearchable_directory_is_not_listed(self, tmp_path, monkeypatch):
+        # a readable directory without search permission lists names that
+        # is_file() cannot stat, so its names take the is_file() check
+        access = os.access
+
+        def unsearchable(directory, mode, **kwargs):
+            return os.path.basename(directory) != "s" and access(directory, mode, **kwargs)
+
+        entries, calls = self.flat_corpus(tmp_path, 5, monkeypatch, unsearchable)
+        assert dp.load_manifest(tmp_path / "m.json") == entries
+        assert calls["scandir"] == 0 and calls["is_file"] == 5
+
+    def test_lists_where_access_takes_no_effective_ids(self, tmp_path, monkeypatch):
+        # as on Windows, where os.access refuses effective_ids=True
+        access = os.access
+
+        def real_ids_only(directory, mode, *, effective_ids=False):
+            if effective_ids:
+                raise NotImplementedError("access: effective_ids unavailable on this platform")
+            return access(directory, mode)
+
+        monkeypatch.setattr(os, "supports_effective_ids", set())
+        entries, calls = self.flat_corpus(tmp_path, 5, monkeypatch, real_ids_only)
+        assert dp.load_manifest(tmp_path / "m.json") == entries
+        assert calls == {"scandir": 1, "is_file": 0, "stat": 0}
 
 
 class TestVol1:
