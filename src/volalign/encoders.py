@@ -13,12 +13,20 @@ datapipe.SLICE_BATCH slices at a time. numpy multiplies a stack one matrix
 at a time, so every slice keeps the bits it gets when encoded alone.
 encode_samples streams sample files through it: each batch that
 datapipe.preprocessed_batches flushes is encoded at once, and only the
-[n, d_model] rows are kept.
+[n, d_model] rows are kept. With two usable CPUs and os.fork, from
+FORK_MIN_SAMPLES distinct samples on, a forked child encodes the first half
+of them while this process encodes the rest (_in_two, the one place that
+forks; the ablation's probes use it too). Neither side's bits depend on the
+other, so the rows are those of the serial path.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import traceback
 
 import numpy as np
 
@@ -26,7 +34,12 @@ from . import datapipe as dp
 from . import diffmath as dm
 from .config import TrainConfig
 from .diffmath import ParamGroup, Tape
-from .errors import InputError
+from .errors import InputError, LoadError, VolalignError
+
+# distinct samples from which encode_samples splits its work across two
+# processes; below it the fork costs more than it saves (README "Frozen
+# encoding" has the measurement)
+FORK_MIN_SAMPLES = 8 * dp.SLICE_BATCH
 
 
 def text_shapes(cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
@@ -122,12 +135,87 @@ def encode_samples(paths, size: int, params: ParamGroup, s_max: int,
     input order. Each datapipe.preprocessed_batches batch is encoded as soon
     as it is flushed, and only its [n, d_model] rows are kept. `volumes`
     caches preprocessed volumes across calls, keyed by (path, size): a hit
-    is encoded from it, a miss is stored in it."""
-    hits = [p for p in dict.fromkeys(paths) if volumes is not None and (p, size) in volumes]
-    out = dict(zip(hits, encode_frozen([volumes[p, size] for p in hits], params, s_max)))
-    for done, pieces in dp.preprocessed_batches([p for p in paths if p not in out], size):
+    is encoded from it, a miss is stored in it.
+
+    From FORK_MIN_SAMPLES distinct paths on, _in_two may split them: a
+    forked child encodes the first half and sends back its rows and the
+    volumes it stored in its copy of the memo, which join this process's
+    memo. Every row and volume has the bits the serial path gives it, and
+    the hits held here keep their identity.
+    """
+    def encode(part):
+        hits = [p for p in part if volumes is not None and (p, size) in volumes]
+        rows = dict(zip(hits, encode_frozen([volumes[p, size] for p in hits], params, s_max)))
+        misses = [p for p in part if p not in rows]
+        for done, pieces in dp.preprocessed_batches(misses, size):
+            if volumes is not None:
+                volumes.update(((p, size), v) for p, v in zip(done, pieces))
+            rows.update(zip(done, encode_frozen(pieces, params, s_max)))
+            del pieces  # before the next batch is preprocessed
+        return rows, {} if volumes is None else {(p, size): volumes[p, size] for p in misses}
+
+    distinct = list(dict.fromkeys(paths))
+    parts = (_in_two(encode, distinct, "encoding", LoadError)
+             if len(distinct) >= FORK_MIN_SAMPLES else [encode(distinct)])
+    out = {}
+    for rows, stored in parts:
+        out.update(rows)
         if volumes is not None:
-            volumes.update(((p, size), v) for p, v in zip(done, pieces))
-        out.update(zip(done, encode_frozen(pieces, params, s_max)))
-        del pieces  # before the next batch is preprocessed
+            volumes.update(stored)
     return [out[p] for p in paths]
+
+
+def _in_two(work, items: list, what: str, error: type[VolalignError]) -> list:
+    """The results of work on items, one per part: [work(items)] with one
+    usable CPU (os.sched_getaffinity) or without os.fork, else
+    [work(first half), work(rest)], the first half worked by a forked child
+    while this process works the rest. A typed error is raised as one
+    work(items) would raise it: the first half's before the rest's.
+
+    The child sends its result or its typed error back pickled through a
+    pipe and always leaves through os._exit; this process reaps it on every
+    path, and kills it first when its own half fails untyped. A child that
+    ends without a result is `error`, naming its exit status.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if not hasattr(os, "fork") or cpus < 2:
+        return [work(items)]
+
+    def attempt(part):
+        try:
+            return work(part)
+        except VolalignError as exc:
+            return exc
+
+    half = len(items) // 2
+    r, w = os.pipe()
+    with open(r, "rb") as reader, open(w, "wb") as writer:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                pickle.dump(attempt(items[:half]), writer, pickle.HIGHEST_PROTOCOL)
+                writer.close()
+                status = 0
+            except BaseException:
+                traceback.print_exc()
+            finally:
+                os._exit(status)
+        writer.close()
+        sent = None
+        try:
+            mine = attempt(items[half:])
+            sent = reader.read()
+        finally:
+            if sent is None:  # this process failed untyped: stop the child
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise error(f"the {what} child sent no result and ended with exit status {status} "
+                    "(a negative status is its signal)")
+    parts = [pickle.loads(sent), mine]
+    for part in parts:
+        if isinstance(part, VolalignError):
+            raise part
+    return parts

@@ -4,13 +4,14 @@ four-configuration ablation runner.
 
 Extraction streams its volumes from file to slice embeddings
 (encoders.encode_samples): each 64-slice preprocessing batch is encoded as
-soon as it is ready, so only one batch of preprocessed slices is alive. It
-then pools the embeddings in batches of many volumes (encoders.slice_batches),
-each batch one [B, n, d_model] array; every row keeps the bits it gets
-alone. The ablation runner shares one memo of preprocessed volumes between
-its two stage-2 trainings and its rows, so each 3D sample is loaded once,
-and one memo of slice embeddings across its rows, so each test volume is
-encoded once per distinct image group.
+soon as it is ready, so only one batch of preprocessed slices is alive, and
+from encoders.FORK_MIN_SAMPLES distinct samples on a forked child encodes
+the first half of them. It then pools the embeddings in batches of many
+volumes (encoders.slice_batches), each batch one [B, n, d_model] array;
+every row keeps the bits it gets alone. The ablation runner shares one memo
+of preprocessed volumes between its two stage-2 trainings and its rows, so
+each 3D sample is loaded once, and one memo of slice embeddings across its
+rows, so each test volume is encoded once per distinct image group.
 
 The probe recipe is fixed (full-batch gradient descent, 500 iterations, step
 0.1, no regularization) so reports are reproducible; F1 is macro-averaged.
@@ -20,21 +21,18 @@ bit for bit those it would get trained alone.
 
 The ablation extracts its four tables in order, then probes them on two
 cores: one forked child probes rows 1-2 while this process probes rows 3-4
-(_probe_tables), and matching follows. Threads were slower: the probe loop
-makes many small numpy calls, and each needs the GIL. The fork costs later
-work in the same process a page fault at the first write to each page that
-the fork shared (copy-on-write). With one usable CPU, or without os.fork,
-the probes run one after another in this process. Python 3.12 and later
+(_probe_tables, through encoders._in_two, which extraction's split uses
+too), and matching follows. Threads were slower: the probe loop makes many
+small numpy calls, and each needs the GIL. The fork costs later work in
+the same process a page fault at the first write to each page that the fork
+shared (copy-on-write). With one usable CPU, or without os.fork,
+extraction and the probes run in this process alone. Python 3.12 and later
 warn at a fork in a process that runs other threads, such as OpenBLAS's.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
-import signal
-import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,7 +46,7 @@ from . import trainer as tr
 from .config import TrainConfig
 from .diffmath import ParamGroup, make_rng
 from .errors import (AmbiguityError, CompatibilityError, DependencyError, EvaluationError,
-                     InputError, LoadError, StratificationError, VolalignError)
+                     InputError, LoadError, StratificationError)
 
 PROBE_ITERATIONS = 500
 PROBE_STEP = 0.1
@@ -510,52 +508,8 @@ def run_ablation(data: AblationData, cfg: TrainConfig, workdir,
 
 def _probe_tables(tables: list[EmbeddingTable], seed: int) -> list[ProbeReport]:
     """linear_probe_cv(table, k=5, seed=seed) of each table, raising the first
-    table's typed error as a loop over them would.
-
-    With os.fork and two usable CPUs, one forked child probes the first half
-    of the tables while this process probes the rest. The child sends its
-    reports or its typed error back pickled through a pipe and always leaves
-    through os._exit; this process reaps it on every path.
-    """
-    def probe(part):
-        try:
-            return [linear_probe_cv(t, k=5, seed=seed) for t in part]
-        except VolalignError as exc:
-            return exc
-
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if not hasattr(os, "fork") or cpus < 2:
-        parts = [probe(tables)]
-    else:
-        half = len(tables) // 2
-        r, w = os.pipe()
-        with open(r, "rb") as reader, open(w, "wb") as writer:
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    pickle.dump(probe(tables[:half]), writer)
-                    writer.close()
-                    status = 0
-                except BaseException:
-                    traceback.print_exc()
-                finally:
-                    os._exit(status)
-            writer.close()
-            sent = None
-            try:
-                mine = probe(tables[half:])
-                sent = reader.read()
-            finally:
-                if sent is None:  # this process failed untyped: stop the child
-                    os.kill(pid, signal.SIGKILL)
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if status != 0:
-            raise EvaluationError(f"the probe child sent no result and ended with exit "
-                                  f"status {status} (a negative status is its signal)")
-        parts = [pickle.loads(sent), mine]
-    for part in parts:
-        if isinstance(part, VolalignError):
-            raise part
+    table's typed error as a loop over them would. With two usable CPUs, one
+    forked child probes the first half of the tables (encoders._in_two)."""
+    parts = enc._in_two(lambda part: [linear_probe_cv(t, k=5, seed=seed) for t in part],
+                        tables, "probe", EvaluationError)
     return [report for part in parts for report in part]

@@ -607,7 +607,9 @@ def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
     Slice stacks are embedded once up front by encoders.encode_samples (the
     encoder is frozen), which encodes each preprocessing batch as it is
     flushed, so set-up holds the [n, d_model] rows and never the preprocessed
-    split, and each epoch touches only the adapter parameters. `volumes`
+    split, and each epoch touches only the adapter parameters. Train and
+    val go through one encode_samples call, so at most one child is forked
+    to encode half of them. `volumes`
     caches preprocessed volumes across calls, keyed by (sample path, image
     size), the path a str of datapipe._sample_path; given one, set-up stores
     every volume in it. A resume continues from the newest epoch checkpoint
@@ -628,6 +630,6 @@ def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
             raise CompatibilityError(f"checkpoint geometry differs from config: {mismatches}")
         ckpt = snapshot_checkpoint(replace(stage1_ckpt, stage=2, config=cfg, optimizer=None,
                                            history=[]))
-    items = _stage2_items(train_entries, data_root, cfg, ckpt.text, ckpt.image, volumes)
-    val_items = _stage2_items(val_entries, data_root, cfg, ckpt.text, ckpt.image, volumes)
-    return _run_stage(ckpt, items, val_items, out_dir)
+    items = _stage2_items([*train_entries, *val_entries], data_root, cfg, ckpt.text, ckpt.image,
+                          volumes)
+    return _run_stage(ckpt, items[:len(train_entries)], items[len(train_entries):], out_dir)

@@ -350,7 +350,7 @@ class TestEvalCommands:
                 "run train2d first and pass it as --from") in capsys.readouterr().err
 
     def test_ablate_exits_with_the_code_of_an_error_in_the_probe_child(
-            self, trained, tmp_path, capsys, monkeypatch):
+            self, trained, tmp_path, capsys, monkeypatch, fork_log, two_cpus):
         probe, me = ek.linear_probe_cv, os.getpid()
 
         def failing_in_the_child(table, **kwargs):
@@ -358,14 +358,12 @@ class TestEvalCommands:
                 raise errors.DimensionError("raised in the probe child")
             return probe(table, **kwargs)
 
-        forks = []
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
         monkeypatch.setattr(ek, "linear_probe_cv", failing_in_the_child)
         code = run(["ablate", "--config", trained / "cfg.json", "--data", trained / "data",
                     "--out", tmp_path / "abl"])
         assert code == errors.DimensionError.exit_code == 8
         assert "error:dimension: raised in the probe child" in capsys.readouterr().err
+        forks = fork_log.values()  # the corpus is below FORK_MIN_SAMPLES: the probe child
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(forks[0], os.WNOHANG)

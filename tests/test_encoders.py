@@ -1,4 +1,8 @@
+import dataclasses
+import os
+import shutil
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volalign import cli
 from volalign import datapipe as dp
 from volalign import diffmath as dm
 from volalign import encoders as enc
@@ -13,7 +18,7 @@ from volalign import evalkit as ek
 from volalign import trainer as tr
 from volalign.config import TrainConfig
 from volalign.diffmath import Param
-from volalign.errors import InputError
+from volalign.errors import FormatError, InputError, LoadError
 
 SMALL = TrainConfig(d_model=6, d_hidden=8, d_text=8, vocab=64, patch_size=4,
                     image_size=8, heads=2, s_max=8)
@@ -185,48 +190,56 @@ class TestEncodeSamples:
             for p, vol in zip(paths, dp.load_preprocessed(paths, size)):
                 assert volumes[p, size].tobytes() == vol.tobytes()
 
-    def test_memo_is_keyed_by_path_and_size(self, tmp_path, monkeypatch):
+    def test_memo_is_keyed_by_path_and_size(self, tmp_path, monkeypatch, call_log, forked):
         params = tr.init_group(SMALL, "image", seed=4)
         paths = write_samples(tmp_path, [np.arange(12.0).reshape(1, 3, 4)] * 2)
         volumes: dict = {}
         first = enc.encode_samples(paths[:1], 8, params, 8, volumes)
         held = volumes[paths[0], 8]
-        loads = []
         load = dp.load_volume
-        monkeypatch.setattr(dp, "load_volume", lambda p: loads.append(p) or load(p))
+        monkeypatch.setattr(dp, "load_volume", lambda p: call_log.append(str(p)) or load(p))
         again = enc.encode_samples(paths + paths[:1], 8, params, 8, volumes)
-        assert loads == [paths[1]]
+        assert call_log.values() == [str(paths[1])]
         assert volumes[paths[0], 8] is held
         assert again[0].tobytes() == first[0].tobytes() == again[2].tobytes()
         assert sorted(volumes) == sorted((p, 8) for p in paths)
         enc.encode_samples(paths[:1], 4, params, 8, volumes)  # another size misses
-        assert loads == [paths[1], paths[0]]
+        assert call_log.values() == [str(paths[1]), str(paths[0])]
         assert sorted(volumes) == sorted([(p, 8) for p in paths] + [(paths[0], 4)])
 
     @staticmethod
-    def count_slices_in_flight(monkeypatch) -> list[int]:
-        """Slices loaded since the previous encode_image2d call, per call."""
-        loaded = [0]
-        in_flight = []
+    def count_slices_in_flight(monkeypatch, call_log):
+        """A function that gives the slices loaded since the previous
+        encode_image2d call in the same process, per call so far."""
         load, encode = dp.load_volume, enc.encode_image2d
 
         def counting_load(path):
             vol = load(path)
-            loaded[0] += len(vol)
+            call_log.append(["load", os.getpid(), len(vol)])
             return vol
 
         def counting_encode(image, *args, **kwargs):
-            in_flight.append(loaded[0])
-            loaded[0] = 0
+            call_log.append(["encode", os.getpid(), 0])
             return encode(image, *args, **kwargs)
 
         monkeypatch.setattr(dp, "load_volume", counting_load)
         monkeypatch.setattr(enc, "encode_image2d", counting_encode)
+
+        def in_flight() -> list[int]:
+            loaded: dict[int, int] = {}
+            out = []
+            for event, pid, n in call_log.values():
+                if event == "load":
+                    loaded[pid] = loaded.get(pid, 0) + n
+                else:
+                    out.append(loaded.pop(pid, 0))
+            return out
+
         return in_flight
 
     @pytest.mark.parametrize("caller", ["stage2_items", "extract_embeddings"])
     def test_one_batch_of_samples_is_loaded_before_each_encode(self, tmp_path, monkeypatch,
-                                                               caller):
+                                                               call_log, forked, caller):
         rng = np.random.default_rng(11)
         counts = [1 + i % 8 for i in range(60)]  # 270 slices, about four batches
         paths = write_samples(tmp_path, [rng.normal(size=(n, 12, 10)) for n in counts])
@@ -234,13 +247,173 @@ class TestEncodeSamples:
                                     modality="CT", condition=None, label=0, split="train")
                    for p in paths]
         ckpt = tr.make_initial_checkpoint(SMALL)
-        in_flight = self.count_slices_in_flight(monkeypatch)
+        slices_in_flight = self.count_slices_in_flight(monkeypatch, call_log)
         if caller == "stage2_items":
             tr._stage2_items(entries, tmp_path, SMALL, ckpt.text, ckpt.image)
         else:
             ek.extract_embeddings(ckpt, entries, tmp_path, "gap")
         monkeypatch.undo()
+        in_flight = slices_in_flight()
+        if forked:  # both processes loaded and encoded
+            assert len({pid for _, pid, _ in call_log.values()}) == 2
         assert sum(in_flight) == sum(counts)
         # a batch closes at the sample that brings it to SLICE_BATCH slices
         assert max(in_flight) < dp.SLICE_BATCH + max(counts)
         assert len(in_flight) >= sum(counts) // dp.SLICE_BATCH
+
+
+class TestEncodeSamplesOnOneCpu(TestEncodeSamples):
+    """TestEncodeSamples with one usable CPU, where encode_samples never forks."""
+
+    # takes no CPU fixture, and hypothesis refuses a test run from two classes
+    test_equals_encode_frozen_of_load_preprocessed = None
+
+    @pytest.fixture
+    def forked(self, one_cpu):
+        return one_cpu
+
+
+@pytest.fixture(scope="module")
+def corpus526(tmp_path_factory):
+    """2-slice volumes: 526 in train and val, past FORK_MIN_SAMPLES."""
+    root = tmp_path_factory.mktemp("corpus526")
+    spec = dp.SynthSpec(family="pattern", kind="3d", classes=2, per_class=330, slices=2,
+                        height=8, width=8)
+    entries = dp.synth_dataset(spec, seed=7, out_dir=root)
+    assert sum(e.split != "test" for e in entries) >= enc.FORK_MIN_SAMPLES
+    return root, entries
+
+
+class TestTwoProcesses:
+    """From FORK_MIN_SAMPLES distinct samples on, with two usable CPUs,
+    encode_samples has a forked child encode the first half."""
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @staticmethod
+    def recorded_forks(monkeypatch) -> list[int]:
+        pids = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        return pids
+
+    def test_same_bits_as_one_cpu(self, corpus526, tmp_path, monkeypatch):
+        root, entries = corpus526
+        cfg = dataclasses.replace(SMALL, epochs=2, batch_size=32)
+        stage1 = tr.make_initial_checkpoint(cfg)
+        train = [e for e in entries if e.split == "train"]
+        val = [e for e in entries if e.split == "val"]
+        seeded = [dp._sample_path(root, e.path) for e in entries[::50]]
+        results = {}
+        for n in (2, 1):
+            self.cpus(monkeypatch, n)
+            forks = self.recorded_forks(monkeypatch)
+            out = tmp_path / f"cpus{n}"
+            tr.train_stage2(cfg, train, val, root, stage1, out_dir=out)
+            volumes = dict(zip([(p, cfg.image_size) for p in seeded],
+                               dp.load_preprocessed(seeded, cfg.image_size)))
+            hits = dict(volumes)
+            table = ek.extract_embeddings(stage1, entries, root, "gap", volumes=volumes)
+            assert all(volumes[k] is v for k, v in hits.items())
+            assert len(forks) == (2 if n == 2 else 0)  # one per set-up, one per extraction
+            results[n] = ({p.name: p.read_bytes() for p in sorted(out.glob("*.ckpt"))},
+                          table.matrix().tobytes(),
+                          {k: v.tobytes() for k, v in volumes.items()})
+            monkeypatch.undo()
+        assert len(results[2][0]) == 3  # two epochs and the best
+        assert results[2] == results[1]
+
+    def test_the_cut_off_counts_distinct_samples(self, corpus526, monkeypatch):
+        root, entries = corpus526
+        paths = [dp._sample_path(root, e.path) for e in entries][:enc.FORK_MIN_SAMPLES]
+        params = tr.init_group(SMALL, "image", seed=4)
+        self.cpus(monkeypatch, 2)
+        forks = self.recorded_forks(monkeypatch)
+        enc.encode_samples(paths[:-1] + paths[:1], 8, params, 8)
+        assert forks == []
+        enc.encode_samples(paths, 8, params, 8)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("at", [[0], [-1], [0, -1]],
+                             ids=["first-half", "second-half", "both-halves"])
+    def test_corrupt_sample_is_the_serial_format_error(self, corpus526, tmp_path, monkeypatch,
+                                                       at):
+        root, entries = corpus526
+        paths = [dp._sample_path(root, e.path) for e in entries]
+        for i in at:
+            bad = tmp_path / f"bad{i}.vol"
+            bad.write_bytes(b"VOL1" + bytes(5))
+            paths[i] = str(bad)
+        params = tr.init_group(SMALL, "image", seed=4)
+        raised = {}
+        for n in (2, 1):
+            self.cpus(monkeypatch, n)
+            with pytest.raises(FormatError) as exc:
+                enc.encode_samples(paths, 8, params, 8)
+            raised[n] = (type(exc.value), str(exc.value), exc.value.exit_code)
+        first = tmp_path / f"bad{at[0]}.vol"
+        assert raised[2] == raised[1] == (FormatError, f"{first}: truncated header", 5)
+
+    @pytest.mark.parametrize("at", [3, -1], ids=["first-half", "second-half"])
+    def test_corrupt_sample_exits_as_on_one_cpu(self, corpus526, tmp_path, monkeypatch, capsys,
+                                                at):
+        root, entries = corpus526
+        data = tmp_path / "data"
+        shutil.copytree(root, data)
+        (data / entries[at].path).write_bytes(b"VOL1" + bytes(5))
+        ckpt = tmp_path / "init.ckpt"
+        tr.save_checkpoint(tr.make_initial_checkpoint(SMALL), ckpt)
+        runs = {}
+        for n in (2, 1):
+            self.cpus(monkeypatch, n)
+            code = cli.main(["export", "--ckpt", str(ckpt), "--data", str(data), "--pool", "gap",
+                             "--out", str(tmp_path / f"out{n}")])
+            runs[n] = (code, capsys.readouterr().err)
+        assert runs[2] == runs[1]
+        assert runs[2][0] == FormatError.exit_code
+        assert f"error:format: {data / entries[at].path}: truncated header" in runs[2][1]
+
+    def test_child_without_a_result_is_a_load_error(self, corpus526, monkeypatch):
+        root, entries = corpus526
+        paths = [dp._sample_path(root, e.path) for e in entries]
+        load, me = dp.load_volume, os.getpid()
+        monkeypatch.setattr(dp, "load_volume",
+                            lambda p: os._exit(3) if os.getpid() != me else load(p))
+        self.cpus(monkeypatch, 2)
+        forks = self.recorded_forks(monkeypatch)
+        with pytest.raises(LoadError, match="the encoding child sent no result and ended "
+                                            "with exit status 3"):
+            enc.encode_samples(paths, 8, tr.init_group(SMALL, "image", seed=4), 8)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+    def test_untyped_failure_here_kills_and_reaps_the_child(self, corpus526, monkeypatch):
+        root, entries = corpus526
+        paths = [dp._sample_path(root, e.path) for e in entries]
+        me = os.getpid()
+
+        def load(path):
+            if os.getpid() != me:
+                time.sleep(60)  # only a kill ends the child in time
+            raise RuntimeError("untyped, in this process")
+
+        monkeypatch.setattr(dp, "load_volume", load)
+        self.cpus(monkeypatch, 2)
+        forks = self.recorded_forks(monkeypatch)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="untyped, in this process"):
+            enc.encode_samples(paths, 8, tr.init_group(SMALL, "image", seed=4), 8)
+        assert time.monotonic() - start < 30
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)

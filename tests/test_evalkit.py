@@ -409,19 +409,20 @@ GOLDEN_ABLATION_CSV = "e80c1e9273665963c9beb5d3eb4edfe3a98b0c26acce7b0b4618fb30b
 
 
 class TestAblationPreprocessesOnce:
-    def test_golden_report(self, trained):
+    def test_golden_report(self, trained, forked):
         data, workdir = trained
         csv = ek.run_ablation(data, small_cfg(epochs=2), workdir=workdir).to_csv()
         assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_ABLATION_CSV
 
-    def test_same_report_as_uncached_rows_and_one_load_per_volume(self, trained, monkeypatch):
+    def test_same_report_as_uncached_rows_and_one_load_per_volume(self, trained, monkeypatch,
+                                                                  call_log, forked):
         data, workdir = trained
         cfg = small_cfg(epochs=2)
-        loads, tables = [], []
+        tables = []
         load, extract = dp.load_volume, ek.extract_embeddings
 
         def counting_load(path):
-            loads.append(path)
+            call_log.append(path)
             return load(path)
 
         def keeping_extract(*args, **kwargs):
@@ -434,7 +435,7 @@ class TestAblationPreprocessesOnce:
         monkeypatch.undo()
 
         test3d = [e for e in data.entries3d if e.split == "test"]
-        assert sorted(loads) == sorted(str(data.root3d / e.path) for e in test3d)
+        assert sorted(call_log.values()) == sorted(str(data.root3d / e.path) for e in test3d)
         ckpts = [tr.make_initial_checkpoint(cfg)] + [
             tr.load_checkpoint(workdir / name)
             for name in ("stage2_vanilla.ckpt", "stage1.ckpt", "stage2_finetuned.ckpt")]
@@ -449,14 +450,14 @@ class TestAblationPreprocessesOnce:
                                        match.precision))
         assert report == ek.AblationReport(rows)
 
-    def test_uncached_ablation_loads_each_sample_once(self, trained, tmp_path, monkeypatch):
+    def test_uncached_ablation_loads_each_sample_once(self, trained, tmp_path, monkeypatch,
+                                                      call_log, forked):
         data, _ = trained
         cfg = small_cfg(epochs=2)
-        loads = []
         load = dp.load_volume
 
         def counting_load(path):
-            loads.append(path)
+            call_log.append(path)
             return load(path)
 
         monkeypatch.setattr(dp, "load_volume", counting_load)
@@ -466,7 +467,7 @@ class TestAblationPreprocessesOnce:
         train2d = [e for e in data.entries2d if e.split != "test"]
         expected = ([str(data.root2d / e.path) for e in train2d]
                     + [str(data.root3d / e.path) for e in data.entries3d])
-        assert sorted(loads) == sorted(expected)
+        assert sorted(call_log.values()) == sorted(expected)
 
         train3d, val3d, _ = ek._splits(data.entries3d)
         stage1 = tr.load_checkpoint(tmp_path / "stage1.ckpt")
@@ -477,42 +478,45 @@ class TestAblationPreprocessesOnce:
             assert (tmp_path / "alone.ckpt").read_bytes() == (tmp_path / name).read_bytes()
 
     @staticmethod
-    def count_encoded_slices(monkeypatch) -> list[int]:
-        counts = []
+    def count_encoded_slices(monkeypatch, call_log) -> None:
+        """Log the slice count of each encode_image2d call, in any process."""
         encode = enc.encode_image2d
 
         def counting_encode(image, *args, **kwargs):
-            counts.append(math.prod(np.shape(image)[:-2]))
+            call_log.append(math.prod(np.shape(image)[:-2]))
             return encode(image, *args, **kwargs)
 
         monkeypatch.setattr(enc, "encode_image2d", counting_encode)
-        return counts
 
-    def test_each_test_volume_encoded_once_per_distinct_encoder(self, trained, monkeypatch):
+    def test_each_test_volume_encoded_once_per_distinct_encoder(self, trained, monkeypatch,
+                                                                call_log, forked):
         data, workdir = trained
         cfg = small_cfg(epochs=2)
         groups = [ek._group_sha256(tr.load_checkpoint(workdir / name).image)
                   for name in ("stage2_vanilla.ckpt", "stage1.ckpt", "stage2_finetuned.ckpt")]
         assert groups[0] == ek._group_sha256(tr.make_initial_checkpoint(cfg).image)
         assert groups[1] == groups[2] != groups[0]
-        counts = self.count_encoded_slices(monkeypatch)
+        self.count_encoded_slices(monkeypatch, call_log)
         ek.run_ablation(data, cfg, workdir=workdir)
+        counts = call_log.values()
         test3d = [e for e in data.entries3d if e.split == "test"]
         slices = sum(len(dp.load_volume(data.root3d / e.path)) for e in test3d)
         assert sum(counts) == 2 * slices
         assert max(counts) <= dp.SLICE_BATCH
 
-    def test_changed_image_group_gets_its_own_encoding(self, trained, monkeypatch):
+    def test_changed_image_group_gets_its_own_encoding(self, trained, monkeypatch, call_log,
+                                                       forked):
         data, workdir = trained
         vanilla = tr.load_checkpoint(workdir / "stage2_vanilla.ckpt")
         changed = tr.load_checkpoint(workdir / "stage2_vanilla.ckpt")
         changed.image["out_proj"].value[0, 0] += 1e-9
         test3d = [e for e in data.entries3d if e.split == "test"]
-        counts = self.count_encoded_slices(monkeypatch)
+        self.count_encoded_slices(monkeypatch, call_log)
         encoded: dict = {}  # the memo that run_ablation shares across its rows
         tables = [ek.extract_embeddings(ckpt, test3d, data.root3d, "attention", encoded=encoded)
                   for ckpt in (vanilla, changed, vanilla)]
         monkeypatch.undo()
+        counts = call_log.values()
 
         slices = sum(len(dp.load_volume(data.root3d / e.path)) for e in test3d)
         assert sum(counts) == 2 * slices
@@ -587,25 +591,25 @@ class TestAblationPreprocessesOnce:
             ek.run_ablation(data, cfg, workdir=tmp_path)
 
 
+class TestAblationPreprocessesOnceOnOneCpu(TestAblationPreprocessesOnce):
+    """TestAblationPreprocessesOnce with one usable CPU, where nothing forks."""
+
+    @pytest.fixture
+    def forked(self, one_cpu):
+        return one_cpu
+
+
 class TestProbeChild:
     """run_ablation probes rows 1-2 in one forked child and rows 3-4 itself."""
 
     @pytest.fixture
-    def forks(self, monkeypatch):
-        """The pids that os.fork returns to this process; after the test none
-        of them is a child of it any more."""
-        pids = []
-        fork = os.fork
-
-        def recording_fork():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", recording_fork)
-        yield pids
-        for pid in pids:
+    def forks(self, fork_log, two_cpus):
+        """fork_log, with two usable CPUs on any host; after the test none
+        of its pids is a child of this process. The trained corpus is below
+        encoders.FORK_MIN_SAMPLES, so the probe child is the only fork of an
+        ablation on it."""
+        yield fork_log
+        for pid in fork_log.values():
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
 
@@ -634,21 +638,21 @@ class TestProbeChild:
         serial = [ek.linear_probe_cv(t, k=5, seed=2).to_csv() for t in tables]
         assert len(set(serial)) == 4
         assert [r.to_csv() for r in ek._probe_tables(tables, 2)] == serial
-        assert len(forks) == 1
+        assert len(forks.values()) == 1
 
     def test_typed_error_in_the_child(self, trained, forks, monkeypatch):
         data, workdir = trained
         self.patch_probe(monkeypatch, child=self.raiser(DimensionError("child side")))
         with pytest.raises(DimensionError, match="child side"):
             ek.run_ablation(data, small_cfg(epochs=2), workdir=workdir)
-        assert len(forks) == 1
+        assert len(forks.values()) == 1
 
     def test_child_without_a_result(self, trained, forks, monkeypatch):
         data, workdir = trained
         self.patch_probe(monkeypatch, child=lambda: os._exit(3))
         with pytest.raises(EvaluationError, match="sent no result.*status 3"):
             ek.run_ablation(data, small_cfg(epochs=2), workdir=workdir)
-        assert len(forks) == 1
+        assert len(forks.values()) == 1
 
     @pytest.mark.parametrize("exc", [DimensionError("parent side"), RuntimeError("parent side")],
                              ids=["typed", "untyped"])
@@ -657,7 +661,7 @@ class TestProbeChild:
         self.patch_probe(monkeypatch, parent=self.raiser(exc))
         with pytest.raises(type(exc), match="parent side"):
             ek.run_ablation(data, small_cfg(epochs=2), workdir=workdir)
-        assert len(forks) == 1
+        assert len(forks.values()) == 1
 
     def test_both_sides_fail_with_the_lowest_rows_error(self, trained, forks, monkeypatch):
         data, workdir = trained
@@ -674,5 +678,5 @@ class TestProbeChild:
         else:
             monkeypatch.delattr(os, "fork")
         csv = ek.run_ablation(data, small_cfg(epochs=2), workdir=workdir).to_csv()
-        assert forks == []
+        assert forks.values() == []
         assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_ABLATION_CSV

@@ -4,9 +4,12 @@ One workspace runs both trainings (each also resumed from epoch 1, in a
 directory that holds a copy of that epoch's checkpoint), both exports, the
 probe, the match and an uncached ablation through cli.main, and the test
 compares the sha256 of every file they write with PINS. Only
-run_config.json is left out, because it records paths. A change that moves
-these bits by accident fails here; one that moves them on purpose updates
-PINS and names each changed file in CHANGES.md.
+run_config.json is left out, because it records paths. The pipeline runs
+twice: once with two usable CPUs and encoders.FORK_MIN_SAMPLES lowered to 1,
+so every frozen encoding splits its samples with a forked child, and once
+with one usable CPU, where nothing forks. Both must give the same PINS. A
+change that moves these bits by accident fails here; one that moves them on
+purpose updates PINS and names each changed file in CHANGES.md.
 
 The pins hold for numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64, and only
 with OpenBLAS's SkylakeX kernel and numpy's AVX-512 dispatch. Another kernel
@@ -21,6 +24,7 @@ import contextlib
 import csv
 import hashlib
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -28,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+from volalign import encoders as enc
 from volalign.cli import main
 
 CONFIG = dict(d_model=16, d_hidden=16, d_text=16, vocab=64, patch_size=4, image_size=8,
@@ -240,15 +245,34 @@ PINS = {
 }
 
 
+def built_with_cpus(ws: Path, cpus: int) -> Path:
+    """build_workspace(ws) with `cpus` usable CPUs; with two, every
+    encode_samples call is split, whatever its size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        mp.setattr(enc, "FORK_MIN_SAMPLES", 1)
+        build_workspace(ws)
+    return ws
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    ws = tmp_path_factory.mktemp("same_bits")
-    build_workspace(ws)
-    return ws
+    return built_with_cpus(tmp_path_factory.mktemp("same_bits"), 2)
+
+
+@pytest.fixture(scope="module")
+def one_cpu_workspace(tmp_path_factory):
+    return built_with_cpus(tmp_path_factory.mktemp("same_bits_one_cpu"), 1)
 
 
 def test_every_output_has_its_pinned_digest(workspace):
     got = digests(workspace / "out")
+    assert sorted(got) == sorted(PINS)
+    assert {k: v for k, v in got.items() if PINS[k] != v} == {}
+
+
+def test_one_cpu_gives_the_pinned_digests(one_cpu_workspace):
+    got = digests(one_cpu_workspace / "out")
     assert sorted(got) == sorted(PINS)
     assert {k: v for k, v in got.items() if PINS[k] != v} == {}
 
