@@ -30,7 +30,7 @@ RESUME_HELP = "continue --out from its newest epoch checkpoint (a fresh run dele
 
 def _write_run_config(out_dir: Path, command: str, cfg: TrainConfig | None,
                       extra: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    dp._make_dirs(out_dir)
     payload = {"tool": "volalign", "version": __version__, "command": command,
                "config": cfg.to_dict() if cfg is not None else None}
     payload.update(extra)

@@ -11,7 +11,7 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigurationError
+from .errors import CompatibilityError, ConfigurationError
 
 # what a field of each annotated type accepts; bool is an int subclass, but
 # no number field takes one, and the bound on a real number refuses nan,
@@ -96,6 +96,12 @@ class TrainConfig:
         """{name: (mine, other's)} for each field among names whose values differ."""
         return {k: (getattr(self, k), getattr(other, k))
                 for k in names if getattr(self, k) != getattr(other, k)}
+
+    def check_geometry(self, cfg: "TrainConfig") -> None:
+        """CompatibilityError unless this checkpoint config's GEOMETRY equals cfg's."""
+        mismatches = self.differences(cfg, self.GEOMETRY)
+        if mismatches:
+            raise CompatibilityError(f"checkpoint geometry differs from config: {mismatches}")
 
     @classmethod
     def from_dict(cls, data: dict, overrides: dict | None = None) -> "TrainConfig":

@@ -25,6 +25,7 @@ collects them, and encoders.encode_samples encodes each one at once.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffmath import fnv1a64, make_rng
-from .errors import ConfigurationError, FormatError, InputError, LoadError
+from .errors import ConfigurationError, FormatError, InputError, LoadError, WriteError
 
 ZSCORE_EPS = 1e-8  # the least std zscore divides by
 # Slices per preprocess_volume call of preprocessed_batches and per
@@ -170,7 +171,7 @@ def _sample_path(root: Path, rel: str) -> str:
 def _write_atomic(path, chunks) -> None:
     """Write byte chunks to a temporary file in path's directory, then
     os.replace it over path: a failed write leaves an earlier file at path as
-    it was and no partial file behind."""
+    it was and no partial file behind. An OSError is a WriteError naming path."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -178,9 +179,20 @@ def _write_atomic(path, chunks) -> None:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):  # such as ENOTDIR: then no tmp was made
+            tmp.unlink()
+        if isinstance(exc, OSError):
+            raise WriteError(f"cannot write {path}: {exc}") from exc
         raise
+
+
+def _make_dirs(path) -> None:
+    """Create directory path and its parents, or raise WriteError naming it."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise WriteError(f"cannot create directory {path}: {exc}") from exc
 
 
 def save_manifest(entries: list[ManifestEntry], path) -> None:
@@ -437,11 +449,9 @@ def _class_meta(spec: SynthSpec, label: int) -> dict:
     if spec.family == "pattern":
         pattern = _PATTERNS[label]
         condition = None if pattern == "blank" else f"{pattern} marker"
-        return {"body_region": "Chest", "modality": "CT", "condition": condition,
-                "pattern": pattern}
+        return {"body_region": "Chest", "modality": "CT", "condition": condition}
     letter = chr(ord("A") + label)
-    return {"body_region": "Brain", "modality": "MRI", "condition": f"Sequence {letter}",
-            "pattern": None}
+    return {"body_region": "Brain", "modality": "MRI", "condition": f"Sequence {letter}"}
 
 
 def _base_slices(spec: SynthSpec, seed: int) -> np.ndarray:
@@ -485,7 +495,7 @@ def _split_for(index: int, per_class: int) -> str:
 def synth_dataset(spec: SynthSpec, seed: int, out_dir) -> list[ManifestEntry]:
     """Generate a corpus under out_dir: samples/, manifest.json, captions.json."""
     out_dir = Path(out_dir)
-    (out_dir / "samples").mkdir(parents=True, exist_ok=True)
+    _make_dirs(out_dir / "samples")
 
     base = _base_slices(spec, seed) if spec.family == "order-coded" else None
     entries: list[ManifestEntry] = []

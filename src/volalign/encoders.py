@@ -12,12 +12,14 @@ arrays: those of one slice count share each encode_image2d call, at most
 datapipe.SLICE_BATCH slices at a time. numpy multiplies a stack one matrix
 at a time, so every slice keeps the bits it gets when encoded alone.
 encode_samples streams sample files through it: each batch that
-datapipe.preprocessed_batches flushes is encoded at once, and only the
-[n, d_model] rows are kept. With two usable CPUs and os.fork, from
-FORK_MIN_SAMPLES distinct samples on, a forked child encodes the first half
-of them while this process encodes the rest (_in_two, the one place that
-forks; the ablation's probes use it too). Neither side's bits depend on the
-other, so the rows are those of the serial path.
+datapipe.preprocessed_batches flushes is encoded at once under every image
+group asked for, and only the [n, d_model] rows are kept. With two usable
+CPUs and os.fork, from FORK_MIN_SAMPLES distinct samples on, a forked child
+encodes the first half of them while this process encodes the rest (_in_two,
+the one place that forks; the ablation's probes use it too). Neither side's
+bits depend on the other, so the rows are those of the serial path.
+FrozenEncodings keeps those rows by sample path under a fixed set of frozen
+groups, so a sample is loaded once however many of them ask for it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from . import datapipe as dp
 from . import diffmath as dm
 from .config import TrainConfig
 from .diffmath import ParamGroup, Tape
-from .errors import InputError, LoadError, VolalignError
+from .errors import CompatibilityError, InputError, LoadError, VolalignError
 
 # distinct samples from which encode_samples splits its work across two
 # processes; below it the fork costs more than it saves (README "Frozen
@@ -129,40 +131,54 @@ def encode_frozen(volumes: list[np.ndarray], params: ParamGroup, s_max: int) -> 
     return out
 
 
-def encode_samples(paths, size: int, params: ParamGroup, s_max: int,
-                   volumes: dict | None = None) -> list[np.ndarray]:
-    """encode_frozen of each path's sample, preprocessed to size x size, in
-    input order. Each datapipe.preprocessed_batches batch is encoded as soon
-    as it is flushed, and only its [n, d_model] rows are kept. `volumes`
-    caches preprocessed volumes across calls, keyed by (path, size): a hit
-    is encoded from it, a miss is stored in it.
+def encode_samples(paths, size: int, groups: list[ParamGroup], s_max: int) -> dict:
+    """{path: its rows under each group} of each distinct path: encode_frozen
+    of its sample, preprocessed to size x size. Each
+    datapipe.preprocessed_batches batch is encoded under every group as soon
+    as it is flushed, and only its [n, d_model] rows are kept.
 
     From FORK_MIN_SAMPLES distinct paths on, _in_two may split them: a
-    forked child encodes the first half and sends back its rows and the
-    volumes it stored in its copy of the memo, which join this process's
-    memo. Every row and volume has the bits the serial path gives it, and
-    the hits held here keep their identity.
+    forked child encodes the first half and sends back its rows. Every row
+    has the bits the serial path gives it.
     """
     def encode(part):
-        hits = [p for p in part if volumes is not None and (p, size) in volumes]
-        rows = dict(zip(hits, encode_frozen([volumes[p, size] for p in hits], params, s_max)))
-        misses = [p for p in part if p not in rows]
-        for done, pieces in dp.preprocessed_batches(misses, size):
-            if volumes is not None:
-                volumes.update(((p, size), v) for p, v in zip(done, pieces))
-            rows.update(zip(done, encode_frozen(pieces, params, s_max)))
+        rows = {}
+        for done, pieces in dp.preprocessed_batches(part, size):
+            rows.update(zip(done, zip(*[encode_frozen(pieces, g, s_max) for g in groups])))
             del pieces  # before the next batch is preprocessed
-        return rows, {} if volumes is None else {(p, size): volumes[p, size] for p in misses}
+        return rows
 
     distinct = list(dict.fromkeys(paths))
     parts = (_in_two(encode, distinct, "encoding", LoadError)
              if len(distinct) >= FORK_MIN_SAMPLES else [encode(distinct)])
-    out = {}
-    for rows, stored in parts:
-        out.update(rows)
-        if volumes is not None:
-            volumes.update(stored)
-    return [out[p] for p in paths]
+    return {p: rows for part in parts for p, rows in part.items()}
+
+
+def same_group(a: ParamGroup, b: ParamGroup) -> bool:
+    """Whether two parameter groups hold the same names and values."""
+    return a.keys() == b.keys() and all(np.array_equal(a[k].value, b[k].value) for k in a)
+
+
+class FrozenEncodings:
+    """A memo of slice embeddings under a few frozen image groups at one
+    image size, keyed by sample path: a miss is loaded and preprocessed once
+    and encoded under every distinct group (encode_samples)."""
+
+    def __init__(self, groups: list[ParamGroup], size: int, s_max: int):
+        self.groups = [g for i, g in enumerate(groups)  # each distinct group once
+                       if not any(same_group(g, known) for known in groups[:i])]
+        self.size, self.s_max = size, s_max
+        self.rows: dict = {}  # sample path -> its rows under each group
+
+    def get(self, paths, group: ParamGroup, size: int) -> list[np.ndarray]:
+        """The slice embeddings of each path's sample under group, in input
+        order; a group or size this memo was not built for is refused."""
+        g = next((i for i, known in enumerate(self.groups) if same_group(group, known)), None)
+        if g is None or size != self.size:
+            raise CompatibilityError(f"no frozen encodings at image size {size} under this group")
+        self.rows.update(encode_samples([p for p in paths if p not in self.rows], size,
+                                        self.groups, self.s_max))
+        return [self.rows[p][g] for p in paths]
 
 
 def _in_two(work, items: list, what: str, error: type[VolalignError]) -> list:

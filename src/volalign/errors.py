@@ -107,3 +107,10 @@ class AmbiguityError(InputError):
     """Candidate captions collide after tokenization."""
 
     category = "ambiguity"
+
+
+class WriteError(VolalignError):
+    """An output file or directory could not be written."""
+
+    category = "write"
+    exit_code = 10

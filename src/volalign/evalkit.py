@@ -3,15 +3,13 @@ stratified cross-validation, cross-modal top-1 matching, and the
 four-configuration ablation runner.
 
 Extraction streams its volumes from file to slice embeddings
-(encoders.encode_samples): each 64-slice preprocessing batch is encoded as
-soon as it is ready, so only one batch of preprocessed slices is alive, and
-from encoders.FORK_MIN_SAMPLES distinct samples on a forked child encodes
-the first half of them. It then pools the embeddings in batches of many
-volumes (encoders.slice_batches), each batch one [B, n, d_model] array;
-every row keeps the bits it gets alone. The ablation runner shares one memo
-of preprocessed volumes between its two stage-2 trainings and its rows, so
-each 3D sample is loaded once, and one memo of slice embeddings across its
-rows, so each test volume is encoded once per distinct image group.
+(encoders.encode_samples, which holds one preprocessing batch at a time and
+may split its samples with a forked child), then pools them in batches of
+many volumes (encoders.slice_batches); every row keeps the bits it gets
+alone. Stage 2 freezes the image group, so the ablation runner's two
+stage-2 trainings and four rows share one encoders.FrozenEncodings memo
+under the initial and the stage-1 encoder: each 3D sample is loaded once
+and encoded once per distinct encoder.
 
 The probe recipe is fixed (full-batch gradient descent, 500 iterations, step
 0.1, no regularization) so reports are reproducible; F1 is macro-averaged.
@@ -21,18 +19,13 @@ bit for bit those it would get trained alone.
 
 The ablation extracts its four tables in order, then probes them on two
 cores: one forked child probes rows 1-2 while this process probes rows 3-4
-(_probe_tables, through encoders._in_two, which extraction's split uses
-too), and matching follows. Threads were slower: the probe loop makes many
-small numpy calls, and each needs the GIL. The fork costs later work in
-the same process a page fault at the first write to each page that the fork
-shared (copy-on-write). With one usable CPU, or without os.fork,
-extraction and the probes run in this process alone. Python 3.12 and later
-warn at a fork in a process that runs other threads, such as OpenBLAS's.
+(_probe_tables, through encoders._in_two), and matching follows. With one
+usable CPU, or without os.fork, everything runs in this process alone.
+README "Ablation" says why threads were not used and what the fork costs.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,8 +38,8 @@ from . import slice_pool as sp
 from . import trainer as tr
 from .config import TrainConfig
 from .diffmath import ParamGroup, make_rng
-from .errors import (AmbiguityError, CompatibilityError, DependencyError, EvaluationError,
-                     InputError, LoadError, StratificationError)
+from .errors import (AmbiguityError, DependencyError, EvaluationError, InputError, LoadError,
+                     StratificationError)
 
 PROBE_ITERATIONS = 500
 PROBE_STEP = 0.1
@@ -86,47 +79,29 @@ class EmbeddingTable:
 
 
 def extract_embeddings(ckpt: tr.Checkpoint, entries, data_root, pool_mode: str,
-                       volumes: dict | None = None, encoded: dict | None = None) -> EmbeddingTable:
+                       encodings: enc.FrozenEncodings | None = None) -> EmbeddingTable:
     """One embedding per manifest entry, in manifest order, eval mode throughout.
 
-    Slices are encoded by enc.encode_samples and pooled one slice_batches
-    batch per pool call; each row has the bits of encode_image2d and its pool
-    function on its volume alone.
-    `volumes` caches preprocessed volumes across calls, keyed by (sample
-    path, image size); `encoded` caches slice embeddings, keyed by (sample
-    path, image size, sha256 of the image group). A sample path is the str
-    of datapipe._sample_path. A miss computes and stores.
+    Slices are encoded by enc.encode_samples, through `encodings` when given
+    (a memo shared across calls), and pooled one slice_batches batch per
+    pool call; each row has the bits of encode_image2d and its pool function
+    on its volume alone.
     """
     if pool_mode not in sp.POOL_MODES:
         raise InputError(f"pool mode must be one of {sp.POOL_MODES}, got {pool_mode!r}")
     root = Path(data_root)
-    size = ckpt.config.image_size
-    image = _group_sha256(ckpt.image)
-    keys = [(dp._sample_path(root, e.path), size, image) for e in entries]
-    encoded = {} if encoded is None else encoded
-    missing = [k for k in dict.fromkeys(keys) if k not in encoded]
-    encoded.update(zip(missing, enc.encode_samples([path for path, _, _ in missing], size,
-                                                   ckpt.image, ckpt.config.s_max, volumes)))
-
-    mats = [encoded[k] for k in keys]
+    cfg = ckpt.config
+    mats = (encodings or enc.FrozenEncodings([ckpt.image], cfg.image_size, cfg.s_max)).get(
+        [dp._sample_path(root, e.path) for e in entries], ckpt.image, cfg.image_size)
     vecs = [None] * len(mats)
-    for batch in enc.slice_batches([m.shape[0] for m in mats], ckpt.config.s_max):
+    for batch in enc.slice_batches([m.shape[0] for m in mats], cfg.s_max):
         stack = np.stack([mats[i] for i in batch])
         pooled = (sp.gap_pool(stack) if pool_mode == "gap"
-                  else sp.attention_pool(stack, ckpt.adapter, ckpt.config.heads))
+                  else sp.attention_pool(stack, ckpt.adapter, cfg.heads))
         for i, vec in zip(batch, pooled):
             vecs[i] = vec
     return EmbeddingTable([EmbeddingRow(id=e.id, label=e.label, vec=v)
                            for e, v in zip(entries, vecs)])
-
-
-def _group_sha256(group: ParamGroup) -> str:
-    """sha256 over the names, shapes and bytes of a parameter group."""
-    h = hashlib.sha256()
-    for name, p in group.items():
-        h.update(f"{name}{p.value.shape}".encode("utf-8"))
-        h.update(np.ascontiguousarray(p.value))
-    return h.hexdigest()
 
 
 def export_embeddings_csv(table: EmbeddingTable, path) -> None:
@@ -423,21 +398,18 @@ def _splits(entries):
             [e for e in entries if e.split == "test"])
 
 
-def _cached_stage2(cfg, data, base_ckpt, workdir: Path, name, volumes):
+def _cached_stage2(cfg, data, base_ckpt, workdir: Path, name, encodings):
     """The adapter trained on base_ckpt's encoder: the cached file in workdir
-    when its image group equals base_ckpt's bit for bit, else a fresh one."""
+    when its image group equals base_ckpt's, else a fresh one."""
     path = workdir / name
     if path.is_file():
         ckpt = tr.load_checkpoint(path)
-        mismatches = ckpt.config.differences(cfg, TrainConfig.GEOMETRY)
-        if mismatches:
-            raise CompatibilityError(f"checkpoint geometry differs from config: {mismatches}")
-        if all(np.array_equal(p.value, base_ckpt.image[k].value)
-               for k, p in ckpt.image.items()):
+        ckpt.config.check_geometry(cfg)
+        if enc.same_group(ckpt.image, base_ckpt.image):
             return ckpt
     train3d, val3d, _ = _splits(data.entries3d)
     ckpt = tr.train_stage2(cfg, train3d, val3d, data.root3d, base_ckpt,
-                           out_dir=workdir / name.removesuffix(".ckpt"), volumes=volumes)
+                           out_dir=workdir / name.removesuffix(".ckpt"), encodings=encodings)
     tr.save_checkpoint(ckpt, path)
     return ckpt
 
@@ -449,11 +421,11 @@ def run_ablation(data: AblationData, cfg: TrainConfig, workdir,
     Trains whatever is missing: the stage-1 encoder (unless supplied or cached
     in workdir) and one adapter per encoder variant, each cached in workdir
     with its per-epoch files. Configuration "vanilla encoder + gap" involves
-    no training at all. The adapter trainings and the rows share preprocessed
-    volumes, and the rows share slice embeddings per image group.
+    no training at all. The adapter trainings and the rows share one memo of
+    slice embeddings under the two encoders.
     """
     workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
+    dp._make_dirs(workdir)
 
     init_ckpt = tr.make_initial_checkpoint(cfg)
 
@@ -469,17 +441,15 @@ def run_ablation(data: AblationData, cfg: TrainConfig, workdir,
                                       out_dir=workdir / "stage1")
         tr.save_checkpoint(stage1_ckpt, workdir / "stage1.ckpt")
     else:
-        mismatches = stage1_ckpt.config.differences(cfg, TrainConfig.GEOMETRY)
-        if mismatches:
-            raise CompatibilityError(f"checkpoint geometry differs from config: {mismatches}")
+        stage1_ckpt.config.check_geometry(cfg)
 
-    # both adapters and every row share cfg.image_size, so each 3D sample is
-    # loaded and preprocessed once
-    volumes: dict = {}
+    # stage 2 freezes the image group: every encoding below is under one of two
+    encodings = enc.FrozenEncodings([init_ckpt.image, stage1_ckpt.image], cfg.image_size,
+                                    cfg.s_max)
     adapter_vanilla = _cached_stage2(cfg, data, init_ckpt, workdir, "stage2_vanilla.ckpt",
-                                     volumes)
+                                     encodings)
     adapter_tuned = _cached_stage2(cfg, data, stage1_ckpt, workdir, "stage2_finetuned.ckpt",
-                                   volumes)
+                                   encodings)
 
     _, _, test3d = _splits(data.entries3d)
     if not test3d:
@@ -491,11 +461,8 @@ def run_ablation(data: AblationData, cfg: TrainConfig, workdir,
         (ABLATION_CONFIGS[2], stage1_ckpt, "gap"),
         (ABLATION_CONFIGS[3], adapter_tuned, "attention"),
     ]
-    # stage 2 freezes the image group, so rows 2 and 4 reuse the encodings of
-    # rows 1 and 3
-    encoded: dict = {}
-    tables = [extract_embeddings(ckpt, test3d, data.root3d, mode, volumes=volumes,
-                                 encoded=encoded) for _, ckpt, mode in setups]
+    tables = [extract_embeddings(ckpt, test3d, data.root3d, mode, encodings=encodings)
+              for _, ckpt, mode in setups]
     probes = _probe_tables(tables, cfg.seed)
     rows = []
     for (name, ckpt, _), table, probe in zip(setups, tables, probes):

@@ -426,14 +426,9 @@ def _require_kind(entries: list[dp.ManifestEntry], kind: str) -> None:
 
 
 def _text_vectors(entries, text_params) -> list[np.ndarray]:
-    cache: dict[str, np.ndarray] = {}
-    out = []
-    for e in entries:
-        caption = dp.build_caption(e)
-        if caption not in cache:
-            cache[caption] = enc.encode_text(caption, text_params)
-        out.append(cache[caption])
-    return out
+    captions = [dp.build_caption(e) for e in entries]
+    vecs = {c: enc.encode_text(c, text_params) for c in dict.fromkeys(captions)}
+    return [vecs[c] for c in captions]
 
 
 def _stage1_items(entries, data_root, cfg, text_params) -> list[_Item]:
@@ -447,10 +442,11 @@ def _stage1_items(entries, data_root, cfg, text_params) -> list[_Item]:
 
 
 def _stage2_items(entries, data_root, cfg, text_params, image_params,
-                  volumes=None) -> list[_Item]:
+                  encodings=None) -> list[_Item]:
     root = Path(data_root)
-    mats = enc.encode_samples([dp._sample_path(root, e.path) for e in entries], cfg.image_size,
-                              image_params, cfg.s_max, volumes)  # frozen, eval mode
+    encodings = encodings or enc.FrozenEncodings([image_params], cfg.image_size, cfg.s_max)
+    mats = encodings.get([dp._sample_path(root, e.path) for e in entries], image_params,
+                         cfg.image_size)  # frozen, eval mode
     texts = _text_vectors(entries, text_params)
     return [_Item(inputs=m, text_vec=t) for m, t in zip(mats, texts)]
 
@@ -527,7 +523,7 @@ def _run_stage(ckpt: Checkpoint, items, val_items, out_dir) -> Checkpoint:
         raise ConfigurationError(f"validation set needs at least 2 samples, got {len(val_items)}")
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        dp._make_dirs(out_dir)
         if not ckpt.history:  # fresh: no earlier run's file may pass for one of this run's
             for path in [*out_dir.glob("epoch_*.ckpt"), out_dir / f"stage{stage}.ckpt",
                          out_dir / "loss.csv"]:
@@ -601,7 +597,7 @@ def train_stage1(cfg: TrainConfig, train_entries, val_entries, data_root,
 
 def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
                  stage1_ckpt: Checkpoint | None, out_dir=None, resume: bool = False,
-                 volumes: dict | None = None) -> Checkpoint:
+                 encodings: enc.FrozenEncodings | None = None) -> Checkpoint:
     """Train the slice-pooling adapter on volumes; both encoders are frozen.
 
     Slice stacks are embedded once up front by encoders.encode_samples (the
@@ -609,12 +605,11 @@ def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
     flushed, so set-up holds the [n, d_model] rows and never the preprocessed
     split, and each epoch touches only the adapter parameters. Train and
     val go through one encode_samples call, so at most one child is forked
-    to encode half of them. `volumes`
-    caches preprocessed volumes across calls, keyed by (sample path, image
-    size), the path a str of datapipe._sample_path; given one, set-up stores
-    every volume in it. A resume continues from the newest epoch checkpoint
-    in out_dir, which holds both encoders, so only a fresh run reads
-    stage1_ckpt (else None).
+    to encode half of them. `encodings`, a memo shared across calls (see
+    evalkit.run_ablation), serves the rows when given; it must hold the
+    image group that training starts from. A resume continues from the
+    newest epoch checkpoint in out_dir, which holds both encoders, so only a
+    fresh run reads stage1_ckpt (else None).
     """
     _require_kind(train_entries, "3d")
     _require_kind(val_entries, "3d")
@@ -625,11 +620,9 @@ def train_stage2(cfg: TrainConfig, train_entries, val_entries, data_root,
         if stage1_ckpt is None:
             raise DependencyError("a fresh stage-2 run needs a stage-1 checkpoint; "
                                   "train stage 1 first and pass its checkpoint")
-        mismatches = stage1_ckpt.config.differences(cfg, TrainConfig.GEOMETRY)
-        if mismatches:
-            raise CompatibilityError(f"checkpoint geometry differs from config: {mismatches}")
+        stage1_ckpt.config.check_geometry(cfg)
         ckpt = snapshot_checkpoint(replace(stage1_ckpt, stage=2, config=cfg, optimizer=None,
                                            history=[]))
     items = _stage2_items([*train_entries, *val_entries], data_root, cfg, ckpt.text, ckpt.image,
-                          volumes)
+                          encodings)
     return _run_stage(ckpt, items[:len(train_entries)], items[len(train_entries):], out_dir)

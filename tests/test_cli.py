@@ -19,7 +19,7 @@ from volalign import evalkit as ek
 from volalign import trainer as tr
 from volalign.cli import main
 from volalign.config import TrainConfig
-from volalign.errors import CheckpointError, CompatibilityError, DependencyError
+from volalign.errors import CheckpointError, CompatibilityError, DependencyError, WriteError
 
 
 def run(argv):
@@ -369,6 +369,43 @@ class TestEvalCommands:
             os.waitpid(forks[0], os.WNOHANG)
 
 
+class TestUnwritableOut:
+    """Every command whose --out cannot be written exits with WriteError's
+    code and leaves no temporary file behind."""
+
+    @staticmethod
+    def argv(ws, command) -> list:
+        stage2 = ["--ckpt", ws / "run2" / "stage2.ckpt", "--data", ws / "data" / "3d"]
+        return {
+            "synth": ["synth", "--family", "pattern", "--per-class", 5, "--size", 8],
+            "train2d": ["train2d", "--config", ws / "cfg.json", "--data", ws / "data" / "2d"],
+            "train3d": ["train3d", "--config", ws / "cfg.json", "--data", ws / "data" / "3d",
+                        "--from", ws / "run1" / "stage1.ckpt"],
+            "probe": ["probe", *stage2],
+            "match": ["match", *stage2, "--captions", ws / "data" / "3d" / "captions.json"],
+            "ablate": ["ablate", "--config", ws / "cfg.json", "--data", ws / "data"],
+            "export": ["export", *stage2],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["synth", "train2d", "train3d", "probe", "match",
+                                         "ablate", "export"])
+    @pytest.mark.parametrize("blocked", ["below-a-file", "onto-a-directory"])
+    def test_exits_10_and_leaves_no_tmp_file(self, trained, tmp_path, capsys, command,
+                                             blocked):
+        if blocked == "below-a-file":  # --out cannot be created
+            (tmp_path / "afile").write_text("")
+            out = tmp_path / "afile" / "out"
+            message = f"cannot create directory {out}"  # synth's is out/samples
+        else:  # run_config.json, which every command writes, cannot replace a directory
+            out = tmp_path / "out"
+            (out / "run_config.json").mkdir(parents=True)
+            message = f"cannot write {out / 'run_config.json'}: "
+        code = run(self.argv(trained, command) + ["--out", out])
+        assert code == WriteError.exit_code == 10
+        assert f"error:write: {message}" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.tmp")) == list(trained.rglob("*.tmp")) == []
+
+
 class TestParser:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -445,7 +482,7 @@ class TestExitCodes:
             if "exit_code" in vars(cls):
                 assert cls.__name__ in codes, cls.__name__
         # 0 (success) and 2 (usage, from argparse) belong to no error class
-        assert {c.exit_code for c in self.ERRORS} == set(codes.values()) == {1, *range(3, 10)}
+        assert {c.exit_code for c in self.ERRORS} == set(codes.values()) == {1, *range(3, 11)}
 
     @pytest.mark.parametrize("cls", ERRORS, ids=lambda c: c.__name__)
     def test_main_exits_with_the_class_code(self, cls, monkeypatch, capsys):

@@ -18,7 +18,7 @@ from volalign import evalkit as ek
 from volalign import trainer as tr
 from volalign.config import TrainConfig
 from volalign.diffmath import Param
-from volalign.errors import FormatError, InputError, LoadError
+from volalign.errors import CompatibilityError, FormatError, InputError, LoadError
 
 SMALL = TrainConfig(d_model=6, d_hidden=8, d_text=8, vocab=64, patch_size=4,
                     image_size=8, heads=2, s_max=8)
@@ -168,44 +168,38 @@ class TestEncodeSamples:
            samples=st.lists(st.tuples(st.booleans(), st.integers(1, 8),
                                       st.integers(0, 2**32 - 1)), min_size=1, max_size=30),
            repeats=st.lists(st.integers(0, 29), max_size=4),
-           cached=st.lists(st.integers(0, 29), max_size=10),
            size=st.sampled_from([4, 8]))
-    def test_equals_encode_frozen_of_load_preprocessed(self, sizes, samples, repeats,
-                                                       cached, size):
-        params = tr.init_group(SMALL, "image", seed=4)
+    def test_equals_encode_frozen_of_load_preprocessed(self, sizes, samples, repeats, size):
+        groups = [tr.init_group(SMALL, "image", seed=seed) for seed in (4, 5)]
         arrays = [np.random.default_rng(seed).normal(1.0, 2.0, size=(n, *sizes[second]))
                   for second, n, seed in samples]
         with tempfile.TemporaryDirectory() as tmp:
             paths = write_samples(Path(tmp), arrays)
             paths += [paths[i % len(paths)] for i in repeats]  # duplicates
-            seeded = [paths[i % len(paths)] for i in cached]
-            volumes = {(p, size): v for p, v in zip(seeded, dp.load_preprocessed(seeded, size))}
-            hits = dict(volumes)
-            got = enc.encode_samples(paths, size, params, 8, volumes)
-            want = enc.encode_frozen(dp.load_preprocessed(paths, size), params, 8)
-            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-            # every sample is in the memo now; a hit was used, not replaced
-            assert sorted(volumes) == sorted(set((p, size) for p in paths))
-            assert all(volumes[k] is v for k, v in hits.items())
-            for p, vol in zip(paths, dp.load_preprocessed(paths, size)):
-                assert volumes[p, size].tobytes() == vol.tobytes()
+            got = enc.encode_samples(paths, size, groups, 8)
+            volumes = dp.load_preprocessed(paths, size)
+        assert got.keys() == set(paths)
+        for g, group in enumerate(groups):
+            want = enc.encode_frozen(volumes, group, 8)
+            assert [got[p][g].tobytes() for p in paths] == [w.tobytes() for w in want]
 
     def test_memo_is_keyed_by_path_and_size(self, tmp_path, monkeypatch, call_log, forked):
-        params = tr.init_group(SMALL, "image", seed=4)
-        paths = write_samples(tmp_path, [np.arange(12.0).reshape(1, 3, 4)] * 2)
-        volumes: dict = {}
-        first = enc.encode_samples(paths[:1], 8, params, 8, volumes)
-        held = volumes[paths[0], 8]
+        groups = [tr.init_group(SMALL, "image", seed=seed) for seed in (4, 5)]
+        paths = write_samples(tmp_path, [np.arange(12.0).reshape(1, 3, 4), np.ones((2, 3, 4))])
+        alone = enc.encode_samples(paths, 8, groups, 8)
+        memo = enc.FrozenEncodings(groups, 8, 8)
+        first = memo.get(paths[:1], groups[0], 8)
         load = dp.load_volume
         monkeypatch.setattr(dp, "load_volume", lambda p: call_log.append(str(p)) or load(p))
-        again = enc.encode_samples(paths + paths[:1], 8, params, 8, volumes)
+        again = memo.get(paths + paths[:1], groups[1], 8)  # paths[0] has both groups' rows
         assert call_log.values() == [str(paths[1])]
-        assert volumes[paths[0], 8] is held
-        assert again[0].tobytes() == first[0].tobytes() == again[2].tobytes()
-        assert sorted(volumes) == sorted((p, 8) for p in paths)
-        enc.encode_samples(paths[:1], 4, params, 8, volumes)  # another size misses
-        assert call_log.values() == [str(paths[1]), str(paths[0])]
-        assert sorted(volumes) == sorted([(p, 8) for p in paths] + [(paths[0], 4)])
+        assert first[0].tobytes() == alone[paths[0]][0].tobytes()
+        assert [r.tobytes() for r in again] == [alone[p][1].tobytes() for p in paths + paths[:1]]
+        assert [r.tobytes() for r in memo.get(paths, groups[0], 8)] == [
+            alone[p][0].tobytes() for p in paths]
+        with pytest.raises(CompatibilityError, match="image size 4"):
+            memo.get(paths[:1], groups[0], 4)  # another size is refused, not loaded
+        assert call_log.values() == [str(paths[1])]
 
     @staticmethod
     def count_slices_in_flight(monkeypatch, call_log):
@@ -273,6 +267,35 @@ class TestEncodeSamplesOnOneCpu(TestEncodeSamples):
         return one_cpu
 
 
+class TestFrozenEncodings:
+    """The memo that an ablation shares: rows per sample path under the
+    distinct groups it was built for, at its one image size."""
+
+    @pytest.mark.parametrize("foreign", ["group", "size"])
+    def test_foreign_group_or_size_is_a_compatibility_error(self, tmp_path, monkeypatch,
+                                                            foreign):
+        paths = write_samples(tmp_path, [np.ones((2, 3, 4))])
+        memo = enc.FrozenEncodings([tr.init_group(SMALL, "image", seed=4)], 8, 8)
+        group = tr.init_group(SMALL, "image", seed=4 if foreign == "size" else 5)
+        monkeypatch.setattr(dp, "load_volume", lambda p: pytest.fail("loaded"))
+        with pytest.raises(CompatibilityError, match="no frozen encodings at image size") as exc:
+            memo.get(paths, group, 4 if foreign == "size" else 8)
+        assert exc.value.exit_code == 6
+        assert memo.rows == {}
+
+    def test_equal_groups_are_encoded_once(self, tmp_path, monkeypatch):
+        paths = write_samples(tmp_path, [np.ones((2, 3, 4)), np.zeros((1, 3, 4))])
+        groups = [tr.init_group(SMALL, "image", seed=4) for _ in range(2)]  # equal, not one
+        memo = enc.FrozenEncodings(groups, 8, 8)
+        encoded = []
+        encode = enc.encode_image2d
+        monkeypatch.setattr(enc, "encode_image2d",
+                            lambda image, p: encoded.append(image.shape) or encode(image, p))
+        rows = [memo.get(paths, group, 8) for group in groups]
+        assert encoded == [(1, 2, 8, 8), (1, 1, 8, 8)]  # one call per slice count, one group
+        assert [r.tobytes() for r in rows[1]] == [r.tobytes() for r in rows[0]]
+
+
 @pytest.fixture(scope="module")
 def corpus526(tmp_path_factory):
     """2-slice volumes: 526 in train and val, past FORK_MIN_SAMPLES."""
@@ -310,24 +333,27 @@ class TestTwoProcesses:
         root, entries = corpus526
         cfg = dataclasses.replace(SMALL, epochs=2, batch_size=32)
         stage1 = tr.make_initial_checkpoint(cfg)
+        groups = [stage1.image, tr.init_group(cfg, "image", seed=9)]
         train = [e for e in entries if e.split == "train"]
         val = [e for e in entries if e.split == "val"]
-        seeded = [dp._sample_path(root, e.path) for e in entries[::50]]
+        paths = [dp._sample_path(root, e.path) for e in entries]
+        volumes = dp.load_preprocessed(paths, cfg.image_size)
+        alone = [[r.tobytes() for r in enc.encode_frozen(volumes, group, cfg.s_max)]
+                 for group in groups]
         results = {}
         for n in (2, 1):
             self.cpus(monkeypatch, n)
             forks = self.recorded_forks(monkeypatch)
             out = tmp_path / f"cpus{n}"
             tr.train_stage2(cfg, train, val, root, stage1, out_dir=out)
-            volumes = dict(zip([(p, cfg.image_size) for p in seeded],
-                               dp.load_preprocessed(seeded, cfg.image_size)))
-            hits = dict(volumes)
-            table = ek.extract_embeddings(stage1, entries, root, "gap", volumes=volumes)
-            assert all(volumes[k] is v for k, v in hits.items())
+            memo = enc.FrozenEncodings(groups, cfg.image_size, cfg.s_max)
+            table = ek.extract_embeddings(stage1, entries, root, "gap", encodings=memo)
+            rows = [[r.tobytes() for r in memo.get(paths, group, cfg.image_size)]
+                    for group in groups]
             assert len(forks) == (2 if n == 2 else 0)  # one per set-up, one per extraction
+            assert rows == alone
             results[n] = ({p.name: p.read_bytes() for p in sorted(out.glob("*.ckpt"))},
-                          table.matrix().tobytes(),
-                          {k: v.tobytes() for k, v in volumes.items()})
+                          table.matrix().tobytes())
             monkeypatch.undo()
         assert len(results[2][0]) == 3  # two epochs and the best
         assert results[2] == results[1]
@@ -335,7 +361,7 @@ class TestTwoProcesses:
     def test_the_cut_off_counts_distinct_samples(self, corpus526, monkeypatch):
         root, entries = corpus526
         paths = [dp._sample_path(root, e.path) for e in entries][:enc.FORK_MIN_SAMPLES]
-        params = tr.init_group(SMALL, "image", seed=4)
+        params = [tr.init_group(SMALL, "image", seed=4)]
         self.cpus(monkeypatch, 2)
         forks = self.recorded_forks(monkeypatch)
         enc.encode_samples(paths[:-1] + paths[:1], 8, params, 8)
@@ -353,7 +379,7 @@ class TestTwoProcesses:
             bad = tmp_path / f"bad{i}.vol"
             bad.write_bytes(b"VOL1" + bytes(5))
             paths[i] = str(bad)
-        params = tr.init_group(SMALL, "image", seed=4)
+        params = [tr.init_group(SMALL, "image", seed=4)]
         raised = {}
         for n in (2, 1):
             self.cpus(monkeypatch, n)
@@ -392,7 +418,7 @@ class TestTwoProcesses:
         forks = self.recorded_forks(monkeypatch)
         with pytest.raises(LoadError, match="the encoding child sent no result and ended "
                                             "with exit status 3"):
-            enc.encode_samples(paths, 8, tr.init_group(SMALL, "image", seed=4), 8)
+            enc.encode_samples(paths, 8, [tr.init_group(SMALL, "image", seed=4)], 8)
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(forks[0], os.WNOHANG)
@@ -412,7 +438,7 @@ class TestTwoProcesses:
         forks = self.recorded_forks(monkeypatch)
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="untyped, in this process"):
-            enc.encode_samples(paths, 8, tr.init_group(SMALL, "image", seed=4), 8)
+            enc.encode_samples(paths, 8, [tr.init_group(SMALL, "image", seed=4)], 8)
         assert time.monotonic() - start < 30
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):

@@ -492,10 +492,11 @@ class TestAblationPreprocessesOnce:
                                                                 call_log, forked):
         data, workdir = trained
         cfg = small_cfg(epochs=2)
-        groups = [ek._group_sha256(tr.load_checkpoint(workdir / name).image)
+        groups = [tr.load_checkpoint(workdir / name).image
                   for name in ("stage2_vanilla.ckpt", "stage1.ckpt", "stage2_finetuned.ckpt")]
-        assert groups[0] == ek._group_sha256(tr.make_initial_checkpoint(cfg).image)
-        assert groups[1] == groups[2] != groups[0]
+        assert enc.same_group(groups[0], tr.make_initial_checkpoint(cfg).image)
+        assert enc.same_group(groups[1], groups[2])
+        assert not enc.same_group(groups[0], groups[1])
         self.count_encoded_slices(monkeypatch, call_log)
         ek.run_ablation(data, cfg, workdir=workdir)
         counts = call_log.values()
@@ -512,8 +513,10 @@ class TestAblationPreprocessesOnce:
         changed.image["out_proj"].value[0, 0] += 1e-9
         test3d = [e for e in data.entries3d if e.split == "test"]
         self.count_encoded_slices(monkeypatch, call_log)
-        encoded: dict = {}  # the memo that run_ablation shares across its rows
-        tables = [ek.extract_embeddings(ckpt, test3d, data.root3d, "attention", encoded=encoded)
+        # a memo as run_ablation builds one, for two groups 1e-9 apart
+        memo = enc.FrozenEncodings([vanilla.image, changed.image], vanilla.config.image_size,
+                                   vanilla.config.s_max)
+        tables = [ek.extract_embeddings(ckpt, test3d, data.root3d, "attention", encodings=memo)
                   for ckpt in (vanilla, changed, vanilla)]
         monkeypatch.undo()
         counts = call_log.values()
@@ -570,13 +573,28 @@ class TestAblationPreprocessesOnce:
 
     def test_cache_is_keyed_by_image_size(self, ordered3d):
         root, entries = ordered3d
-        volumes = {}
-        for size in (8, 4):
-            ckpt = tr.make_initial_checkpoint(small_cfg(image_size=size, patch_size=4))
-            ek.extract_embeddings(ckpt, entries[:2], root, "gap", volumes=volumes)
-        assert sorted(volumes) == sorted((str(root / e.path), size)
-                                         for e in entries[:2] for size in (8, 4))
-        assert {v.shape[-1] for (_, size), v in volumes.items() if size == 4} == {4}
+        ckpts = [tr.make_initial_checkpoint(small_cfg(image_size=size, patch_size=4))
+                 for size in (8, 4)]
+        memo = enc.FrozenEncodings([ckpts[0].image], 8, 8)
+        ek.extract_embeddings(ckpts[0], entries[:2], root, "gap", encodings=memo)
+        assert sorted(memo.rows) == sorted(str(root / e.path) for e in entries[:2])
+        with pytest.raises(CompatibilityError, match="image size 4"):
+            ek.extract_embeddings(ckpts[1], entries[:2], root, "gap", encodings=memo)
+        assert {r.shape for rows in memo.rows.values() for r in rows} == {(4, 8)}
+
+    def test_stage1_equal_to_the_initial_encoder_is_encoded_once(self, trained, tmp_path,
+                                                                 monkeypatch, call_log, forked):
+        data, workdir = trained
+        cfg = small_cfg(epochs=2)
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        self.count_encoded_slices(monkeypatch, call_log)
+        ek.run_ablation(data, cfg, workdir=work, stage1_ckpt=tr.make_initial_checkpoint(cfg))
+        monkeypatch.undo()
+        # the fine-tuned adapter retrains on the initial encoder, and every 3D
+        # sample is encoded under that one encoder once
+        slices = sum(len(dp.load_volume(data.root3d / e.path)) for e in data.entries3d)
+        assert sum(call_log.values()) == slices
 
     @pytest.mark.parametrize("mismatched", ["stage2_vanilla.ckpt", "stage2_finetuned.ckpt"])
     def test_cached_stage2_geometry_is_checked(self, tmp_path, mismatched):

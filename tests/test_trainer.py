@@ -17,7 +17,7 @@ from volalign import evalkit as ek
 from volalign import trainer as tr
 from volalign.config import TrainConfig
 from volalign.errors import (CheckpointError, CompatibilityError,
-                             ConfigurationError, DependencyError, InputError)
+                             ConfigurationError, DependencyError, InputError, WriteError)
 
 
 def small_cfg(**kw):
@@ -411,7 +411,7 @@ class TestCrashSafeWrites:
         before = _contents(tmp_path)
         assert sorted(before) == (names if earlier else [])
         files = self.fail_after(monkeypatch, budget=20)
-        with pytest.raises(OSError, match="No space"):
+        with pytest.raises(WriteError, match=f"cannot write {re.escape(str(path))}: .*No space"):
             write(new, path)
         assert files and files[0].written == 20  # the write failed part-way
         monkeypatch.undo()
